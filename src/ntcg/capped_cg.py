@@ -13,7 +13,7 @@ so a run costs exactly ``iterations + 1`` operator applications.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -65,7 +65,6 @@ class CappedCGResult:
     residual_norm: Optional[float] = None  # SOL only
     nc_source: Optional[str] = None  # "p0", "y", "p", "slow_decay"
     extraction_index: Optional[int] = None  # slow-decay branch only
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _derived(M, epsilon, zeta):
@@ -208,7 +207,8 @@ def capped_cg(H, g, params, trace=None):
             kappa, zeta_hat, tau, T = _derived(M, eps, params.zeta)
 
         norm_r = np.linalg.norm(r)
-        emit("iter", j=j, r_norm=norm_r, y=y.copy(), r=r.copy(), M=M)
+        if trace is not None:
+            emit("iter", j=j, r_norm=norm_r, y=y.copy(), r=r.copy(), M=M)
 
         y_bar_y = y @ Hy + 2.0 * eps * (y @ y)
         p_bar_p = p @ Hp + 2.0 * eps * (p @ p)

@@ -27,7 +27,6 @@ so outputs are reproducible byte for byte.
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,10 +46,10 @@ from .problems import (
     constants_for,
 )
 from .reporting import aggregate_runs, write_aggregate_json, write_run_csv
-from .sampling import EXACT, SUB_BOTH, SUB_HESSIAN_ONLY, SamplingPolicy
+from .sampling import PRESETS, preset_policy
 
 PROBLEMS = ("nls-sigmoid", "nls-tanh", "nls-welsch", "quadratic", "saddle")
-VARIANTS = ("full", "subh", "inexact-full-eval", "inexact-fixed", "inexact-sub-eval")
+VARIANTS = PRESETS
 
 EXIT_OK = 0
 EXIT_CONTRACT_VIOLATION = 2
@@ -103,24 +102,6 @@ def build_problem(spec):
     return problem, problem.constants(), np.zeros(spec.dim)
 
 
-def build_policy(spec, n):
-    """Sampling policy for the preset, sized against n components."""
-    hess_batch = max(1, math.ceil(0.01 * n))
-    grad_batch = max(1, math.ceil(0.05 * n))
-    if spec.variant == "full":
-        return SamplingPolicy(mode=EXACT)
-    if spec.variant == "subh":
-        return SamplingPolicy(mode=SUB_HESSIAN_ONLY, hess_batch=hess_batch)
-    line_eval = "batch" if spec.variant == "inexact-sub-eval" else "full"
-    return SamplingPolicy(
-        mode=SUB_BOTH,
-        grad_batch=grad_batch,
-        hess_batch=hess_batch,
-        adaptive=True,
-        line_search_eval=line_eval,
-    )
-
-
 def build_config(spec, seed):
     variant_kind = (
         solver.FIXED_STEP if spec.variant == "inexact-fixed" else solver.LINE_SEARCH
@@ -157,7 +138,7 @@ def run_experiment(spec):
         seed = spec.seed + r
         problem.ledger.reset()
         problem.audit_ledger.reset()
-        policy = build_policy(spec, problem.n)
+        policy = preset_policy(spec.variant, problem.n)
         config, variant_kind = build_config(spec, seed)
         try:
             report = solver.run(

@@ -15,7 +15,7 @@ from scipy.special import expit
 from . import solver
 from ._validation import check_matrix, check_X_y
 from .problems import SIGMOID, TANH, WELSCH, NLSProblem, constants_for
-from .sampling import EXACT, SUB_BOTH, SamplingPolicy
+from .sampling import preset_policy
 
 
 class _ParamsMixin:
@@ -54,15 +54,9 @@ class _BaseNewtonCG(_ParamsMixin):
             skip_small_step_block=self.skip_small_step_block,
             seed=self.seed,
         )
-        if self.subsample:
-            policy = SamplingPolicy(
-                mode=SUB_BOTH,
-                grad_batch=max(1, int(0.05 * problem.n)),
-                hess_batch=max(1, int(0.01 * problem.n)),
-                adaptive=True,
-            )
-        else:
-            policy = SamplingPolicy(mode=EXACT)
+        policy = preset_policy(
+            "inexact-full-eval" if self.subsample else "full", problem.n
+        )
         report = solver.run(
             problem, config, policy=policy, constants=constants,
             x0=np.zeros(problem.dim),

@@ -1,5 +1,6 @@
 """Finite-sum subsampling: batch estimators, sample-size formulas, accuracy
-targets, and the adaptive batch rule used by the benchmark presets.
+targets, the adaptive batch rule, and the sampling policies of the
+benchmark presets.
 
 Sampling is uniform without replacement and resampled fresh every iteration
 (per-iteration probability statements need fresh randomness even where a
@@ -164,7 +165,6 @@ class SamplingPolicy:
     grad_batch: int = 0
     hess_batch: int = 0
     adaptive: bool = False
-    growth: float = 1.2
     min_batch: int = 32
     line_search_eval: str = "full"
     targets: AccuracyTargets = field(
@@ -177,8 +177,6 @@ class SamplingPolicy:
             raise ValueError("unknown sampling mode %r" % (self.mode,))
         if self.line_search_eval not in ("full", "batch"):
             raise ValueError("line_search_eval must be 'full' or 'batch'")
-        if self.growth <= 1.0:
-            raise ValueError("growth factor must exceed 1")
 
     def subsamples_gradient(self):
         return self.mode == SUB_BOTH
@@ -196,6 +194,16 @@ class SamplingPolicy:
             return np.arange(n, dtype=np.int64)
         return sample_indices(n, min(max(self.hess_batch, 1), n), rng)
 
+    def tighten_gradient(self, n, K_g=None):
+        """Halve targets.delta_g and resize the gradient batch for it by the
+        concentration formula, or double it when no bound K_g is known."""
+        self.targets.delta_g = max(self.targets.delta_g / 2.0, 1e-300)
+        if K_g is not None:
+            batch = grad_sample_size(K_g, self.targets.delta_g, self.delta_bar)
+        else:
+            batch = max(2 * self.grad_batch, self.min_batch)
+        self.grad_batch = min(n, batch)
+
     def adapt(self, g_norm_now, g_norm_prev, n):
         if not (self.adaptive and self.subsamples_gradient()):
             return self.grad_batch
@@ -203,3 +211,30 @@ class SamplingPolicy:
             self.grad_batch, g_norm_now, g_norm_prev, n_total=n, floor=self.min_batch
         )
         return self.grad_batch
+
+
+PRESETS = ("full", "subh", "inexact-full-eval", "inexact-fixed", "inexact-sub-eval")
+
+
+def preset_policy(preset, n):
+    """Sampling policy of a benchmark preset, sized against n components.
+
+    "full" evaluates exactly; "subh" draws Hessian batches of ceil(0.01 n);
+    the inexact presets add adaptive gradient batches of ceil(0.05 n), with
+    the line-search objective estimated on the gradient batch only under
+    "inexact-sub-eval".
+    """
+    if preset not in PRESETS:
+        raise ValueError("unknown preset %r" % (preset,))
+    hess_batch = max(1, math.ceil(0.01 * n))
+    if preset == "full":
+        return SamplingPolicy(mode=EXACT)
+    if preset == "subh":
+        return SamplingPolicy(mode=SUB_HESSIAN_ONLY, hess_batch=hess_batch)
+    return SamplingPolicy(
+        mode=SUB_BOTH,
+        grad_batch=max(1, math.ceil(0.05 * n)),
+        hess_batch=hess_batch,
+        adaptive=True,
+        line_search_eval="batch" if preset == "inexact-sub-eval" else "full",
+    )

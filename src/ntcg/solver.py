@@ -27,15 +27,19 @@ provably satisfy the same decrease condition given accuracy levels
 
 Audit mode recomputes exact quantities through a ledger-exempt channel and
 enforces the per-step decrease floors, backtracking caps, and iteration
-bounds, raising ContractViolation on any failure; outside audit mode,
-violations are logged and the run terminates with a ContractViolation
-status only when it cannot make progress at all.
+bounds, raising ContractViolation on the first failure.  Without audit no
+checks run; a step rule that fails (an exhausted line search, a broken
+fixed-step discriminant) is logged and ends the run with a
+ContractViolation status.
 
 The driver is a single logical thread: all randomness (batch draws and
-oracle start vectors) flows from one seeded generator, so a (config,
-policy, problem) triple determines the run exactly.
+oracle start vectors) flows from one seeded generator, and the run adapts
+a private copy of the sampling policy, so a (config, policy, problem)
+triple determines the run exactly.  Record and report props are read
+from the problem's ledger, which keeps counting across runs until reset.
 """
 
+import copy
 import logging
 import math
 from dataclasses import dataclass, field
@@ -53,7 +57,6 @@ from .sampling import (
     COND3,
     EXACT,
     SamplingPolicy,
-    grad_sample_size,
     verify_condition,
 )
 
@@ -321,18 +324,6 @@ def j_nc_cap(theta, L_H, eta):
     return math.ceil(math.log(3.0 / (2.0 * (L_H + eta))) / math.log(theta))
 
 
-def iteration_bound_line_search(f0_minus_flow, L_H, c_sol, c_nc, eps):
-    denom = min(
-        c_sol / (64.0 * L_H**1.5), 8.0 * L_H**1.5 * c_sol, L_H**1.5 * c_nc / 8.0
-    )
-    return math.ceil(3.0 * f0_minus_flow / denom * eps**-1.5) + 5
-
-
-def iteration_bound_fixed(f0_minus_flow, L_H, cbar_sol, cbar_nc, eps):
-    denom = min(cbar_sol, cbar_nc / 8.0) * L_H**1.5
-    return 2 * math.ceil(f0_minus_flow / denom * eps**-1.5) + 3
-
-
 def iteration_bound(f0_minus_flow, L_H, constants, eps, variant=LINE_SEARCH):
     """Worst-case outer-iteration count for audit comparison.
 
@@ -341,13 +332,14 @@ def iteration_bound(f0_minus_flow, L_H, constants, eps, variant=LINE_SEARCH):
     FixedStep.  Stated under the coupling eps_H = sqrt(L_H * eps).
     """
     if variant == LINE_SEARCH:
-        return iteration_bound_line_search(
-            f0_minus_flow, L_H, constants["c_sol"], constants["c_nc"], eps
+        c_sol, c_nc = constants["c_sol"], constants["c_nc"]
+        denom = min(
+            c_sol / (64.0 * L_H**1.5), 8.0 * L_H**1.5 * c_sol, L_H**1.5 * c_nc / 8.0
         )
+        return math.ceil(3.0 * f0_minus_flow / denom * eps**-1.5) + 5
     if variant == FIXED_STEP:
-        return iteration_bound_fixed(
-            f0_minus_flow, L_H, constants["cbar_sol"], constants["cbar_nc"], eps
-        )
+        denom = min(constants["cbar_sol"], constants["cbar_nc"] / 8.0) * L_H**1.5
+        return 2 * math.ceil(f0_minus_flow / denom * eps**-1.5) + 3
     raise ValueError("unknown variant %r" % (variant,))
 
 
@@ -383,30 +375,203 @@ def _resolve(config, constants):
 
 
 class _Audit:
-    """Collects guarantee checks; raises on failure when enabled."""
+    """Guarantee checks of an audit run, recomputed exactly through the
+    ledger-exempt audit channel.
 
-    def __init__(self, enabled):
-        self.enabled = enabled
+    The first failed check raises ContractViolation, so a returned summary
+    never lists violations.  Checks that need the next gradient norm (the
+    retrospective accuracy condition and the Newton-step decrease floor)
+    wait in `pending` until `resolve`.  `n_checks` counts the per-iteration
+    checks; the iteration bound is reported on its own.
+    """
+
+    def __init__(self, problem, eff, variant, policy, guaranteed_step):
+        self.problem = problem
+        self.eff = eff
+        self.variant = variant
+        self.policy = policy
+        self.exact_policy = policy.mode == EXACT
+        self.exact_line_f = policy.line_search_eval == "full"
+        self.guaranteed_step = self.exact_policy and guaranteed_step
+        self.which = COND3 if variant == FIXED_STEP else COND2
         self.n_checks = 0
-        self.violations = []
         self.condition_results = []
+        self.pending = None
+        self.delta_g = None
 
-    def record(self, k, name, ok, lhs=None, rhs=None):
+    def check(self, k, name, ok, lhs, rhs):
         self.n_checks += 1
         if not ok:
-            entry = {"k": k, "check": name, "lhs": lhs, "rhs": rhs}
-            self.violations.append(entry)
-            message = "iteration %d: %s failed (%r vs %r)" % (k, name, lhs, rhs)
-            if self.enabled:
-                raise ContractViolation(message, detail=entry)
-            logger.warning(message)
+            raise ContractViolation(
+                "iteration %d: %s failed (%r vs %r)" % (k, name, lhs, rhs),
+                detail={"k": k, "check": name, "lhs": lhs, "rhs": rhs},
+            )
 
-    def summary(self):
-        return {
+    def decrease_constant(self, d_type):
+        """c_sol / c_nc under LineSearch, cbar_sol / cbar_nc under FixedStep."""
+        eta, theta, zeta, L_H = map(self.eff.get, ("eta", "theta", "zeta", "L_H"))
+        if self.variant == LINE_SEARCH:
+            if d_type == SOL:
+                return c_sol_constant(eta, theta, zeta, L_H)
+            return c_nc_constant(eta, theta, L_H)
+        if d_type == SOL:
+            return cbar_sol_constant(eta, zeta, L_H)
+        return cbar_nc_constant(eta, self.eff["theta_tilde"], L_H)
+
+    def gradient(self, x, g):
+        """Exact ||grad f(x)||; keeps the estimate's error for the condition."""
+        exact_g = self.problem.audit_grad(x)
+        self.delta_g = float(np.linalg.norm(g - exact_g))
+        return float(np.linalg.norm(exact_g))
+
+    def condition_holds(self, norm_g_next):
+        """The pending accuracy condition given ||g_{k+1}||; None if none."""
+        ctx = self.pending and self.pending["condition"]
+        if not ctx:
+            return None
+        return verify_condition(ctx["delta_g_used"], ctx["delta_H_used"],
+                                dict(ctx, norm_g_next=norm_g_next), which=self.which)
+
+    def step(self, record, x, x_next, d, g, hess_idx, f_here):
+        """Checks of a step just taken; queues the retrospective ones."""
+        eff, k, d_type = self.eff, record.k, record.d_type
+        eps_g, eps_H, L_H = eff["eps_g"], eff["eps_H"], eff["L_H"]
+        line_search = self.variant == LINE_SEARCH
+        norm_d = float(np.linalg.norm(d))
+        f_next = self.problem.audit_f(x_next)
+        decrease = f_here - f_next
+        record.decrease = decrease
+        if self.guaranteed_step and (not line_search or self.exact_line_f):
+            self.check(k, "monotone_decrease", decrease > 0.0, f_next, f_here)
+        if self.guaranteed_step and L_H is not None:
+            if d_type == NC:
+                floor = self.decrease_constant(NC) * eps_H**3
+                if record.nc_origin == "meo":
+                    floor /= 8.0
+                self.check(k, "nc_decrease_floor", decrease >= floor - 1e-12,
+                           decrease, floor)
+            elif not line_search and L_H > 0 and norm_d >= eps_g / eps_H:
+                floor = self.decrease_constant(SOL) * eps_H**3
+                self.check(k, "fixed_sol_decrease_floor",
+                           decrease >= floor - 1e-12, decrease, floor)
+        if self.exact_policy and line_search and L_H is not None:
+            theta, trials = eff["theta"], record.ls_trials
+            if d_type == NC:
+                cap = j_nc_cap(theta, L_H, eff["eta"]) + 1
+                j_used = math.ceil(trials / 2) - 1
+                self.check(k, "nc_backtrack_cap", j_used <= cap, j_used, cap)
+            elif eff["U_g"] is not None:
+                cap = 1 + j_sol_cap(theta, eff["zeta"], eps_H, eff["U_g"], L_H,
+                                    eff["eta"])
+                self.check(k, "sol_backtrack_cap", trials - 1 <= cap, trials - 1, cap)
+        if d_type == NC:
+            self.check(k, "nc_against_gradient", float(d @ g) <= 1e-12,
+                       float(d @ g), 0.0)
+
+        condition = None
+        if not self.exact_policy:
+            delta_H = 0.0
+            if self.policy.subsamples_hessian() and self.problem.dim <= 64:
+                H_err = (self.problem.dense_hessian(x, hess_idx)
+                         - self.problem.dense_hessian(x))
+                delta_H = float(np.linalg.norm(H_err, 2))
+            condition = dict(eff, delta_g_used=self.delta_g, delta_H_used=delta_H,
+                             norm_d=norm_d, norm_g=record.grad_est_norm)
+        sol_floor = None
+        if (
+            self.exact_policy and line_search and self.exact_line_f
+            and d_type == SOL and norm_d > eps_g / eps_H and L_H is not None
+        ):
+            sol_floor = self.decrease_constant(SOL)
+        self.pending = {"k": k, "condition": condition, "sol_floor": sol_floor,
+                        "decrease": decrease}
+
+    def resolve(self, condition_ok, exact_g_next_norm):
+        """Close the pending checks with the next gradient known."""
+        pending, self.pending = self.pending, None
+        if pending is None:
+            return
+        k = pending["k"]
+        if condition_ok is not None:
+            self.condition_results.append({"k": k, "ok": bool(condition_ok)})
+        if pending["sol_floor"] is not None:
+            eps_H, decrease = self.eff["eps_H"], pending["decrease"]
+            floor = pending["sol_floor"] * max(0.0, min(
+                exact_g_next_norm**3 / (2.5 * eps_H) ** 3, (2.5 * eps_H) ** 3,
+                self.eff["eps_g"] ** 1.5,
+            ))
+            self.check(k, "sol_decrease_floor", decrease >= floor - 1e-12,
+                       decrease, floor)
+
+    def summary(self, records):
+        """The audit report; checks the iteration bound where it applies."""
+        summary = {
             "n_checks": self.n_checks,
-            "violations": self.violations,
+            "violations": [],
             "condition_results": self.condition_results,
         }
+        eps_g, eps_H, L_H, f_low = map(self.eff.get, ("eps_g", "eps_H", "L_H", "f_low"))
+        if (
+            self.exact_policy and records and L_H
+            and f_low is not None and math.isfinite(f_low)
+            and abs(eps_H - math.sqrt(L_H * eps_g)) <= 1e-12 * max(1.0, eps_H)
+        ):
+            prefix = "c" if self.variant == LINE_SEARCH else "cbar"
+            consts = {prefix + "_sol": self.decrease_constant(SOL),
+                      prefix + "_nc": self.decrease_constant(NC)}
+            bound = iteration_bound(records[0].f_value - f_low, L_H, consts, eps_g,
+                                    self.variant)
+            summary["iteration_bound"] = bound
+            self.check(-1, "iteration_bound", len(records) <= bound,
+                       len(records), bound)
+        return summary
+
+
+def _direction(H, g, g_norm, eff, skip_small_step_block, rng):
+    """Direction at one iterate: (d, d_type, nc_origin, cg_iters, meo_iters,
+    terminate).
+
+    A certificate at small ||g|| keeps d_type NC with no direction; one from
+    the small-step block keeps the Newton direction, returned at x + d.
+    """
+    eps_g, eps_H = eff["eps_g"], eff["eps_H"]
+    cg_iters = 0
+    if g_norm >= eps_g:
+        result = capped_cg(
+            H, g, CappedCGParams(epsilon=eps_H, zeta=eff["zeta"], M_init=eff["U_H"])
+        )
+        cg_iters = result.iterations
+        if result.d_type == NC:
+            return scale_nc_direction(result.d, H, g), NC, "cg", cg_iters, 0, None
+        d, d_type, certified = result.d, SOL, TERM_FIRST_ORDER_AND_CERTIFIED
+        if skip_small_step_block or not float(np.linalg.norm(d)) <= eps_g / eps_H:
+            return d, SOL, None, cg_iters, 0, None
+    else:
+        d, d_type, certified = None, NC, TERM_CERTIFIED_AT_CURRENT
+    meo = meo_lanczos(H, eff["U_H"], eps_H, eff["delta"], rng)
+    if meo.is_certificate:
+        return d, d_type, None, cg_iters, meo.iterations, certified
+    d = scale_meo_direction(meo.v, H, g, curvature=meo.lam)
+    return d, NC, "meo", cg_iters, meo.iterations, None
+
+
+def _step_length(f_eval, x, d, d_type, f_x, variant, eff, config, targets):
+    """(alpha, ls_trials): backtracking from f_x = f_eval(x) under
+    LineSearch, the predefined formulas or overrides under FixedStep."""
+    if variant == LINE_SEARCH:
+        search = line_search_sol if d_type == SOL else line_search_nc
+        return search(f_eval, x, d, eff["eta"], eff["theta"], f0=f_x,
+                      max_trials=config.max_ls_trials)
+    norm_d, L_H, eta = float(np.linalg.norm(d)), eff["L_H"], eff["eta"]
+    if d_type == SOL:
+        if config.alpha_sol_fixed is not None:
+            return config.alpha_sol_fixed, 0
+        return fixed_step_sol(norm_d, eff["eps_H"], eff["zeta"], L_H, eta), 0
+    if config.alpha_nc_fixed is not None:
+        return config.alpha_nc_fixed, 0
+    alpha = fixed_step_nc(norm_d, targets.delta_H, targets.delta_g, L_H, eta,
+                          eff["theta_tilde"])
+    return alpha, 0
 
 
 def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
@@ -415,7 +580,8 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
 
     problem : ObjectiveOracle (carries the call ledger).
     config : SolverConfig.
-    policy : SamplingPolicy; defaults to exact evaluation.
+    policy : SamplingPolicy; defaults to exact evaluation.  The run adapts
+        a private copy, so the caller's policy is left unchanged.
     variant : LINE_SEARCH or FIXED_STEP.
     constants : ProblemConstants; defaults to problem.constants() or the
         NLS table formulas.
@@ -426,7 +592,7 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
     """
     if variant not in (LINE_SEARCH, FIXED_STEP):
         raise ValueError("unknown variant %r" % (variant,))
-    policy = policy if policy is not None else SamplingPolicy(mode=EXACT)
+    policy = copy.deepcopy(policy) if policy is not None else SamplingPolicy(mode=EXACT)
     if constants is None:
         from .problems import NLSProblem, constants_for
 
@@ -442,8 +608,10 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
         raise ValueError("FixedStep needs L_H or explicit step-size overrides")
 
     rng = as_generator(config.seed)
-    auditor = _Audit(enabled=audit)
-    exact_policy = not (policy.subsamples_gradient() or policy.subsamples_hessian())
+    auditor = None
+    if audit:
+        auditor = _Audit(problem, eff, variant, policy,
+                         guaranteed_step=variant == LINE_SEARCH or no_overrides)
     exact_line_f = policy.line_search_eval == "full"
 
     x = np.zeros(problem.dim) if x0 is None else check_vector(x0, "x0", problem.dim)
@@ -454,42 +622,10 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
 
     records = []
     termination = TERM_MAX_ITERS
-    x_final = x
     prev_g_norm = None
-    pending = None  # retrospective context from the previous iteration
+    open_class = None  # Newton-step record whose K2/K3 class awaits ||g_{k+1}||
     retries_left = config.max_condition_retries
     retry_point = None
-
-    def resolve_pending(g_next_norm, exact_g_next_norm=None):
-        """Close out checks of iteration k-1 that need ||g_{k+1}||."""
-        nonlocal pending
-        if pending is None:
-            return
-        ctx, pending = pending, None
-        rec = ctx["record"]
-        if rec.d_type == SOL and rec.step_class is None:
-            rec.step_class = "K2" if g_next_norm < eps_g else "K3"
-        cctx = ctx.get("condition_ctx")
-        if cctx is not None:
-            cctx["norm_g_next"] = g_next_norm
-            which = COND3 if variant == FIXED_STEP else COND2
-            ok = verify_condition(
-                cctx["delta_g_used"], cctx["delta_H_used"], cctx, which=which
-            )
-            auditor.condition_results.append({"k": rec.k, "ok": bool(ok)})
-        if ctx.get("sol_floor_const") is not None and exact_g_next_norm is not None:
-            floor = ctx["sol_floor_const"] * max(
-                0.0,
-                min(
-                    exact_g_next_norm**3 / (2.5 * eps_H) ** 3,
-                    (2.5 * eps_H) ** 3,
-                    eps_g**1.5,
-                ),
-            )
-            auditor.record(
-                rec.k, "sol_decrease_floor",
-                ctx["decrease"] >= floor - 1e-12, ctx["decrease"], floor,
-            )
 
     k = 0
     while k < config.max_outer_iters:
@@ -498,294 +634,106 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
         g_norm = float(np.linalg.norm(g))
 
         exact_g_norm = None
-        delta_g_used = None
         if audit:
-            exact_g = problem.audit_grad(x)
-            exact_g_norm = float(np.linalg.norm(exact_g))
-            delta_g_used = float(np.linalg.norm(g - exact_g))
-
-        # Retrospective accuracy condition of the previous iteration; the
-        # optional audit feature redoes it with a better batch on failure.
-        if (
-            pending is not None
-            and config.retry_condition_failure
-            and pending.get("condition_ctx") is not None
-            and retries_left > 0
-        ):
-            cctx = dict(pending["condition_ctx"])
-            cctx["norm_g_next"] = g_norm
-            which = COND3 if variant == FIXED_STEP else COND2
-            if not verify_condition(
-                cctx["delta_g_used"], cctx["delta_H_used"], cctx, which=which
-            ):
+            exact_g_norm = auditor.gradient(x, g)
+            # Retrospective accuracy condition of the previous iteration; the
+            # optional retry redoes that iteration with a larger batch.
+            condition_ok = auditor.condition_holds(g_norm)
+            if (condition_ok is False and config.retry_condition_failure
+                    and retries_left > 0):
                 retries_left -= 1
-                policy.targets.delta_g = max(policy.targets.delta_g / 2.0, 1e-300)
-                if eff["U_g"] is not None and policy.targets.delta_g > 0:
-                    policy.grad_batch = min(
-                        n,
-                        grad_sample_size(
-                            eff["U_g"], policy.targets.delta_g, policy.delta_bar
-                        ),
-                    )
-                else:
-                    policy.grad_batch = min(n, max(
-                        2 * policy.grad_batch, policy.min_batch))
+                policy.tighten_gradient(n, eff["U_g"])
                 x = retry_point
                 records.pop()
-                pending = None
+                k -= 1
+                auditor.pending = open_class = None
                 continue
-        resolve_pending(g_norm, exact_g_norm)
+        if open_class is not None:
+            open_class.step_class = "K2" if g_norm < eps_g else "K3"
+            open_class = None
+        if audit:
+            auditor.resolve(condition_ok, exact_g_norm)
         retries_left = config.max_condition_retries
 
         hess_idx = policy.draw_hess_indices(n, rng)
         H = HessianOperator.from_oracle(problem, x, hess_idx)
-
-        d = None
-        d_type = None
-        nc_origin = None
-        cg_iters = 0
-        meo_iters = 0
-        terminate = None
-
-        if g_norm >= eps_g:
-            result = capped_cg(
-                H, g,
-                CappedCGParams(epsilon=eps_H, zeta=eff["zeta"], M_init=eff["U_H"]),
-            )
-            cg_iters = result.iterations
-            if result.d_type == NC:
-                d = scale_nc_direction(result.d, H, g)
-                d_type, nc_origin = NC, "cg"
-            else:
-                d = result.d
-                d_type = SOL
-                if (
-                    float(np.linalg.norm(d)) <= small_step
-                    and not config.skip_small_step_block
-                ):
-                    meo = meo_lanczos(H, eff["U_H"], eps_H, eff["delta"], rng)
-                    meo_iters = meo.iterations
-                    if meo.is_certificate:
-                        terminate = TERM_FIRST_ORDER_AND_CERTIFIED
-                    else:
-                        d = scale_meo_direction(meo.v, H, g, curvature=meo.lam)
-                        d_type, nc_origin = NC, "meo"
-        else:
-            d_type = NC
-            meo = meo_lanczos(H, eff["U_H"], eps_H, eff["delta"], rng)
-            meo_iters = meo.iterations
-            if meo.is_certificate:
-                terminate = TERM_CERTIFIED_AT_CURRENT
-            else:
-                d = scale_meo_direction(meo.v, H, g, curvature=meo.lam)
-                nc_origin = "meo"
+        d, d_type, nc_origin, cg_iters, meo_iters, terminate = _direction(
+            H, g, g_norm, eff, config.skip_small_step_block, rng
+        )
 
         # f at x_k: the exact line-search evaluation doubles as the record
         # value; other paths report through the audit channel.
-        stepping = terminate is None
-        if stepping and variant == LINE_SEARCH and exact_line_f:
-            f_here = problem.eval_f(x, full_idx)
-            f_search = f_here
-        elif stepping and variant == LINE_SEARCH:
-            f_search = problem.eval_f(x, grad_idx)
-            f_here = problem.audit_f(x)
-        else:
-            f_search = None
-            f_here = problem.audit_f(x)
+        line_idx = full_idx if exact_line_f else grad_idx
+        searching = terminate is None and variant == LINE_SEARCH
+        f_search = problem.eval_f(x, line_idx) if searching else None
+        f_here = f_search if searching and exact_line_f else problem.audit_f(x)
 
-        alpha = None
-        ls_trials = 0
-        step_class = None
-        x_next = None
-
+        alpha, ls_trials, step_class, x_next = None, 0, None, None
         if terminate == TERM_FIRST_ORDER_AND_CERTIFIED:
-            x_final = x + d
-            alpha = 1.0
-            step_class = "K4"
+            alpha, step_class = 1.0, "K4"
         elif terminate == TERM_CERTIFIED_AT_CURRENT:
-            x_final = x
             step_class = "K1"
         else:
-            norm_d = float(np.linalg.norm(d))
-            if variant == LINE_SEARCH:
-                if exact_line_f:
-                    f_eval = lambda y: problem.eval_f(y, full_idx)
-                else:
-                    f_eval = lambda y: problem.eval_f(y, grad_idx)
-                search = line_search_sol if d_type == SOL else line_search_nc
-                try:
-                    alpha, ls_trials = search(
-                        f_eval, x, d, eff["eta"], eff["theta"],
-                        f0=f_search, max_trials=config.max_ls_trials,
-                    )
-                except ContractViolation as exc:
-                    if audit:
-                        raise
-                    logger.warning("stopping run: %s", exc)
-                    terminate = TERM_CONTRACT_VIOLATION
-                    x_final = x
+            try:
+                alpha, ls_trials = _step_length(
+                    lambda y: problem.eval_f(y, line_idx), x, d, d_type, f_search,
+                    variant, eff, config, policy.targets,
+                )
+            except ContractViolation as exc:
+                if audit:
+                    raise
+                logger.warning("stopping run: %s", exc)
+                terminate = TERM_CONTRACT_VIOLATION
             else:
-                try:
-                    if d_type == SOL:
-                        alpha = (
-                            config.alpha_sol_fixed
-                            if config.alpha_sol_fixed is not None
-                            else fixed_step_sol(
-                                norm_d, eps_H, eff["zeta"], eff["L_H"], eff["eta"]
-                            )
-                        )
-                    elif config.alpha_nc_fixed is not None:
-                        alpha = config.alpha_nc_fixed
-                    else:
-                        alpha = fixed_step_nc(
-                            norm_d,
-                            policy.targets.delta_H,
-                            policy.targets.delta_g,
-                            eff["L_H"],
-                            eff["eta"],
-                            eff["theta_tilde"],
-                        )
-                except ContractViolation as exc:
-                    if audit:
-                        raise
-                    logger.warning("stopping run: %s", exc)
-                    terminate = TERM_CONTRACT_VIOLATION
-                    x_final = x
-
-            if terminate is None:
                 x_next = x + alpha * d
                 if g_norm < eps_g:
                     step_class = "K1"
                 elif d_type == NC:
                     step_class = "K5"
-                elif norm_d <= small_step:
+                elif float(np.linalg.norm(d)) <= small_step:
                     step_class = "K4"  # reachable only with the block skipped
                 # else SOL with a large step: K2/K3, resolved next iteration.
 
         snap = problem.ledger.snapshot()
         record = IterationRecord(
-            k=k,
-            f_value=f_here,
-            grad_est_norm=g_norm,
-            d_type=d_type,
-            step_class=step_class,
-            alpha=alpha,
-            ls_trials=ls_trials,
-            cg_iters=cg_iters,
-            meo_iters=meo_iters,
-            f_calls=snap["f_calls"],
-            grad_calls=snap["grad_calls"],
-            hv_calls=snap["hv_calls"],
-            props=snap["props"],
-            grad_true_norm=exact_g_norm,
-            nc_origin=nc_origin,
+            k=k, f_value=f_here, grad_est_norm=g_norm, d_type=d_type,
+            step_class=step_class, alpha=alpha, ls_trials=ls_trials,
+            cg_iters=cg_iters, meo_iters=meo_iters, f_calls=snap["f_calls"],
+            grad_calls=snap["grad_calls"], hv_calls=snap["hv_calls"],
+            props=snap["props"], grad_true_norm=exact_g_norm, nc_origin=nc_origin,
         )
-
-        if terminate is not None:
-            records.append(record)
-            if trace is not None:
-                trace(record)
-            termination = terminate
-            break
-
-        decrease = None
-        if audit:
-            f_next = problem.audit_f(x_next)
-            decrease = f_here - f_next
-            record.decrease = decrease
-            L_H, eta, theta = eff["L_H"], eff["eta"], eff["theta"]
-            guaranteed_step = exact_policy and (
-                variant == LINE_SEARCH or no_overrides
-            )
-            if guaranteed_step and (variant == FIXED_STEP or exact_line_f):
-                auditor.record(k, "monotone_decrease", decrease > 0.0, f_next, f_here)
-            if guaranteed_step and d_type == NC and L_H is not None:
-                if variant == LINE_SEARCH:
-                    floor = c_nc_constant(eta, theta, L_H) * eps_H**3
-                else:
-                    floor = cbar_nc_constant(eta, eff["theta_tilde"], L_H) * eps_H**3
-                if nc_origin == "meo":
-                    floor /= 8.0
-                auditor.record(k, "nc_decrease_floor", decrease >= floor - 1e-12,
-                               decrease, floor)
-            if (
-                guaranteed_step
-                and d_type == SOL
-                and variant == FIXED_STEP
-                and L_H is not None
-                and float(np.linalg.norm(d)) >= small_step
-            ):
-                floor = cbar_sol_constant(eta, eff["zeta"], L_H) * eps_H**3
-                auditor.record(k, "fixed_sol_decrease_floor",
-                               decrease >= floor - 1e-12, decrease, floor)
-            if exact_policy and variant == LINE_SEARCH and L_H is not None:
-                if d_type == NC:
-                    cap = j_nc_cap(theta, L_H, eta) + 1
-                    j_used = math.ceil(ls_trials / 2) - 1
-                    auditor.record(k, "nc_backtrack_cap", j_used <= cap, j_used, cap)
-                elif eff["U_g"] is not None:
-                    cap = j_sol_cap(theta, eff["zeta"], eps_H, eff["U_g"], L_H, eta) + 1
-                    auditor.record(k, "sol_backtrack_cap", ls_trials - 1 <= cap,
-                                   ls_trials - 1, cap)
-            if d_type == NC:
-                auditor.record(k, "nc_against_gradient", float(d @ g) <= 1e-12,
-                               float(d @ g), 0.0)
-
-        # Context for the retrospective pieces handled at k+1.
-        condition_ctx = None
-        if audit and not exact_policy:
-            delta_H_used = 0.0
-            if policy.subsamples_hessian() and problem.dim <= 64:
-                H_err = problem.dense_hessian(x, hess_idx) - problem.dense_hessian(x)
-                delta_H_used = float(np.linalg.norm(H_err, 2))
-            condition_ctx = {
-                "delta_g_used": delta_g_used,
-                "delta_H_used": delta_H_used,
-                "eps_g": eps_g,
-                "eps_H": eps_H,
-                "zeta": eff["zeta"],
-                "eta": eff["eta"],
-                "L_H": eff["L_H"],
-                "norm_d": float(np.linalg.norm(d)),
-                "norm_g": g_norm,
-            }
-        sol_floor_const = None
-        if (
-            audit
-            and exact_policy
-            and variant == LINE_SEARCH
-            and exact_line_f
-            and d_type == SOL
-            and float(np.linalg.norm(d)) > small_step
-            and eff["L_H"] is not None
-        ):
-            sol_floor_const = c_sol_constant(
-                eff["eta"], eff["theta"], eff["zeta"], eff["L_H"]
-            )
-        pending = {
-            "record": record,
-            "condition_ctx": condition_ctx,
-            "sol_floor_const": sol_floor_const,
-            "decrease": decrease,
-        }
-        retry_point = x.copy()
-
+        if terminate is None:
+            if audit:
+                auditor.step(record, x, x_next, d, g, hess_idx, f_here)
+            if step_class is None:
+                open_class = record
+            retry_point = x.copy()
         records.append(record)
         if trace is not None:
             trace(record)
+        if terminate is not None:
+            termination = terminate
+            break
+
         if prev_g_norm is not None and prev_g_norm > 0 and g_norm > 0:
             policy.adapt(g_norm, prev_g_norm, n)
         prev_g_norm = g_norm
         x = x_next
-        x_final = x
         k += 1
 
+    x_final = x + d if termination == TERM_FIRST_ORDER_AND_CERTIFIED else x
     final_grad = problem.audit_grad(x_final)
     final_f = problem.audit_f(x_final)
     final_norm = float(np.linalg.norm(final_grad))
-    resolve_pending(final_norm, final_norm if audit else None)
+    if open_class is not None:
+        open_class.step_class = "K2" if final_norm < eps_g else "K3"
+    if audit:
+        auditor.resolve(auditor.condition_holds(final_norm), final_norm)
+        audit_summary = auditor.summary(records)
+    else:
+        audit_summary = {"n_checks": 0, "violations": [], "condition_results": []}
 
-    report = RunReport(
+    return RunReport(
         records=records,
         termination=termination,
         x_final=x_final,
@@ -794,33 +742,5 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
         config_resolved=eff,
         ledger=problem.ledger.snapshot(),
         audit_ledger=problem.audit_ledger.snapshot(),
-        audit=auditor.summary(),
+        audit=audit_summary,
     )
-
-    if (
-        audit
-        and exact_policy
-        and records
-        and eff["L_H"]
-        and eff["f_low"] is not None
-        and math.isfinite(eff["f_low"])
-        and abs(eps_H - math.sqrt(eff["L_H"] * eps_g)) <= 1e-12 * max(1.0, eps_H)
-    ):
-        if variant == LINE_SEARCH:
-            consts = {
-                "c_sol": c_sol_constant(eff["eta"], eff["theta"], eff["zeta"], eff["L_H"]),
-                "c_nc": c_nc_constant(eff["eta"], eff["theta"], eff["L_H"]),
-            }
-        else:
-            consts = {
-                "cbar_sol": cbar_sol_constant(eff["eta"], eff["zeta"], eff["L_H"]),
-                "cbar_nc": cbar_nc_constant(eff["eta"], eff["theta_tilde"], eff["L_H"]),
-            }
-        bound = iteration_bound(
-            records[0].f_value - eff["f_low"], eff["L_H"], consts, eps_g, variant
-        )
-        report.audit["iteration_bound"] = bound
-        auditor.record(-1, "iteration_bound", len(records) <= bound,
-                       len(records), bound)
-
-    return report

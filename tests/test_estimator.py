@@ -65,6 +65,15 @@ class TestSquaredLossClassifier:
         clf.fit(X, y)
         assert hasattr(clf, "report_")
 
+    def test_subsampled_mode_uses_preset_batches(self):
+        # Same batches as the inexact-full-eval CLI preset: ceil(0.05 n)
+        # gradient and ceil(0.01 n) Hessian rows, i.e. 53 and 11 at n=1050.
+        X, y = classification_data(seed=5, n=1050)
+        clf = SquaredLossClassifier(eps=1e-3, max_iter=1, subsample=True).fit(X, y)
+        (record,) = clf.report_.records
+        assert record.grad_calls == 53
+        assert record.hv_calls > 0 and record.hv_calls % 11 == 0
+
 
 class TestWelschRegressor:
     def test_robust_to_gross_outliers(self):

@@ -15,7 +15,14 @@ from ntcg import (
     synthetic_nls,
     verify_condition,
 )
-from ntcg.sampling import COND2, COND3, EXACT, SUB_BOTH
+from ntcg.sampling import (
+    COND2,
+    COND3,
+    EXACT,
+    SUB_BOTH,
+    SUB_HESSIAN_ONLY,
+    preset_policy,
+)
 
 
 class TestSampleSizes:
@@ -229,3 +236,28 @@ class TestPolicy:
 
     def test_targets_default_zero(self):
         assert SamplingPolicy().targets == AccuracyTargets(0.0, 0.0)
+
+    def test_tighten_gradient_halves_target_and_resizes(self):
+        p = SamplingPolicy(mode=SUB_BOTH, grad_batch=10,
+                           targets=AccuracyTargets(0.2, 0.1))
+        p.tighten_gradient(1000)  # no bound: double, at least min_batch
+        assert (p.targets.delta_g, p.grad_batch) == (0.1, 32)
+        p.tighten_gradient(50, K_g=0.01)
+        assert p.targets.delta_g == 0.05
+        assert p.grad_batch == grad_sample_size(0.01, 0.05, p.delta_bar) == 2
+        p.tighten_gradient(50, K_g=1.0)  # clamped to n
+        assert p.grad_batch == 50
+
+    def test_preset_policies(self):
+        assert preset_policy("full", 1050).mode == EXACT
+        subh = preset_policy("subh", 1050)
+        assert (subh.mode, subh.hess_batch) == (SUB_HESSIAN_ONLY, 11)
+        for preset, line_eval in (("inexact-full-eval", "full"),
+                                  ("inexact-fixed", "full"),
+                                  ("inexact-sub-eval", "batch")):
+            policy = preset_policy(preset, 1050)
+            assert policy.mode == SUB_BOTH
+            assert (policy.grad_batch, policy.hess_batch) == (53, 11)
+            assert policy.adaptive and policy.line_search_eval == line_eval
+        with pytest.raises(ValueError):
+            preset_policy("exact", 1050)

@@ -365,6 +365,22 @@ class TestRunLineSearch:
         assert [r.props for r in rep1.records] == [r.props for r in rep2.records]
         np.testing.assert_array_equal(rep1.x_final, rep2.x_final)
 
+    def test_reused_policy_gives_identical_runs(self):
+        # The adaptive batch grows during a run; it must not carry over
+        # into the next run through the caller's policy.
+        problem = synthetic_nls(5000, 20, seed=0)
+        policy = SamplingPolicy(mode=SUB_BOTH, grad_batch=250, hess_batch=50,
+                                adaptive=True)
+        cfg = SolverConfig(eps_g=1e-3, seed=0, max_outer_iters=60)
+        reports = []
+        for _ in range(2):
+            problem.ledger.reset()
+            reports.append(run(problem, cfg, policy=policy, x0=np.zeros(20)))
+        first, second = reports
+        assert [r.props for r in first.records] == [r.props for r in second.records]
+        np.testing.assert_array_equal(first.x_final, second.x_final)
+        assert policy.grad_batch == 250
+
     def test_sub_eval_policy_runs(self):
         problem = synthetic_nls(200, 5, seed=8)
         policy = SamplingPolicy(mode=SUB_BOTH, grad_batch=30, hess_batch=10,
@@ -421,6 +437,16 @@ class TestRunFixedStep:
         for rec in rep.records:
             if rec.alpha is not None:
                 assert rec.alpha in (0.2, 0.04)
+
+    def test_audit_with_zero_l_h_reports_contract_violation(self):
+        # The fixed-step Newton floor divides by L_H and is skipped at
+        # L_H = 0; the overlong derived steps then fail the monotone check
+        # instead of dividing by zero.
+        q = QuadraticProblem(np.array([3.0, 1.0, 0.5, 2.0]))
+        cfg = SolverConfig(eps_g=1e-4, eps_H=0.1, U_H=3.0, L_H=0.0)
+        with pytest.raises(ContractViolation, match="monotone_decrease"):
+            run(q, cfg, variant=FIXED_STEP, constants=q.constants(),
+                x0=np.array([1.0, 2.0, -2.0, 0.3]), audit=True)
 
     def test_fixed_step_needs_l_h_or_overrides(self):
         q = QuadraticProblem(np.ones(2))
@@ -483,7 +509,8 @@ class TestConditionMachinery:
         assert rep.audit["condition_results"]
         assert all(isinstance(r["ok"], bool) for r in rep.audit["condition_results"])
 
-    def test_retry_grows_batch_on_condition_failure(self):
+    @staticmethod
+    def retry_run():
         problem = synthetic_nls(400, 5, seed=33)
         policy = SamplingPolicy(
             mode=SUB_BOTH, grad_batch=2, hess_batch=40,
@@ -493,6 +520,21 @@ class TestConditionMachinery:
                            retry_condition_failure=True,
                            max_condition_retries=3,
                            skip_small_step_block=True)
-        start_batch = policy.grad_batch
-        run(problem, cfg, policy=policy, x0=np.zeros(5), audit=True)
-        assert policy.grad_batch >= start_batch
+        rep = run(problem, cfg, policy=policy, x0=np.zeros(5), audit=True)
+        return problem, policy, rep
+
+    def test_retry_grows_batch_on_condition_failure(self):
+        problem, policy, rep = self.retry_run()
+        # Record 0 carries its 2-row attempt, the 2-row gradient whose
+        # condition check failed, and the retry on the grown batch (all n
+        # rows for this tiny delta_g); later iterations keep that batch.
+        increments = np.diff([0] + [r.grad_calls for r in rep.records])
+        assert increments.tolist() == [2 + 2 + problem.n] + [problem.n] * 7
+        # Batch and target were changed on the run's own copy.
+        assert policy.grad_batch == 2
+        assert policy.targets.delta_g == 1e-9
+
+    def test_retry_keeps_records_numbered(self):
+        _, _, rep = self.retry_run()
+        assert [r.k for r in rep.records] == list(range(8))
+        assert [c["k"] for c in rep.audit["condition_results"]] == list(range(8))
