@@ -76,25 +76,35 @@ GOLDEN = {
         "f13bb5cf0989e39bacd7b7091ac48803d8999aa3cc9cc9d8d5082d60761b1441",
         0.14933480332971924,
     ),
-    "saddle-LineSearch-0": (
-        "CertifiedAtCurrentPoint", 2, 22,
-        "d6eaaeef05929850f05ba77a6df1a57a4f756fc13aa466b19ec82ea1924468f0",
-        -0.25,
-    ),
-    "saddle-LineSearch-0.05": (
+    "saddle-LineSearch-negative-axis": (
         "FirstOrderAndCertified", 3, 42,
         "465912fa8660571d3cada380c399e5e9f054a9b9c278fc344da28bbcb352ba1f",
         -0.24999913683030922,
     ),
-    "saddle-FixedStep-0": (
+    "saddle-LineSearch-origin": (
+        "CertifiedAtCurrentPoint", 2, 22,
+        "d6eaaeef05929850f05ba77a6df1a57a4f756fc13aa466b19ec82ea1924468f0",
+        -0.25,
+    ),
+    "saddle-LineSearch-positive-axis": (
+        "FirstOrderAndCertified", 3, 66,
+        "3b09f787ac6e6f54f1748e3b3d37d3358e8437f3e38b445183354b4bce5d7a7f",
+        -0.2499999204019439,
+    ),
+    "saddle-FixedStep-negative-axis": (
+        "FirstOrderAndCertified", 27, 278,
+        "f1201cfb9a4eab3a1110de749bafa535a27d2db374d31a21c6c1cc00f57d3074",
+        -0.24999955744584304,
+    ),
+    "saddle-FixedStep-origin": (
         "FirstOrderAndCertified", 28, 292,
         "127a0d7e06d54ee63775aae770c16e454015c556596abd651a8560537a28140a",
         -0.24999959721471054,
     ),
-    "saddle-FixedStep-0.05": (
-        "FirstOrderAndCertified", 27, 278,
-        "f1201cfb9a4eab3a1110de749bafa535a27d2db374d31a21c6c1cc00f57d3074",
-        -0.24999955744584304,
+    "saddle-FixedStep-positive-axis": (
+        "FirstOrderAndCertified", 29, 314,
+        "8fe7785790df8878cc89a09bfccc1ff8df04dcd9ecfff9c51e88b3e7b20a3c35",
+        -0.24999959683683262,
     ),
     "nls-audit-LineSearch-sampled": (
         "MaxIters", 40, 58480,
@@ -116,10 +126,12 @@ GOLDEN = {
 
 # case -> (n_checks, violations, iteration bound, condition outcomes by k)
 AUDIT = {
-    "saddle-LineSearch-0": (4, 0, 28693790830157, ""),
-    "saddle-LineSearch-0.05": (7, 0, 28550501212199, ""),
-    "saddle-FixedStep-0": (61, 0, 2372281399, ""),
-    "saddle-FixedStep-0.05": (58, 0, 2360434819, ""),
+    "saddle-LineSearch-negative-axis": (7, 0, 28550501212199, ""),
+    "saddle-LineSearch-origin": (4, 0, 28693790830157, ""),
+    "saddle-LineSearch-positive-axis": (7, 0, 28699529875261, ""),
+    "saddle-FixedStep-negative-axis": (58, 0, 2360434819, ""),
+    "saddle-FixedStep-origin": (61, 0, 2372281399, ""),
+    "saddle-FixedStep-positive-axis": (63, 0, 2372755879, ""),
     "nls-audit-LineSearch-sampled": (
         0, 0, None, "0101010110001101010000000000100100000001",
     ),
@@ -174,13 +186,23 @@ def direct_case(tmp_path, problem, consts, config, variant, x0, policy=None):
     return report, path
 
 
-def saddle_case(tmp_path, variant, x0_first=0.0):
+# Saddle start points: the origin, where only the eigenvalue oracle sees
+# the escape direction; a point off it along the negative-curvature axis,
+# where capped CG sees it; and one along a positive-curvature axis, where
+# CG returns a small Newton step and the small-step block's oracle call
+# supplies the curvature direction.
+SADDLE_STARTS = {"origin": (0, 0.0), "negative-axis": (0, 0.05),
+                 "positive-axis": (1, 0.01)}
+
+
+def saddle_case(tmp_path, variant, start):
     dim, seed = (4, 5) if variant == LINE_SEARCH else (3, 21)
     problem, consts = synthetic_saddle(dim, mu=1.0, gamma=1.0)
     config = SolverConfig(eps_g=1e-3, U_H=consts.U_H, L_H=consts.L_H, seed=seed,
                           max_outer_iters=5000)
     x0 = np.zeros(dim)
-    x0[0] = x0_first
+    axis, value = SADDLE_STARTS[start]
+    x0[axis] = value
     return direct_case(tmp_path, problem, consts, config, variant, x0)
 
 
@@ -215,12 +237,10 @@ def test_tanh_subh_with_small_step_block(datasets, tmp_path, eps_h):
 
 
 @pytest.mark.parametrize("variant", (LINE_SEARCH, FIXED_STEP))
-@pytest.mark.parametrize("x0_first", (0.0, 0.05))
-def test_saddle_audit_trajectory(tmp_path, variant, x0_first):
-    # From the origin the eigenvalue oracle finds the escape direction;
-    # off it, capped CG sees the negative curvature.
-    case = "saddle-%s-%g" % (variant, x0_first)
-    report, path = saddle_case(tmp_path, variant, x0_first)
+@pytest.mark.parametrize("start", sorted(SADDLE_STARTS))
+def test_saddle_audit_trajectory(tmp_path, variant, start):
+    case = "saddle-%s-%s" % (variant, start)
+    report, path = saddle_case(tmp_path, variant, start)
     check(case, report, path)
     assert audit_pin(report) == AUDIT[case]
 
