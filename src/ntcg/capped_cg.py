@@ -58,10 +58,6 @@ class CappedCGResult:
     d: np.ndarray
     iterations: int
     M_final: float
-    kappa: float
-    zeta_hat: float
-    tau: float
-    T: float
     residual_norm: Optional[float] = None  # SOL only
     nc_source: Optional[str] = None  # "p0", "y", "p", "slow_decay"
     extraction_index: Optional[int] = None  # slow-decay branch only
@@ -150,7 +146,7 @@ def capped_cg(H, g, params, trace=None):
 
     eps = params.epsilon
     M = float(params.M_init)
-    kappa, zeta_hat, tau, T = _derived(M, eps, params.zeta)
+    _, zeta_hat, tau, T = _derived(M, eps, params.zeta)
     dim = H.dim
 
     def emit(event, **kw):
@@ -168,14 +164,11 @@ def capped_cg(H, g, params, trace=None):
     p_bar_p = p @ Hp + 2.0 * eps * (p @ p)
     if p_bar_p < eps * (p @ p):
         emit("terminate", j=0, branch="nc_p0")
-        return CappedCGResult(
-            d_type=NC, d=p, iterations=0, M_final=M, kappa=kappa,
-            zeta_hat=zeta_hat, tau=tau, T=T, nc_source="p0",
-        )
+        return CappedCGResult(NC, p, iterations=0, M_final=M, nc_source="p0")
     ratio0 = _safe_ratio(Hp, p)
     if ratio0 > M:
         M = ratio0
-        kappa, zeta_hat, tau, T = _derived(M, eps, params.zeta)
+        _, zeta_hat, tau, T = _derived(M, eps, params.zeta)
 
     ys = [y.copy()]
     rs = [r.copy()]
@@ -204,7 +197,7 @@ def capped_cg(H, g, params, trace=None):
         observed = max(_safe_ratio(Hp, p), _safe_ratio(Hy, y), _safe_ratio(Hr, r))
         if observed > M:
             M = observed
-            kappa, zeta_hat, tau, T = _derived(M, eps, params.zeta)
+            _, zeta_hat, tau, T = _derived(M, eps, params.zeta)
 
         norm_r = np.linalg.norm(r)
         if trace is not None:
@@ -215,22 +208,15 @@ def capped_cg(H, g, params, trace=None):
 
         if y_bar_y <= eps * (y @ y):
             emit("terminate", j=j, branch="nc_y")
-            return CappedCGResult(
-                d_type=NC, d=y, iterations=j, M_final=M, kappa=kappa,
-                zeta_hat=zeta_hat, tau=tau, T=T, nc_source="y",
-            )
+            return CappedCGResult(NC, y, iterations=j, M_final=M, nc_source="y")
         if norm_r <= zeta_hat * norm_r0:
             emit("terminate", j=j, branch="sol")
             return CappedCGResult(
-                d_type=SOL, d=y, iterations=j, M_final=M, kappa=kappa,
-                zeta_hat=zeta_hat, tau=tau, T=T, residual_norm=norm_r,
+                SOL, y, iterations=j, M_final=M, residual_norm=norm_r
             )
         if p_bar_p <= eps * (p @ p):
             emit("terminate", j=j, branch="nc_p")
-            return CappedCGResult(
-                d_type=NC, d=p, iterations=j, M_final=M, kappa=kappa,
-                zeta_hat=zeta_hat, tau=tau, T=T, nc_source="p",
-            )
+            return CappedCGResult(NC, p, iterations=j, M_final=M, nc_source="p")
         if norm_r >= math.sqrt(T) * (1.0 - tau) ** (j / 2.0) * norm_r0:
             # Residual decays slower than positive-definite CG allows: a
             # negative-curvature direction hides among the accumulated
@@ -250,8 +236,7 @@ def capped_cg(H, g, params, trace=None):
             emit("terminate", j=j, branch="nc_slow_decay", i=idx_found,
                  quotient=quotient)
             return CappedCGResult(
-                d_type=NC, d=d, iterations=j, M_final=M, kappa=kappa,
-                zeta_hat=zeta_hat, tau=tau, T=T, nc_source="slow_decay",
+                NC, d, iterations=j, M_final=M, nc_source="slow_decay",
                 extraction_index=idx_found,
             )
 

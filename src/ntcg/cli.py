@@ -191,55 +191,82 @@ def load_config_file(path):
     return overrides
 
 
+def _config_bool(text):
+    low = text.lower()
+    if low in ("1", "true", "yes"):
+        return True
+    if low in ("0", "false", "no"):
+        return False
+    raise ValueError("expected true/false/yes/no/1/0, got %r" % text)
+
+
 _CONFIG_TYPES = {
     "eps_g": float, "eps_H": float, "theta": float, "eta": float, "zeta": float,
     "delta": float, "theta_tilde": float, "U_H": float, "L_H": float,
     "max_outer_iters": int, "max_ls_trials": int,
-    "skip_small_step_block": lambda s: s.lower() in ("1", "true", "yes"),
+    "skip_small_step_block": _config_bool,
     "alpha_sol_fixed": float, "alpha_nc_fixed": float,
-    "retry_condition_failure": lambda s: s.lower() in ("1", "true", "yes"),
+    "retry_condition_failure": _config_bool,
+}
+
+# Config keys that a command-line flag also sets, by ExperimentSpec field.
+_SPEC_FIELDS = {
+    "eps_g": "eps", "eps_H": "eps_h", "max_outer_iters": "max_iters",
+    "skip_small_step_block": "skip_small_step_block",
+    "alpha_sol_fixed": "alpha_sol", "alpha_nc_fixed": "alpha_nc",
 }
 
 
-def _typed_overrides(raw):
-    out = {}
+def spec_fields_from_config(raw):
+    """ExperimentSpec fields from raw config entries: keys that have a
+    command-line flag set that flag's field, the rest go to `overrides`."""
+    fields, overrides = {}, {}
     for key, val in raw.items():
         if key not in _CONFIG_TYPES:
             raise ValueError("unknown config key %r" % key)
-        out[key] = _CONFIG_TYPES[key](val)
-    return out
+        try:
+            value = _CONFIG_TYPES[key](val)
+        except ValueError as exc:
+            raise ValueError("config key %r: %s" % (key, exc)) from None
+        if key in _SPEC_FIELDS:
+            fields[_SPEC_FIELDS[key]] = value
+        else:
+            overrides[key] = value
+    fields["overrides"] = overrides
+    return fields
 
 
 def make_parser():
+    """Parser whose solve options are named after ExperimentSpec fields; an
+    option not given on the command line is absent from the namespace, so
+    the config file or the spec default supplies it."""
     parser = argparse.ArgumentParser(
         prog="ntcg", description="Newton-CG benchmark driver"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("solve", help="run one solver preset, write CSV/JSON reports")
+    p = sub.add_parser("solve", help="run one solver preset, write CSV/JSON reports",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--problem", required=True, choices=PROBLEMS)
     p.add_argument("--data", help="LIBSVM file (required for nls-* problems)")
     p.add_argument("--variant", required=True, choices=VARIANTS)
-    p.add_argument("--eps", type=float, default=1e-3, help="first-order tolerance")
-    p.add_argument("--eps-h", type=float, default=None,
+    p.add_argument("--eps", type=float, help="first-order tolerance")
+    p.add_argument("--eps-h", type=float,
                    help="second-order tolerance; default sqrt(L_H * eps)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=1)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--repeats", type=int)
     p.add_argument("--audit", action="store_true",
                    help="verify decrease floors and caps (ledger-exempt "
                         "exact recomputation); nonzero exit on violation")
-    p.add_argument("--skip-small-step-block", dest="skip_block",
-                   action="store_true", default=True,
-                   help="skip the small-step oracle block (preset default)")
-    p.add_argument("--no-skip-small-step-block", dest="skip_block",
+    p.add_argument("--no-skip-small-step-block", dest="skip_small_step_block",
                    action="store_false",
                    help="run the faithful small-step control flow")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--dim", type=int, default=10, help="synthetic problem dimension")
-    p.add_argument("--max-iters", type=int, default=10_000)
-    p.add_argument("--welsch-alpha", type=float, default=1.0)
-    p.add_argument("--alpha-sol", type=float, default=None,
+    p.add_argument("--dim", type=int, help="synthetic problem dimension")
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--welsch-alpha", type=float)
+    p.add_argument("--alpha-sol", type=float,
                    help="fixed step for Newton-type steps (inexact-fixed)")
-    p.add_argument("--alpha-nc", type=float, default=None,
+    p.add_argument("--alpha-nc", type=float,
                    help="fixed step for curvature steps (inexact-fixed)")
     p.add_argument("--sparse", action="store_true", help="keep data sparse")
     p.add_argument("--config", help="flat key=value config file")
@@ -247,30 +274,14 @@ def make_parser():
 
 
 def main(argv=None):
-    args = make_parser().parse_args(argv)
-    overrides = {}
-    if args.config:
-        overrides = _typed_overrides(load_config_file(args.config))
+    args = vars(make_parser().parse_args(argv))
+    del args["command"]
+    fields = {}
+    if "config" in args:
+        fields = spec_fields_from_config(load_config_file(args.pop("config")))
+    fields.update(args)  # command-line flags win over the config file
     try:
-        spec = ExperimentSpec(
-            problem=args.problem,
-            variant=args.variant,
-            data=args.data,
-            out=args.out,
-            eps=args.eps,
-            eps_h=args.eps_h,
-            seed=args.seed,
-            repeats=args.repeats,
-            audit=args.audit,
-            skip_small_step_block=args.skip_block,
-            dim=args.dim,
-            max_iters=args.max_iters,
-            welsch_alpha=args.welsch_alpha,
-            alpha_sol=args.alpha_sol,
-            alpha_nc=args.alpha_nc,
-            sparse=args.sparse,
-            overrides=overrides,
-        )
+        spec = ExperimentSpec(**fields)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -8,6 +8,7 @@ works against them).
 """
 
 import inspect
+import warnings
 
 import numpy as np
 from scipy.special import expit
@@ -61,6 +62,13 @@ class _BaseNewtonCG(_ParamsMixin):
             problem, config, policy=policy, constants=constants,
             x0=np.zeros(problem.dim),
         )
+        if report.termination == solver.TERM_CONTRACT_VIOLATION:
+            warnings.warn(
+                "solver run ended in %s after %d iterations; coef_ is its "
+                "last iterate" % (report.termination, report.iterations),
+                RuntimeWarning,
+                stacklevel=3,
+            )
         self.coef_ = report.x_final
         self.report_ = report
         self.n_iter_ = report.iterations

@@ -16,12 +16,12 @@ Implementation notes, all load-bearing for the contracts above:
     removes the ghost-eigenvalue failure mode;
   * the tridiagonal eigenproblem is solved every iteration; the run stops
     early only once the smallest Ritz value is at most -eps/2 AND its
-    Lanczos residual certifies the pair (so the assembled vector's Rayleigh
-    quotient matches the Ritz value), which keeps runs with d <= cap exact:
-    they proceed to full dimension or breakdown, where the bottom Ritz pair
-    IS the bottom eigenpair;
-  * breakdown (beta ~ 0) means the Krylov subspace is invariant, so the
-    restriction of H to it is decided exactly;
+    Lanczos residual is at most CONV_TOL * max(1, M) (so the assembled
+    vector's Rayleigh quotient matches the Ritz value), which keeps runs
+    with d <= cap exact: they proceed to full dimension or breakdown, where
+    the bottom Ritz pair IS the bottom eigenpair;
+  * breakdown (beta <= BREAKDOWN_TOL * max(1, M)) means the Krylov
+    subspace is invariant, so the restriction of H to it is decided exactly;
   * the reported lambda is the Rayleigh quotient of the returned v,
     confirmed with a direct operator product, so v^T H v = lambda and
     lambda <= -eps/2 hold by construction, never anything weaker.
@@ -38,6 +38,10 @@ from ._validation import as_generator, check_interval
 
 NEGATIVE_CURVATURE = "NegativeCurvature"
 CERTIFICATE = "Certificate"
+
+# Lanczos breakdown and Ritz-pair convergence, relative to max(1, M).
+BREAKDOWN_TOL = 1e-12
+CONV_TOL = 1e-10
 
 
 @dataclass
@@ -60,7 +64,7 @@ def meo_iteration_cap(dim, M, epsilon, delta):
     return min(dim, budget)
 
 
-def meo_lanczos(H, M, epsilon, delta, rng, breakdown_tol=1e-12, conv_tol=1e-10):
+def meo_lanczos(H, M, epsilon, delta, rng):
     """Minimum-eigenvalue oracle; see the module docstring for the contract.
 
     H : operator with `dim` and `apply`; symmetric, ||H|| <= M.
@@ -69,6 +73,9 @@ def meo_lanczos(H, M, epsilon, delta, rng, breakdown_tol=1e-12, conv_tol=1e-10):
     delta : failure probability in (0, 1).  delta = 0 would make the step
         budget infinite and is rejected.
     rng : seed or numpy Generator for the start vector.
+
+    The breakdown and convergence tolerances are the module constants
+    BREAKDOWN_TOL and CONV_TOL, both relative to max(1, M).
     """
     if not np.isfinite(M) or M <= 0:
         raise ValueError("M must be positive and finite")
@@ -131,7 +138,7 @@ def meo_lanczos(H, M, epsilon, delta, rng, breakdown_tol=1e-12, conv_tol=1e-10):
         theta, s = bottom_ritz(steps)
         beta = float(np.linalg.norm(w))
 
-        if beta <= breakdown_tol * scale:
+        if beta <= BREAKDOWN_TOL * scale:
             # Invariant subspace: the bottom Ritz pair is exact there.
             if theta <= threshold:
                 found = negative_curvature(steps, s)
@@ -140,7 +147,7 @@ def meo_lanczos(H, M, epsilon, delta, rng, breakdown_tol=1e-12, conv_tol=1e-10):
             return MEOResult(CERTIFICATE, steps)
 
         # Ritz residual ||H v - theta v|| = beta * |last component of s|.
-        if theta <= threshold and beta * abs(s[-1]) <= conv_tol * scale:
+        if theta <= threshold and beta * abs(s[-1]) <= CONV_TOL * scale:
             found = negative_curvature(steps, s)
             if found is not None:
                 return found

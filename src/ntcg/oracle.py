@@ -60,25 +60,25 @@ class OracleLedger:
 class ObjectiveOracle:
     """Finite-sum objective with per-component value/gradient/Hessian-vector.
 
+    The objective is the mean F = (1/n) * sum_i f_i, and every estimate is
+    a mean over its batch, so batch estimates are unbiased for F and the
+    problem constants (K_g, K_H, U_H, L_H) bound F and its estimates alike.
+
     Subclasses implement the uncounted batch primitives `_value`, `_grad`
     and `_hvp`, each taking an explicit index array and returning the MEAN
-    over those components.  The public ``eval_*`` methods validate, count
-    into the ledger, and apply the sum-mode scale.
+    over those components.  The public ``eval_*`` methods validate and
+    count into the ledger.
 
     Parameters
     ----------
     n, dim : component count and parameter dimension.
-    averaged : if True (default) the objective is (1/n) * sum_i f_i; if
-        False it is the plain sum, in which case batch estimates are
-        rescaled by n so they stay unbiased for the full objective.
     """
 
-    def __init__(self, n, dim, averaged=True):
+    def __init__(self, n, dim):
         if n < 1 or dim < 1:
             raise ValueError("need n >= 1 and dim >= 1")
         self.n = int(n)
         self.dim = int(dim)
-        self.averaged = bool(averaged)
         self.ledger = OracleLedger()
         # Audit-mode evaluations (exact quantities used for reporting and
         # contract checks) are ledger-exempt and tallied separately.
@@ -97,35 +97,30 @@ class ObjectiveOracle:
 
     # -- counted evaluation surface ---------------------------------------
 
-    @property
-    def _scale(self):
-        return 1.0 if self.averaged else float(self.n)
-
     def full_index_set(self):
         return np.arange(self.n, dtype=np.int64)
 
     def eval_f(self, x, index_set, ledger=None):
-        """Mean of f_i(x) over index_set (times n in sum mode)."""
+        """Mean of f_i(x) over index_set."""
         x = check_vector(x, "x", self.dim)
         idx = check_index_set(index_set, self.n)
         ledger = ledger if ledger is not None else self.ledger
         ledger.f_calls += idx.size
-        return self._scale * float(self._value(x, idx))
+        return float(self._value(x, idx))
 
     def eval_grad(self, x, index_set, ledger=None):
         x = check_vector(x, "x", self.dim)
         idx = check_index_set(index_set, self.n)
         ledger = ledger if ledger is not None else self.ledger
         ledger.grad_calls += idx.size
-        return self._scale * self._grad(x, idx)
+        return self._grad(x, idx)
 
-    def eval_hvp(self, x, v, index_set, ledger=None):
+    def eval_hvp(self, x, v, index_set):
         x = check_vector(x, "x", self.dim)
         v = check_vector(v, "v", self.dim)
         idx = check_index_set(index_set, self.n)
-        ledger = ledger if ledger is not None else self.ledger
-        ledger.hv_calls += idx.size
-        return self._scale * self._hvp(x, v, idx)
+        self.ledger.hv_calls += idx.size
+        return self._hvp(x, v, idx)
 
     # -- audit accessors: exact full-set quantities, ledger-exempt --------
 
@@ -151,7 +146,7 @@ class ObjectiveOracle:
         eye = np.eye(self.dim)
         for j in range(self.dim):
             H[:, j] = self._hvp(x, eye[j], idx)
-        return self._scale * H
+        return H
 
 
 class CallableOracle(ObjectiveOracle):
@@ -162,8 +157,8 @@ class CallableOracle(ObjectiveOracle):
     is small; the NLS problems use vectorized subclasses instead.
     """
 
-    def __init__(self, n, dim, value_fn, grad_fn, hvp_fn, averaged=True):
-        super().__init__(n, dim, averaged=averaged)
+    def __init__(self, n, dim, value_fn, grad_fn, hvp_fn):
+        super().__init__(n, dim)
         self._value_fn = value_fn
         self._grad_fn = grad_fn
         self._hvp_fn = hvp_fn
@@ -210,9 +205,6 @@ class HessianOperator:
             )
         return out
 
-    def __matmul__(self, v):
-        return self.apply(v)
-
     @classmethod
     def from_matrix(cls, A):
         A = np.asarray(A, dtype=np.float64)
@@ -221,10 +213,9 @@ class HessianOperator:
         return cls(A.shape[0], lambda v: A @ v)
 
     @classmethod
-    def from_oracle(cls, oracle, x, index_set, ledger=None):
-        """Subsampled (or exact) Hessian of `oracle` at the point x."""
+    def from_oracle(cls, oracle, x, index_set):
+        """Subsampled (or exact) Hessian of `oracle` at the point x, counted
+        into the oracle's ledger."""
         x = np.array(x, dtype=np.float64, copy=True)
         idx = np.asarray(index_set, dtype=np.int64)
-        return cls(
-            oracle.dim, lambda v: oracle.eval_hvp(x, v, idx, ledger=ledger)
-        )
+        return cls(oracle.dim, lambda v: oracle.eval_hvp(x, v, idx))

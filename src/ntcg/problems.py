@@ -87,7 +87,7 @@ class NLSProblem(ObjectiveOracle):
     |b_i| only.
     """
 
-    def __init__(self, A, b, link=SIGMOID, alpha=1.0, averaged=True):
+    def __init__(self, A, b, link=SIGMOID, alpha=1.0):
         A = check_matrix(A, "A")
         b = check_vector(b, "b")
         if A.shape[0] != b.shape[0]:
@@ -96,7 +96,7 @@ class NLSProblem(ObjectiveOracle):
             raise ValueError("unknown link %r" % (link,))
         if link == WELSCH and alpha <= 0:
             raise ValueError("welsch alpha must be positive")
-        super().__init__(A.shape[0], A.shape[1], averaged=averaged)
+        super().__init__(A.shape[0], A.shape[1])
         self.A = A
         self.b = b
         self.link = link
@@ -162,7 +162,7 @@ class NLSProblem(ObjectiveOracle):
             H = np.asarray((Ai.multiply(c[:, None])).T @ Ai.todense())
         else:
             H = (c[:, None] * Ai).T @ Ai
-        return self._scale * np.asarray(H) / idx.size
+        return np.asarray(H) / idx.size
 
 
 def constants_for(problem):
@@ -292,8 +292,7 @@ def synthetic_saddle(dim, mu=1.0, gamma=1.0):
     return problem, problem.constants()
 
 
-def synthetic_nls(n, dim, link=SIGMOID, alpha=1.0, row_norm=1.0, seed=0,
-                  averaged=True):
+def synthetic_nls(n, dim, link=SIGMOID, alpha=1.0, row_norm=1.0, seed=0):
     """Random NLS instance with controlled row norms and binary labels.
 
     Rows are uniform on the sphere of radius `row_norm` scaled by a uniform
@@ -314,4 +313,4 @@ def synthetic_nls(n, dim, link=SIGMOID, alpha=1.0, row_norm=1.0, seed=0,
         b[b == 0] = 1.0
     else:
         b = z + 0.1 * rng.standard_normal(n)
-    return NLSProblem(A, b, link=link, alpha=alpha, averaged=averaged)
+    return NLSProblem(A, b, link=link, alpha=alpha)

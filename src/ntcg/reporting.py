@@ -8,26 +8,33 @@ files.
 
 import csv
 import json
+from operator import attrgetter
 
 import numpy as np
 
 CSV_SCHEMA_VERSION = 1
-CSV_COLUMNS = [
-    "iter",
-    "f",
-    "grad_est_norm",
-    "grad_true_norm",
-    "d_type",
-    "step_class",
-    "alpha",
-    "ls_trials",
-    "cg_iters",
-    "meo_iters",
-    "f_calls",
-    "grad_calls",
-    "hv_calls",
-    "props",
-]
+
+# One entry per CSV column, in order: (column, IterationRecord attribute,
+# parser of the written text).  Empty cells stand for None both ways.
+_COLUMNS = (
+    ("iter", "k", int),
+    ("f", "f_value", float),
+    ("grad_est_norm", "grad_est_norm", float),
+    ("grad_true_norm", "grad_true_norm", float),
+    ("d_type", "d_type", str),
+    ("step_class", "step_class", str),
+    ("alpha", "alpha", float),
+    ("ls_trials", "ls_trials", int),
+    ("cg_iters", "cg_iters", int),
+    ("meo_iters", "meo_iters", int),
+    ("f_calls", "f_calls", int),
+    ("grad_calls", "grad_calls", int),
+    ("hv_calls", "hv_calls", int),
+    ("props", "props", int),
+)
+CSV_COLUMNS = [column for column, _, _ in _COLUMNS]
+_ROW = attrgetter(*(attr for _, attr, _ in _COLUMNS))
+_PARSERS = {column: parse for column, _, parse in _COLUMNS}
 
 
 def _fmt(value):
@@ -44,45 +51,17 @@ def write_run_csv(path, report):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for r in report.records:
-            writer.writerow(
-                [
-                    r.k,
-                    _fmt(r.f_value),
-                    _fmt(r.grad_est_norm),
-                    _fmt(r.grad_true_norm),
-                    _fmt(r.d_type),
-                    _fmt(r.step_class),
-                    _fmt(r.alpha),
-                    r.ls_trials,
-                    r.cg_iters,
-                    r.meo_iters,
-                    r.f_calls,
-                    r.grad_calls,
-                    r.hv_calls,
-                    r.props,
-                ]
-            )
+            writer.writerow([_fmt(value) for value in _ROW(r)])
 
 
 def read_run_csv(path):
-    """Read a run CSV back into a list of dicts (floats where sensible)."""
-    out = []
+    """Read a run CSV back into a list of dicts keyed by column."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            parsed = {}
-            for key, val in row.items():
-                if val == "":
-                    parsed[key] = None
-                elif key in ("d_type", "step_class"):
-                    parsed[key] = val
-                elif key in ("iter", "ls_trials", "cg_iters", "meo_iters",
-                             "f_calls", "grad_calls", "hv_calls", "props"):
-                    parsed[key] = int(val)
-                else:
-                    parsed[key] = float(val)
-            out.append(parsed)
-    return out
+        return [
+            {key: None if val == "" else _PARSERS[key](val)
+             for key, val in row.items()}
+            for row in csv.DictReader(fh)
+        ]
 
 
 def trajectory(records):

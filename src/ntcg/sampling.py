@@ -25,6 +25,11 @@ SUB_BOTH = "SubBoth"
 COND2 = "Cond2"
 COND3 = "Cond3"
 
+# Smallest adaptive gradient batch, and the per-iteration failure
+# probability the concentration sizing is computed for.
+MIN_BATCH = 32
+DELTA_BAR = 0.1
+
 
 @dataclass
 class AccuracyTargets:
@@ -86,7 +91,8 @@ def sample_indices(n, batch, rng):
     return rng.choice(n, size=batch, replace=False).astype(np.int64)
 
 
-def adapt_grad_batch(prev_batch, g_norm_now, g_norm_prev, n_total=None, floor=32):
+def adapt_grad_batch(prev_batch, g_norm_now, g_norm_prev, n_total=None,
+                     floor=MIN_BATCH):
     """Adaptive gradient batch: shrink when the gradient norm grew by the
     factor 1.2, grow when it shrank by the same factor, else keep.
 
@@ -157,20 +163,19 @@ class SamplingPolicy:
     targets : accuracy levels the batch sizes were derived for; the
         fixed-step driver feeds them into its step formulas.  Zero for
         exact modes.
-    delta_bar : per-iteration failure probability the concentration
-        sizing was computed for; recorded for reporting.
+
+    Adaptive and retried gradient batches never drop below MIN_BATCH;
+    concentration sizing uses the failure probability DELTA_BAR.
     """
 
     mode: str = EXACT
     grad_batch: int = 0
     hess_batch: int = 0
     adaptive: bool = False
-    min_batch: int = 32
     line_search_eval: str = "full"
     targets: AccuracyTargets = field(
         default_factory=lambda: AccuracyTargets(0.0, 0.0)
     )
-    delta_bar: float = 0.1
 
     def __post_init__(self):
         if self.mode not in (EXACT, SUB_HESSIAN_ONLY, SUB_BOTH):
@@ -199,16 +204,16 @@ class SamplingPolicy:
         concentration formula, or double it when no bound K_g is known."""
         self.targets.delta_g = max(self.targets.delta_g / 2.0, 1e-300)
         if K_g is not None:
-            batch = grad_sample_size(K_g, self.targets.delta_g, self.delta_bar)
+            batch = grad_sample_size(K_g, self.targets.delta_g, DELTA_BAR)
         else:
-            batch = max(2 * self.grad_batch, self.min_batch)
+            batch = max(2 * self.grad_batch, MIN_BATCH)
         self.grad_batch = min(n, batch)
 
     def adapt(self, g_norm_now, g_norm_prev, n):
         if not (self.adaptive and self.subsamples_gradient()):
             return self.grad_batch
         self.grad_batch = adapt_grad_batch(
-            self.grad_batch, g_norm_now, g_norm_prev, n_total=n, floor=self.min_batch
+            self.grad_batch, g_norm_now, g_norm_prev, n_total=n
         )
         return self.grad_batch
 

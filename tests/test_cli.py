@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from ntcg import dump_libsvm, synthetic_nls
-from ntcg.cli import EXIT_OK, ExperimentSpec, load_config_file, main
+from ntcg.cli import (
+    EXIT_OK,
+    ExperimentSpec,
+    load_config_file,
+    main,
+    spec_fields_from_config,
+)
 from ntcg.reporting import CSV_COLUMNS, aggregate_runs, read_run_csv, trajectory
 
 
@@ -141,6 +147,32 @@ class TestSolveCommand:
             "--config", str(cfgfile), "--max-iters", "40",
         ])
         assert code == EXIT_OK
+
+    def test_command_line_flags_win_over_config(self, small_dataset, tmp_path):
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("eps_g = 1e-6\nmax_outer_iters = 3\n")
+        argv = ["solve", "--problem", "nls-sigmoid", "--data", small_dataset,
+                "--variant", "full", "--config", str(cfgfile)]
+        main(argv + ["--out", str(tmp_path / "cfg")])
+        assert len(read_run_csv(tmp_path / "cfg" / "run_seed0.csv")) == 3
+        assert json.loads(read(tmp_path / "cfg" / "aggregate.json"))["eps"] == 1e-6
+        main(argv + ["--out", str(tmp_path / "flags"), "--max-iters", "50",
+                     "--eps", "1e-5"])
+        assert len(read_run_csv(tmp_path / "flags" / "run_seed0.csv")) == 50
+        assert json.loads(read(tmp_path / "flags" / "aggregate.json"))["eps"] == 1e-5
+
+    @pytest.mark.parametrize("text, value", [
+        ("true", True), ("FALSE", False), ("Yes", True), ("no", False),
+        ("1", True), ("0", False), ("ture", None), ("", None),
+    ])
+    def test_config_booleans(self, text, value):
+        for key in ("skip_small_step_block", "retry_condition_failure"):
+            if value is None:
+                with pytest.raises(ValueError, match=key):
+                    spec_fields_from_config({key: text})
+                continue
+            fields = spec_fields_from_config({key: text})
+            assert fields.get(key, fields["overrides"].get(key)) is value
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfgfile = tmp_path / "cfg.txt"

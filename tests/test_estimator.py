@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ntcg import SquaredLossClassifier, WelschRegressor
+from ntcg import SquaredLossClassifier, WelschRegressor, synthetic_nls
 
 
 def classification_data(seed=0, n=150, d=5, labels=(0.0, 1.0)):
@@ -73,6 +73,15 @@ class TestSquaredLossClassifier:
         (record,) = clf.report_.records
         assert record.grad_calls == 53
         assert record.hv_calls > 0 and record.hv_calls % 11 == 0
+
+    def test_contract_violation_warns_and_keeps_coef(self):
+        problem = synthetic_nls(1200, 8, seed=5)
+        clf = SquaredLossClassifier(max_iter=200, subsample=True)
+        with pytest.warns(RuntimeWarning, match="ContractViolation after 128"):
+            clf.fit(problem.A, problem.b)
+        assert clf.report_.termination == "ContractViolation"
+        assert clf.n_iter_ == 128
+        np.testing.assert_array_equal(clf.coef_, clf.report_.x_final)
 
 
 class TestWelschRegressor:

@@ -105,13 +105,6 @@ class TestEvaluation:
         hv_fd = central_diff_hvp(lambda y: problem._grad(y, idx), x, v)
         assert rel_err(hv, hv_fd) < 1e-5
 
-    def test_sum_mode_scales_by_n(self):
-        avg = synthetic_nls(20, 4, seed=8, averaged=True)
-        total = synthetic_nls(20, 4, seed=8, averaged=False)
-        x = np.ones(4)
-        idx = avg.full_index_set()
-        assert abs(total.eval_f(x, idx) - 20.0 * avg.eval_f(x, idx)) < 1e-10
-
     def test_empty_index_set_rejected(self):
         oracle = quadratic_oracle()
         with pytest.raises(ValueError):

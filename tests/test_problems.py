@@ -7,7 +7,7 @@ from ntcg import NLSProblem, QuadraticProblem, constants_for, synthetic_saddle
 from ntcg.problems import SIGMOID, TANH, WELSCH
 
 
-def random_instance(link, n, d, seed, alpha=1.0, averaged=True):
+def random_instance(link, n, d, seed, alpha=1.0):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, d))
     A /= np.maximum(np.linalg.norm(A, axis=1, keepdims=True), 1.0)
@@ -17,7 +17,7 @@ def random_instance(link, n, d, seed, alpha=1.0, averaged=True):
         b = rng.choice([-1.0, 1.0], size=n)
     else:
         b = rng.standard_normal(n)
-    return NLSProblem(A, b, link=link, alpha=alpha, averaged=averaged)
+    return NLSProblem(A, b, link=link, alpha=alpha)
 
 
 class TestClosedForms:

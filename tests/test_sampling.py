@@ -18,7 +18,9 @@ from ntcg import (
 from ntcg.sampling import (
     COND2,
     COND3,
+    DELTA_BAR,
     EXACT,
+    MIN_BATCH,
     SUB_BOTH,
     SUB_HESSIAN_ONLY,
     preset_policy,
@@ -223,12 +225,12 @@ class TestPolicy:
 
     def test_adapt_respects_floor(self):
         p = SamplingPolicy(mode=SUB_BOTH, grad_batch=40, hess_batch=3,
-                           adaptive=True, min_batch=32)
+                           adaptive=True)
         p.adapt(10.0, 1.0, 1000)
         assert p.grad_batch == 34  # ceil(40 / 1.2)
         for _ in range(10):
             p.adapt(10.0, 1.0, 1000)
-        assert p.grad_batch == 32
+        assert p.grad_batch == MIN_BATCH == 32
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -240,11 +242,11 @@ class TestPolicy:
     def test_tighten_gradient_halves_target_and_resizes(self):
         p = SamplingPolicy(mode=SUB_BOTH, grad_batch=10,
                            targets=AccuracyTargets(0.2, 0.1))
-        p.tighten_gradient(1000)  # no bound: double, at least min_batch
+        p.tighten_gradient(1000)  # no bound: double, at least MIN_BATCH
         assert (p.targets.delta_g, p.grad_batch) == (0.1, 32)
         p.tighten_gradient(50, K_g=0.01)
         assert p.targets.delta_g == 0.05
-        assert p.grad_batch == grad_sample_size(0.01, 0.05, p.delta_bar) == 2
+        assert p.grad_batch == grad_sample_size(0.01, 0.05, DELTA_BAR) == 2
         p.tighten_gradient(50, K_g=1.0)  # clamped to n
         assert p.grad_batch == 50
 
