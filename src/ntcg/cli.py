@@ -94,30 +94,23 @@ def build_problem(spec):
         ]
         A, b = load_libsvm(spec.data, sparse=spec.sparse)
         problem = NLSProblem(A, b, link=link, alpha=spec.welsch_alpha)
-        return problem, constants_for(problem), np.zeros(problem.dim)
-    if spec.problem == "quadratic":
+    elif spec.problem == "quadratic":
         problem = QuadraticProblem(np.ones(spec.dim))
-        return problem, problem.constants(), np.ones(spec.dim)
-    problem = SaddleProblem(spec.dim)
-    return problem, problem.constants(), np.zeros(spec.dim)
+    else:
+        problem = SaddleProblem(spec.dim)
+    x0 = np.ones(problem.dim) if spec.problem == "quadratic" else np.zeros(problem.dim)
+    return problem, constants_for(problem), x0
 
 
 def build_config(spec, seed):
-    variant_kind = (
-        solver.FIXED_STEP if spec.variant == "inexact-fixed" else solver.LINE_SEARCH
-    )
-    kwargs = {
-        "eps_g": spec.eps,
-        "eps_H": spec.eps_h,
-        "seed": seed,
-        "max_outer_iters": spec.max_iters,
-        "skip_small_step_block": spec.skip_small_step_block,
-    }
+    kwargs = {key: getattr(spec, name) for name, key in _FLAG_KEYS.items()}
+    variant_kind = solver.LINE_SEARCH
     if spec.variant == "inexact-fixed":
-        kwargs["alpha_sol_fixed"] = 0.2 if spec.alpha_sol is None else spec.alpha_sol
-        kwargs["alpha_nc_fixed"] = 0.04 if spec.alpha_nc is None else spec.alpha_nc
-    for key, val in spec.overrides.items():
-        kwargs[key] = val
+        variant_kind = solver.FIXED_STEP
+        for key, default in (("alpha_sol_fixed", 0.2), ("alpha_nc_fixed", 0.04)):
+            if kwargs[key] is None:
+                kwargs[key] = default
+    kwargs.update(spec.overrides, seed=seed)
     return solver.SolverConfig(**kwargs), variant_kind
 
 
@@ -209,17 +202,20 @@ _CONFIG_TYPES = {
     "retry_condition_failure": _config_bool,
 }
 
-# Config keys that a command-line flag also sets, by ExperimentSpec field.
-_SPEC_FIELDS = {
-    "eps_g": "eps", "eps_H": "eps_h", "max_outer_iters": "max_iters",
+# The SolverConfig field that each command-line flag sets, by the
+# ExperimentSpec field the flag fills; a config file names the same setting
+# by the SolverConfig field.
+_FLAG_KEYS = {
+    "eps": "eps_g", "eps_h": "eps_H", "max_iters": "max_outer_iters",
     "skip_small_step_block": "skip_small_step_block",
-    "alpha_sol_fixed": "alpha_sol", "alpha_nc_fixed": "alpha_nc",
+    "alpha_sol": "alpha_sol_fixed", "alpha_nc": "alpha_nc_fixed",
 }
 
 
 def spec_fields_from_config(raw):
     """ExperimentSpec fields from raw config entries: keys that have a
     command-line flag set that flag's field, the rest go to `overrides`."""
+    flag_fields = {key: name for name, key in _FLAG_KEYS.items()}
     fields, overrides = {}, {}
     for key, val in raw.items():
         if key not in _CONFIG_TYPES:
@@ -228,8 +224,8 @@ def spec_fields_from_config(raw):
             value = _CONFIG_TYPES[key](val)
         except ValueError as exc:
             raise ValueError("config key %r: %s" % (key, exc)) from None
-        if key in _SPEC_FIELDS:
-            fields[_SPEC_FIELDS[key]] = value
+        if key in flag_fields:
+            fields[flag_fields[key]] = value
         else:
             overrides[key] = value
     fields["overrides"] = overrides
@@ -276,17 +272,12 @@ def make_parser():
 def main(argv=None):
     args = vars(make_parser().parse_args(argv))
     del args["command"]
-    fields = {}
-    if "config" in args:
-        fields = spec_fields_from_config(load_config_file(args.pop("config")))
-    fields.update(args)  # command-line flags win over the config file
     try:
-        spec = ExperimentSpec(**fields)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    try:
-        reports, code = run_experiment(spec)
+        fields = {}
+        if "config" in args:
+            fields = spec_fields_from_config(load_config_file(args.pop("config")))
+        fields.update(args)  # command-line flags win over the config file
+        reports, code = run_experiment(ExperimentSpec(**fields))
     except (OSError, LibSVMFormatError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ from scipy.special import expit
 
 from . import solver
 from ._validation import check_matrix, check_X_y
-from .problems import SIGMOID, TANH, WELSCH, NLSProblem, constants_for
+from .problems import SIGMOID, TANH, WELSCH, NLSProblem
 from .sampling import preset_policy
 
 
@@ -48,7 +48,6 @@ class _BaseNewtonCG(_ParamsMixin):
     def _fit_problem(self, X, y, link, alpha=1.0):
         X, y = check_X_y(X, y)
         problem = NLSProblem(X, y, link=link, alpha=alpha)
-        constants = constants_for(problem)
         config = solver.SolverConfig(
             eps_g=self.eps,
             max_outer_iters=self.max_iter,
@@ -58,10 +57,7 @@ class _BaseNewtonCG(_ParamsMixin):
         policy = preset_policy(
             "inexact-full-eval" if self.subsample else "full", problem.n
         )
-        report = solver.run(
-            problem, config, policy=policy, constants=constants,
-            x0=np.zeros(problem.dim),
-        )
+        report = solver.run(problem, config, policy=policy, x0=np.zeros(problem.dim))
         if report.termination == solver.TERM_CONTRACT_VIOLATION:
             warnings.warn(
                 "solver run ended in %s after %d iterations; coef_ is its "

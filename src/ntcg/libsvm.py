@@ -20,15 +20,13 @@ def load_libsvm(path, sparse=False, comment_char="#"):
     b : (n,) float64 labels, used as loaded (no remapping).
     """
     labels = []
-    rows = []  # list of (indices, values), 0-based
+    indptr, indices, data = [0], [], []  # CSR arrays, 0-based indices
     max_index = 0
-    n_lines = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split(comment_char, 1)[0].strip()
             if not line:
                 continue
-            n_lines += 1
             parts = line.split()
             try:
                 label = float(parts[0])
@@ -36,8 +34,6 @@ def load_libsvm(path, sparse=False, comment_char="#"):
                 raise LibSVMFormatError(
                     "label %r is not a number" % parts[0], lineno
                 ) from None
-            idxs = []
-            vals = []
             prev = 0
             for token in parts[1:]:
                 if ":" not in token:
@@ -63,38 +59,31 @@ def load_libsvm(path, sparse=False, comment_char="#"):
                         lineno,
                     )
                 prev = idx
-                idxs.append(idx - 1)
-                vals.append(val)
+                indices.append(idx - 1)
+                data.append(val)
             labels.append(label)
-            rows.append((idxs, vals))
+            indptr.append(len(indices))
             if prev > max_index:
                 max_index = prev
-    if n_lines == 0:
+    if not labels:
         raise LibSVMFormatError("file %r contains no data lines" % str(path))
 
-    n, d = len(rows), max(max_index, 1)
-    b = np.asarray(labels, dtype=np.float64)
-    if sparse:
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        for i, (idxs, _) in enumerate(rows):
-            indptr[i + 1] = indptr[i] + len(idxs)
-        indices = np.concatenate(
-            [np.asarray(idxs, dtype=np.int64) for idxs, _ in rows]
-        ) if indptr[-1] else np.zeros(0, dtype=np.int64)
-        data = np.concatenate(
-            [np.asarray(vals, dtype=np.float64) for _, vals in rows]
-        ) if indptr[-1] else np.zeros(0)
-        A = sp.csr_matrix((data, indices, indptr), shape=(n, d))
-    else:
-        A = np.zeros((n, d))
-        for i, (idxs, vals) in enumerate(rows):
-            A[i, idxs] = vals
-    return A, b
+    A = sp.csr_matrix(
+        (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int64),
+         np.asarray(indptr, dtype=np.int64)),
+        shape=(len(labels), max(max_index, 1)),
+    )
+    return (A if sparse else A.toarray()), np.asarray(labels, dtype=np.float64)
 
 
 def dump_libsvm(path, A, b):
-    """Write (A, b) in LIBSVM format; zeros are omitted."""
-    A_sp = sp.csr_matrix(A) if not sp.issparse(A) else A.tocsr()
+    """Write (A, b) in LIBSVM format; zeros are omitted.
+
+    Rows are written with sorted, merged feature indices, whatever the
+    storage order of a sparse A; A itself is left unchanged.
+    """
+    A_sp = sp.csr_matrix(A, copy=True)
+    A_sp.sum_duplicates()
     b = np.asarray(b, dtype=np.float64)
     if A_sp.shape[0] != b.shape[0]:
         raise ValueError("row/label count mismatch")

@@ -139,12 +139,7 @@ def meo_lanczos(H, M, epsilon, delta, rng):
         beta = float(np.linalg.norm(w))
 
         if beta <= BREAKDOWN_TOL * scale:
-            # Invariant subspace: the bottom Ritz pair is exact there.
-            if theta <= threshold:
-                found = negative_curvature(steps, s)
-                if found is not None:
-                    return found
-            return MEOResult(CERTIFICATE, steps)
+            break  # invariant subspace: the bottom Ritz pair is exact there
 
         # Ritz residual ||H v - theta v|| = beta * |last component of s|.
         if theta <= threshold and beta * abs(s[-1]) <= CONV_TOL * scale:
@@ -156,6 +151,7 @@ def meo_lanczos(H, M, epsilon, delta, rng):
             betas[steps - 1] = beta
             q = w / beta
 
+    # Breakdown or the step cap: the bottom Ritz pair decides.
     if theta <= threshold:
         found = negative_curvature(steps, s)
         if found is not None:

@@ -95,6 +95,11 @@ class ObjectiveOracle:
     def _hvp(self, x, v, idx):
         raise NotImplementedError
 
+    def constants(self):
+        """ProblemConstants (L_H, K_g, K_H, U_H, U_g, f_low) of the
+        objective; the solver reads its defaults from here."""
+        raise ValueError("problem constants are required")
+
     # -- counted evaluation surface ---------------------------------------
 
     def full_index_set(self):

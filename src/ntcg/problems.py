@@ -164,28 +164,32 @@ class NLSProblem(ObjectiveOracle):
             H = (c[:, None] * Ai).T @ Ai
         return np.asarray(H) / idx.size
 
+    def constants(self):
+        """Smoothness and boundedness constants from the table formulas in
+        the module docstring."""
+        norms = _row_norms(self.A)
+        absb = np.abs(self.b)
+        if self.link in (SIGMOID, TANH):
+            L_H = float(np.max(2.0 * (absb + 4.0) * norms**3))
+            K_H = float(np.max((absb + 2.0) * norms**2))
+            if self.link == SIGMOID:
+                K_g = float(np.max((absb + 1.0) * norms / 2.0))
+            else:
+                K_g = float(np.max(2.0 * (absb + 1.0) * norms))
+        else:
+            a = self.alpha
+            max_norm = float(np.max(norms))
+            L_H = 9.0 * a**1.5 * max_norm**3
+            K_g = math.sqrt(2.0 / a) * max_norm
+            K_H = 2.0 * max_norm**2
+        # Squared residuals and the welsch loss are both nonnegative.
+        return ProblemConstants(L_H=L_H, K_g=K_g, K_H=K_H, U_H=K_H, U_g=K_g, f_low=0.0)
+
 
 def constants_for(problem):
-    """Smoothness and boundedness constants from the problem data."""
-    if not isinstance(problem, NLSProblem):
-        raise TypeError("constants_for expects an NLSProblem")
-    norms = _row_norms(problem.A)
-    absb = np.abs(problem.b)
-    if problem.link in (SIGMOID, TANH):
-        L_H = float(np.max(2.0 * (absb + 4.0) * norms**3))
-        K_H = float(np.max((absb + 2.0) * norms**2))
-        if problem.link == SIGMOID:
-            K_g = float(np.max((absb + 1.0) * norms / 2.0))
-        else:
-            K_g = float(np.max(2.0 * (absb + 1.0) * norms))
-    else:
-        a = problem.alpha
-        max_norm = float(np.max(norms))
-        L_H = 9.0 * a**1.5 * max_norm**3
-        K_g = math.sqrt(2.0 / a) * max_norm
-        K_H = 2.0 * max_norm**2
-    # Squared residuals and the welsch loss are both nonnegative.
-    return ProblemConstants(L_H=L_H, K_g=K_g, K_H=K_H, U_H=K_H, U_g=K_g, f_low=0.0)
+    """Smoothness and boundedness constants of `problem`; the same as
+    ``problem.constants()``."""
+    return problem.constants()
 
 
 # -- synthetic diagnostics ---------------------------------------------------

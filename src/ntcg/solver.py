@@ -40,6 +40,7 @@ from the problem's ledger, which keeps counting across runs until reset.
 """
 
 import copy
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -204,6 +205,22 @@ def scale_meo_direction(v, H, g, curvature=None):
 # -- line searches ------------------------------------------------------------
 
 
+def _backtrack(f_eval, x, d, eta, f0, max_trials, steps, kind, name):
+    """(alpha, trials) for the first of `steps` that meets the cubic
+    decrease condition; ContractViolation once max_trials have failed."""
+    d = np.asarray(d, dtype=np.float64)
+    norm_d3 = float(np.linalg.norm(d)) ** 3
+    if norm_d3 == 0.0:
+        raise ValueError("zero direction")
+    if f0 is None:
+        f0 = f_eval(x)
+    for trials, alpha in enumerate(itertools.islice(steps, max_trials), start=1):
+        if f_eval(x + alpha * d) < f0 - (eta / 6.0) * abs(alpha) ** 3 * norm_d3:
+            return alpha, trials
+    raise ContractViolation("%s exhausted %d trials" % (name, max_trials),
+                            detail={"kind": kind})
+
+
 def line_search_sol(f_eval, x, d, eta, theta, f0=None, max_trials=60):
     """Backtracking over theta^j; returns (alpha, trials).
 
@@ -211,19 +228,8 @@ def line_search_sol(f_eval, x, d, eta, theta, f0=None, max_trials=60):
     means the decrease condition is unreachable, which the theory rules out
     under the accuracy conditions, hence ContractViolation.
     """
-    d = np.asarray(d, dtype=np.float64)
-    norm_d3 = float(np.linalg.norm(d)) ** 3
-    if norm_d3 == 0.0:
-        raise ValueError("zero direction")
-    if f0 is None:
-        f0 = f_eval(x)
-    for j in range(max_trials):
-        alpha = theta**j
-        if f_eval(x + alpha * d) < f0 - (eta / 6.0) * alpha**3 * norm_d3:
-            return alpha, j + 1
-    raise ContractViolation(
-        "line search exhausted %d trials" % max_trials, detail={"kind": "sol"}
-    )
+    return _backtrack(f_eval, x, d, eta, f0, max_trials,
+                      (theta**j for j in itertools.count()), "sol", "line search")
 
 
 def line_search_nc(f_eval, x, d, eta, theta, f0=None, max_trials=60):
@@ -231,26 +237,9 @@ def line_search_nc(f_eval, x, d, eta, theta, f0=None, max_trials=60):
 
     The decrease condition uses |alpha|; trials counts candidates.
     """
-    d = np.asarray(d, dtype=np.float64)
-    norm_d3 = float(np.linalg.norm(d)) ** 3
-    if norm_d3 == 0.0:
-        raise ValueError("zero direction")
-    if f0 is None:
-        f0 = f_eval(x)
-    trials = 0
-    j = 0
-    while trials < max_trials:
-        for alpha in (theta**j, -(theta**j)):
-            trials += 1
-            if f_eval(x + alpha * d) < f0 - (eta / 6.0) * abs(alpha) ** 3 * norm_d3:
-                return alpha, trials
-            if trials >= max_trials:
-                break
-        j += 1
-    raise ContractViolation(
-        "bidirectional line search exhausted %d trials" % max_trials,
-        detail={"kind": "nc"},
-    )
+    steps = (alpha for j in itertools.count() for alpha in (theta**j, -(theta**j)))
+    return _backtrack(f_eval, x, d, eta, f0, max_trials, steps,
+                      "nc", "bidirectional line search")
 
 
 # -- fixed step sizes ----------------------------------------------------------
@@ -450,7 +439,7 @@ class _Audit:
                     floor /= 8.0
                 self.check(k, "nc_decrease_floor", decrease >= floor - 1e-12,
                            decrease, floor)
-            elif not line_search and L_H > 0 and norm_d >= eps_g / eps_H:
+            elif not line_search and norm_d >= eps_g / eps_H:
                 floor = self.decrease_constant(SOL) * eps_H**3
                 self.check(k, "fixed_sol_decrease_floor",
                            decrease >= floor - 1e-12, decrease, floor)
@@ -583,29 +572,28 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
     policy : SamplingPolicy; defaults to exact evaluation.  The run adapts
         a private copy, so the caller's policy is left unchanged.
     variant : LINE_SEARCH or FIXED_STEP.
-    constants : ProblemConstants; defaults to problem.constants() or the
-        NLS table formulas.
+    constants : ProblemConstants; defaults to problem.constants().
     x0 : start point, default zeros.
     audit : verify per-step floors and caps against exact ledger-exempt
         recomputation; any failure raises ContractViolation.
-    trace : optional callable fed each IterationRecord as produced.
+    trace : optional callable fed each IterationRecord once it is final:
+        a step's record when the next gradient estimate has fixed its K2/K3
+        class and its audit checks, the last record when the run ends.  It
+        sees exactly `records` of the report, in order; an iteration redone
+        by a retry is never fed.
     """
     if variant not in (LINE_SEARCH, FIXED_STEP):
         raise ValueError("unknown variant %r" % (variant,))
     policy = copy.deepcopy(policy) if policy is not None else SamplingPolicy(mode=EXACT)
     if constants is None:
-        from .problems import NLSProblem, constants_for
-
-        if isinstance(problem, NLSProblem):
-            constants = constants_for(problem)
-        elif hasattr(problem, "constants"):
-            constants = problem.constants()
-        else:
-            raise ValueError("problem constants are required")
+        constants = problem.constants()
     eff = _resolve(config, constants)
     no_overrides = config.alpha_sol_fixed is None and config.alpha_nc_fixed is None
-    if variant == FIXED_STEP and eff["L_H"] is None and no_overrides:
-        raise ValueError("FixedStep needs L_H or explicit step-size overrides")
+    derives_step = config.alpha_sol_fixed is None or config.alpha_nc_fixed is None
+    L_H = eff["L_H"]
+    if variant == FIXED_STEP and derives_step and (L_H is None or L_H <= 0.0):
+        raise ValueError("FixedStep derives its step sizes from L_H > 0; give "
+                         "L_H or both step-size overrides")
 
     rng = as_generator(config.seed)
     auditor = None
@@ -623,9 +611,21 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
     records = []
     termination = TERM_MAX_ITERS
     prev_g_norm = None
-    open_class = None  # Newton-step record whose K2/K3 class awaits ||g_{k+1}||
     retries_left = config.max_condition_retries
-    retry_point = None
+    # The last iteration's record and start point; the record is committed
+    # once ||g_{k+1}|| is known, or dropped by a retry.
+    open_record, start = None, None
+
+    def commit(record, next_norm, exact_next_norm, condition_ok):
+        """Close an iteration: the K2/K3 class of an accepted Newton step,
+        the audit checks waiting on the next gradient, the record, trace."""
+        if record.step_class is None and record.alpha is not None:
+            record.step_class = "K2" if next_norm < eps_g else "K3"
+        if audit:
+            auditor.resolve(condition_ok, exact_next_norm)
+        records.append(record)
+        if trace is not None:
+            trace(record)
 
     k = 0
     while k < config.max_outer_iters:
@@ -633,26 +633,21 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
         g = problem.eval_grad(x, grad_idx)
         g_norm = float(np.linalg.norm(g))
 
-        exact_g_norm = None
+        exact_g_norm = condition_ok = None
         if audit:
             exact_g_norm = auditor.gradient(x, g)
-            # Retrospective accuracy condition of the previous iteration; the
-            # optional retry redoes that iteration with a larger batch.
             condition_ok = auditor.condition_holds(g_norm)
+        if open_record is not None:
+            # A failed retrospective accuracy condition may redo the last
+            # iteration with a larger gradient batch.
             if (condition_ok is False and config.retry_condition_failure
                     and retries_left > 0):
                 retries_left -= 1
                 policy.tighten_gradient(n, eff["U_g"])
-                x = retry_point
-                records.pop()
-                k -= 1
-                auditor.pending = open_class = None
+                x, k = start, open_record.k
+                open_record = auditor.pending = None
                 continue
-        if open_class is not None:
-            open_class.step_class = "K2" if g_norm < eps_g else "K3"
-            open_class = None
-        if audit:
-            auditor.resolve(condition_ok, exact_g_norm)
+            commit(open_record, g_norm, exact_g_norm, condition_ok)
         retries_left = config.max_condition_retries
 
         hess_idx = policy.draw_hess_indices(n, rng)
@@ -692,43 +687,35 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
                     step_class = "K5"
                 elif float(np.linalg.norm(d)) <= small_step:
                     step_class = "K4"  # reachable only with the block skipped
-                # else SOL with a large step: K2/K3, resolved next iteration.
+                # else SOL with a large step: K2/K3, set by commit.
 
         snap = problem.ledger.snapshot()
-        record = IterationRecord(
+        open_record = IterationRecord(
             k=k, f_value=f_here, grad_est_norm=g_norm, d_type=d_type,
             step_class=step_class, alpha=alpha, ls_trials=ls_trials,
             cg_iters=cg_iters, meo_iters=meo_iters, f_calls=snap["f_calls"],
             grad_calls=snap["grad_calls"], hv_calls=snap["hv_calls"],
             props=snap["props"], grad_true_norm=exact_g_norm, nc_origin=nc_origin,
         )
-        if terminate is None:
-            if audit:
-                auditor.step(record, x, x_next, d, g, hess_idx, f_here)
-            if step_class is None:
-                open_class = record
-            retry_point = x.copy()
-        records.append(record)
-        if trace is not None:
-            trace(record)
         if terminate is not None:
             termination = terminate
             break
+        if audit:
+            auditor.step(open_record, x, x_next, d, g, hess_idx, f_here)
 
         if prev_g_norm is not None and prev_g_norm > 0 and g_norm > 0:
             policy.adapt(g_norm, prev_g_norm, n)
         prev_g_norm = g_norm
-        x = x_next
+        x, start = x_next, x
         k += 1
 
     x_final = x + d if termination == TERM_FIRST_ORDER_AND_CERTIFIED else x
     final_grad = problem.audit_grad(x_final)
     final_f = problem.audit_f(x_final)
     final_norm = float(np.linalg.norm(final_grad))
-    if open_class is not None:
-        open_class.step_class = "K2" if final_norm < eps_g else "K3"
+    commit(open_record, final_norm, final_norm,
+           auditor.condition_holds(final_norm) if audit else None)
     if audit:
-        auditor.resolve(auditor.condition_holds(final_norm), final_norm)
         audit_summary = auditor.summary(records)
     else:
         audit_summary = {"n_checks": 0, "violations": [], "condition_results": []}

@@ -174,14 +174,33 @@ class TestSolveCommand:
             fields = spec_fields_from_config({key: text})
             assert fields.get(key, fields["overrides"].get(key)) is value
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.txt"
         cfgfile.write_text("not_a_key = 1\n")
-        with pytest.raises(ValueError):
-            main([
-                "solve", "--problem", "quadratic", "--variant", "full",
-                "--out", str(tmp_path), "--config", str(cfgfile),
-            ])
+        code = main([
+            "solve", "--problem", "quadratic", "--variant", "full",
+            "--out", str(tmp_path), "--config", str(cfgfile),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown config key 'not_a_key'\n"
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "No such file"),
+        ("theta = abc\n", "config key 'theta': could not convert"),
+    ], ids=["missing-file", "bad-value"])
+    def test_config_file_errors_exit_cleanly(self, tmp_path, capsys, text, message):
+        cfgfile = tmp_path / "cfg.txt"
+        if text is not None:
+            cfgfile.write_text(text)
+        code = main([
+            "solve", "--problem", "quadratic", "--variant", "full",
+            "--out", str(tmp_path / "out"), "--config", str(cfgfile),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestAggregation:

@@ -105,3 +105,23 @@ class TestRoundTrip:
         A2, b2 = load_libsvm(path)
         assert np.array_equal(A2, A)
         assert np.array_equal(b2, b)
+
+    def test_round_trip_non_canonical_csr(self, tmp_path):
+        # A row-scaling product stores column indices unsorted; the first
+        # explicit matrix also repeats a column, which the file must merge.
+        rng = np.random.default_rng(0)
+        A0 = sp.random(20, 30, density=0.3, format="csr", random_state=rng)
+        scaled = (sp.diags(rng.uniform(0.5, 1.0, 20)) @ A0).tocsr()
+        repeated = sp.csr_matrix(
+            (np.array([1.5, -2.0, 0.25, 4.0]), np.array([3, 0, 3, 1]),
+             np.array([0, 3, 4, 4])), shape=(3, 4))
+        for A in (scaled, repeated):
+            stored = (A.data.copy(), A.indices.copy(), A.indptr.copy())
+            b = np.arange(A.shape[0], dtype=float)
+            path = tmp_path / "rt.txt"
+            dump_libsvm(path, A, b)
+            A2, b2 = load_libsvm(path, sparse=True)
+            assert np.array_equal(A2.toarray(), A.toarray())
+            assert np.array_equal(b2, b)
+            for before, after in zip(stored, (A.data, A.indices, A.indptr)):
+                assert np.array_equal(before, after)

@@ -438,15 +438,25 @@ class TestRunFixedStep:
             if rec.alpha is not None:
                 assert rec.alpha in (0.2, 0.04)
 
-    def test_audit_with_zero_l_h_reports_contract_violation(self):
-        # The fixed-step Newton floor divides by L_H and is skipped at
-        # L_H = 0; the overlong derived steps then fail the monotone check
-        # instead of dividing by zero.
+    def test_zero_l_h_rejected_when_steps_are_derived(self):
+        # The derived steps assume L_H > 0; at L_H = 0 the Newton step
+        # overshoots and f rises, so the run is refused up front.
         q = QuadraticProblem(np.array([3.0, 1.0, 0.5, 2.0]))
         cfg = SolverConfig(eps_g=1e-4, eps_H=0.1, U_H=3.0, L_H=0.0)
-        with pytest.raises(ContractViolation, match="monotone_decrease"):
-            run(q, cfg, variant=FIXED_STEP, constants=q.constants(),
-                x0=np.array([1.0, 2.0, -2.0, 0.3]), audit=True)
+        for audit in (False, True):
+            with pytest.raises(ValueError, match="L_H > 0"):
+                run(q, cfg, variant=FIXED_STEP, constants=q.constants(),
+                    x0=np.array([1.0, 2.0, -2.0, 0.3]), audit=audit)
+
+    @pytest.mark.parametrize("override", ["alpha_sol_fixed", "alpha_nc_fixed"])
+    def test_one_override_still_needs_l_h(self, override):
+        # The step without an override is derived, so L_H is needed.
+        problem, consts = synthetic_saddle(3, mu=1.0, gamma=1.0)
+        consts.L_H = None
+        cfg = SolverConfig(eps_g=1e-3, eps_H=0.1, U_H=consts.U_H, seed=21,
+                           max_outer_iters=200, **{override: 0.05})
+        with pytest.raises(ValueError, match="L_H > 0"):
+            run(problem, cfg, variant=FIXED_STEP, x0=np.zeros(3), constants=consts)
 
     def test_fixed_step_needs_l_h_or_overrides(self):
         q = QuadraticProblem(np.ones(2))
@@ -510,7 +520,7 @@ class TestConditionMachinery:
         assert all(isinstance(r["ok"], bool) for r in rep.audit["condition_results"])
 
     @staticmethod
-    def retry_run():
+    def retry_run(trace=None):
         problem = synthetic_nls(400, 5, seed=33)
         policy = SamplingPolicy(
             mode=SUB_BOTH, grad_batch=2, hess_batch=40,
@@ -520,7 +530,8 @@ class TestConditionMachinery:
                            retry_condition_failure=True,
                            max_condition_retries=3,
                            skip_small_step_block=True)
-        rep = run(problem, cfg, policy=policy, x0=np.zeros(5), audit=True)
+        rep = run(problem, cfg, policy=policy, x0=np.zeros(5), audit=True,
+                  trace=trace)
         return problem, policy, rep
 
     def test_retry_grows_batch_on_condition_failure(self):
@@ -538,3 +549,21 @@ class TestConditionMachinery:
         _, _, rep = self.retry_run()
         assert [r.k for r in rep.records] == list(range(8))
         assert [c["k"] for c in rep.audit["condition_results"]] == list(range(8))
+
+    def test_trace_sees_exactly_the_final_records(self):
+        # trace gets each record once, in order, with its final K2/K3 class;
+        # a retried iteration's first attempt never reaches it.
+        def traced(call):
+            seen = []
+            rep = call(lambda record: seen.append((record, record.step_class)))
+            assert len(seen) == len(rep.records)
+            assert all(a is b for (a, _), b in zip(seen, rep.records))
+            assert [c for _, c in seen] == [r.step_class for r in rep.records]
+            return rep
+
+        traced(lambda trace: self.retry_run(trace)[2])
+        problem = synthetic_nls(3000, 15, seed=1)
+        cfg = SolverConfig(eps_g=1e-3, max_outer_iters=200,
+                           skip_small_step_block=True)
+        rep = traced(lambda trace: run(problem, cfg, x0=np.zeros(15), trace=trace))
+        assert {"K2", "K3"} & {r.step_class for r in rep.records}

@@ -10,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 
+import ntcg.cli
 import ntcg.solver
-from ntcg import SolverConfig, constants_for, synthetic_nls
+from ntcg import SolverConfig, constants_for, dump_libsvm, synthetic_nls
 from ntcg.problems import TANH
+from ntcg.reporting import read_run_csv
 from ntcg.sampling import preset_policy
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -35,3 +37,22 @@ def test_traced_solve_hooks_every_layer():
     names = {span[0] for span in tracer.spans}
     assert {"solver.run", "capped_cg", "meo", "solver.ls", "oracle.f",
             "oracle.grad", "oracle.hvp", "sampling.draw"} <= names
+
+
+def test_traced_cli_solve_hooks_loader_constants_and_writers(tmp_path):
+    # The tracer replaces load_libsvm, constants_for and the report writers
+    # in ntcg.cli, so the CLI must keep calling them by those names.
+    problem = synthetic_nls(200, 6, seed=1)
+    data = tmp_path / "data.libsvm"
+    dump_libsvm(data, problem.A, problem.b)
+    tracer = Tracer()
+    with instrument(tracer):
+        code = ntcg.cli.main(["solve", "--problem", "nls-sigmoid", "--data", str(data),
+                              "--variant", "subh", "--max-iters", "30",
+                              "--out", str(tmp_path / "out")])
+    assert code == ntcg.cli.EXIT_OK
+    names = {span[0] for span in tracer.spans}
+    assert {"libsvm.load", "problems.constants", "reporting.write",
+            "solver.run"} <= names
+    rows = read_run_csv(tmp_path / "out" / "run_seed0.csv")
+    assert tracer.counted_props() == rows[-1]["props"]
