@@ -5,9 +5,12 @@ drivers: one unit per component function value, two per component gradient,
 four per component Hessian-vector product.  All counting happens here, so
 drivers cannot miscount; see :class:`OracleLedger`.
 
-Concurrency: oracles are immutable after construction and safe to evaluate
-from several threads, but each ledger assumes a single writer.  The drivers
-in :mod:`ntcg.solver` run on one logical thread, which satisfies that
+Concurrency: one problem is evaluated by one thread at a time, the same
+contract as its ledgers, which assume a single writer.  Oracles may keep
+per-point state between calls (:class:`ntcg.problems.NLSProblem` memoizes
+its last evaluation points), so concurrent evaluation of one instance is
+unsupported; give each thread its own problem.  The drivers in
+:mod:`ntcg.solver` run on one logical thread, which satisfies that
 contract.
 """
 
@@ -42,6 +45,14 @@ class OracleLedger:
             "hv_calls": self.hv_calls,
             "props": self.props,
         }
+
+    def since(self, start):
+        """Snapshot of the calls counted since `start`, an earlier snapshot;
+        props is derived from the differences like any other snapshot's."""
+        delta = OracleLedger()
+        for name in self.__slots__:
+            setattr(delta, name, getattr(self, name) - start[name])
+        return delta.snapshot()
 
     def reset(self):
         self.f_calls = 0

@@ -20,10 +20,21 @@ these are the standard per-row formulas maximized over the data:
   tanh:    L_H as sigmoid, K_g = max 2(|b|+1)||a||, K_H = max (|b|+2)||a||^2
   welsch:  L_H = 9 a^{3/2} max ||a_i||^3, K_g = sqrt(2/a) max ||a_i||,
            K_H = 2 max ||a_i||^2
+
+An NLS evaluation at (x, idx) goes through one per-point state: the row
+block, z = A_idx x, the batch labels, and the link terms with the value,
+gradient weights and curvature weights built from them on first use.  The
+row block is A itself when idx is arange(n), so full-batch calls copy no
+rows; any other index set, a permuted or repeated full-size one included,
+takes the copy A[idx].  The problem memoizes the states of its last two
+(x, idx) keys, compared by value, so f, the gradient and every HVP at one
+point share z and the weights.  Every ``eval_*`` call still validates its
+input and charges the ledger, memo hit or not.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,6 +46,10 @@ from .oracle import ObjectiveOracle
 SIGMOID = "sigmoid"
 TANH = "tanh"
 WELSCH = "welsch"
+
+# Per-point states an NLSProblem keeps: capped CG interleaves products on
+# the Hessian batch with evaluations on the gradient batch at one point.
+MEMO_SIZE = 2
 
 
 @dataclass
@@ -78,6 +93,57 @@ def _row_norms(A):
     return np.linalg.norm(A, axis=1)
 
 
+class _PointState:
+    """What f, the gradient and the HVP of an NLS batch share at one point.
+
+    The row block is A itself for the index set arange(n) and the copy
+    A[idx] otherwise (a permuted or repeated full-size set keeps its own
+    row order, hence its summation order); z = A_idx x is computed once.
+    The link terms and the weights are built on first use: the value
+    (mean loss), w_i with grad f_i = w_i a_i and c_i with
+    hess f_i = c_i a_i a_i^T.  The key (x, idx) is kept as private copies,
+    so a caller who later mutates x in place gets a miss, not a stale hit.
+    """
+
+    def __init__(self, problem, x, idx):
+        self.x = x.copy()
+        self.idx = idx.copy()
+        full = idx.size == problem.n and np.array_equal(idx, problem.full_index_set())
+        self.A = problem.A if full else problem.A[idx]
+        self._b = problem.b if full else problem.b[idx]
+        self._z = np.asarray(self.A @ x).ravel()
+        self._link = problem.link
+        self._alpha = problem.alpha
+
+    def matches(self, x, idx):
+        return np.array_equal(self.idx, idx) and np.array_equal(self.x, x)
+
+    @cached_property
+    def _terms(self):
+        """(loss_i, phi', phi''): the welsch loss of r = b - z and its
+        derivatives in r; for sigmoid/tanh the residual b - phi(z) and the
+        link derivatives in z."""
+        if self._link == WELSCH:
+            return welsch_loss(self._b - self._z, self._alpha)
+        phi, d1, d2 = (sigmoid_link if self._link == SIGMOID else tanh_link)(self._z)
+        return self._b - phi, d1, d2
+
+    @cached_property
+    def value(self):
+        head = self._terms[0]
+        return float(np.mean(head if self._link == WELSCH else head * head))
+
+    @cached_property
+    def grad_weights(self):
+        head, d1, _ = self._terms
+        return -d1 if self._link == WELSCH else -2.0 * head * d1
+
+    @cached_property
+    def curv_weights(self):
+        head, d1, d2 = self._terms
+        return d2 if self._link == WELSCH else 2.0 * (d1 * d1 - head * d2)
+
+
 class NLSProblem(ObjectiveOracle):
     """Finite-sum nonlinear least squares over rows (a_i, b_i).
 
@@ -85,6 +151,10 @@ class NLSProblem(ObjectiveOracle):
     batch is vectorized either way.  Labels are used exactly as loaded
     (no remapping of {-1, 1} to {0, 1}); they enter the constants through
     |b_i| only.
+
+    f, gradient, HVP and `dense_hessian` read one :class:`_PointState` per
+    (x, idx), memoized for the last MEMO_SIZE keys, so A and b must not
+    change once the problem has been evaluated.
     """
 
     def __init__(self, A, b, link=SIGMOID, alpha=1.0):
@@ -101,54 +171,32 @@ class NLSProblem(ObjectiveOracle):
         self.b = b
         self.link = link
         self.alpha = float(alpha)
+        self._memo = []  # most recent first
 
-    # -- chain-rule kernels -------------------------------------------------
+    # -- per-point state ------------------------------------------------------
 
-    def _margins(self, x, idx):
-        Ai = self.A[idx]
-        return Ai, np.asarray(Ai @ x).ravel()
-
-    def _grad_weights(self, x, idx):
-        """w_i such that grad f_i = w_i * a_i."""
-        Ai, z = self._margins(x, idx)
-        if self.link == WELSCH:
-            r = self.b[idx] - z
-            _, d1, _ = welsch_loss(r, self.alpha)
-            return Ai, -d1
-        phi, d1, _ = (sigmoid_link if self.link == SIGMOID else tanh_link)(z)
-        resid = self.b[idx] - phi
-        return Ai, -2.0 * resid * d1
-
-    def _curv_weights(self, x, idx):
-        """c_i such that hess f_i = c_i * a_i a_i^T."""
-        Ai, z = self._margins(x, idx)
-        if self.link == WELSCH:
-            r = self.b[idx] - z
-            _, _, d2 = welsch_loss(r, self.alpha)
-            return Ai, d2
-        phi, d1, d2 = (sigmoid_link if self.link == SIGMOID else tanh_link)(z)
-        resid = self.b[idx] - phi
-        return Ai, 2.0 * (d1 * d1 - resid * d2)
+    def _state(self, x, idx):
+        """The :class:`_PointState` of (x, idx), from the memo when one of
+        the last MEMO_SIZE keys matches by value."""
+        state = next((s for s in self._memo if s.matches(x, idx)), None)
+        if state is None:
+            state = _PointState(self, x, idx)
+        self._memo = [state] + [s for s in self._memo if s is not state][:MEMO_SIZE - 1]
+        return state
 
     # -- oracle primitives (means over idx) ----------------------------------
 
     def _value(self, x, idx):
-        _, z = self._margins(x, idx)
-        if self.link == WELSCH:
-            val, _, _ = welsch_loss(self.b[idx] - z, self.alpha)
-            return float(np.mean(val))
-        phi = expit(z) if self.link == SIGMOID else np.tanh(z)
-        resid = self.b[idx] - phi
-        return float(np.mean(resid * resid))
+        return self._state(x, idx).value
 
     def _grad(self, x, idx):
-        Ai, w = self._grad_weights(x, idx)
-        return np.asarray(Ai.T @ w).ravel() / idx.size
+        state = self._state(x, idx)
+        return np.asarray(state.A.T @ state.grad_weights).ravel() / idx.size
 
     def _hvp(self, x, v, idx):
-        Ai, c = self._curv_weights(x, idx)
-        t = np.asarray(Ai @ v).ravel()
-        return np.asarray(Ai.T @ (c * t)).ravel() / idx.size
+        state = self._state(x, idx)
+        t = np.asarray(state.A @ v).ravel()
+        return np.asarray(state.A.T @ (state.curv_weights * t)).ravel() / idx.size
 
     def dense_hessian(self, x, index_set=None):
         idx = (
@@ -157,7 +205,8 @@ class NLSProblem(ObjectiveOracle):
             else np.asarray(index_set, dtype=np.int64)
         )
         x = check_vector(x, "x", self.dim)
-        Ai, c = self._curv_weights(x, idx)
+        state = self._state(x, idx)
+        Ai, c = state.A, state.curv_weights
         if sp.issparse(Ai):
             H = np.asarray((Ai.multiply(c[:, None])).T @ Ai.todense())
         else:

@@ -35,8 +35,9 @@ ContractViolation status.
 The driver is a single logical thread: all randomness (batch draws and
 oracle start vectors) flows from one seeded generator, and the run adapts
 a private copy of the sampling policy, so a (config, policy, problem)
-triple determines the run exactly.  Record and report props are read
-from the problem's ledger, which keeps counting across runs until reset.
+triple determines the run exactly.  Record and report props count the
+problem's oracle calls since the run started, so back-to-back runs on one
+problem report the same counts whether or not its ledgers are reset.
 """
 
 import copy
@@ -97,7 +98,8 @@ class SolverConfig:
     max_ls_trials: int = 60
     skip_small_step_block: bool = False
     seed: int = 0
-    # FixedStep overrides replacing the derived formulas (benchmark preset).
+    # FixedStep overrides replacing the derived formulas (benchmark preset);
+    # a LineSearch run rejects them.
     alpha_sol_fixed: Optional[float] = None
     alpha_nc_fixed: Optional[float] = None
     # Optional audit feature: redo an iteration with a better gradient
@@ -567,11 +569,13 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
         x0=None, audit=False, trace=None):
     """Minimize `problem`; returns a :class:`RunReport`.
 
-    problem : ObjectiveOracle (carries the call ledger).
+    problem : ObjectiveOracle (carries the call ledgers; the report counts
+        only this run's calls).
     config : SolverConfig.
     policy : SamplingPolicy; defaults to exact evaluation.  The run adapts
         a private copy, so the caller's policy is left unchanged.
-    variant : LINE_SEARCH or FIXED_STEP.
+    variant : LINE_SEARCH or FIXED_STEP; LINE_SEARCH raises ValueError if
+        config sets a step-size override.
     constants : ProblemConstants; defaults to problem.constants().
     x0 : start point, default zeros.
     audit : verify per-step floors and caps against exact ledger-exempt
@@ -584,6 +588,10 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
     """
     if variant not in (LINE_SEARCH, FIXED_STEP):
         raise ValueError("unknown variant %r" % (variant,))
+    if variant == LINE_SEARCH and (config.alpha_sol_fixed is not None
+                                   or config.alpha_nc_fixed is not None):
+        raise ValueError("step-size overrides (alpha_sol_fixed, alpha_nc_fixed) "
+                         "apply to FixedStep only; LineSearch would ignore them")
     policy = copy.deepcopy(policy) if policy is not None else SamplingPolicy(mode=EXACT)
     if constants is None:
         constants = problem.constants()
@@ -595,6 +603,8 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
         raise ValueError("FixedStep derives its step sizes from L_H > 0; give "
                          "L_H or both step-size overrides")
 
+    ledger_start = problem.ledger.snapshot()
+    audit_ledger_start = problem.audit_ledger.snapshot()
     rng = as_generator(config.seed)
     auditor = None
     if audit:
@@ -689,7 +699,7 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
                     step_class = "K4"  # reachable only with the block skipped
                 # else SOL with a large step: K2/K3, set by commit.
 
-        snap = problem.ledger.snapshot()
+        snap = problem.ledger.since(ledger_start)
         open_record = IterationRecord(
             k=k, f_value=f_here, grad_est_norm=g_norm, d_type=d_type,
             step_class=step_class, alpha=alpha, ls_trials=ls_trials,
@@ -727,7 +737,7 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
         final_f=final_f,
         final_true_grad_norm=final_norm,
         config_resolved=eff,
-        ledger=problem.ledger.snapshot(),
-        audit_ledger=problem.audit_ledger.snapshot(),
+        ledger=problem.ledger.since(ledger_start),
+        audit_ledger=problem.audit_ledger.since(audit_ledger_start),
         audit=audit_summary,
     )

@@ -184,6 +184,24 @@ class TestSolveCommand:
         assert code == 1
         assert capsys.readouterr().err == "error: unknown config key 'not_a_key'\n"
 
+    @pytest.mark.parametrize("flag, key", [("--alpha-sol", "alpha_sol_fixed"),
+                                           ("--alpha-nc", "alpha_nc_fixed")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_step_size_override_needs_fixed_step_preset(self, tmp_path, capsys,
+                                                         flag, key, source):
+        argv = ["solve", "--problem", "quadratic", "--dim", "4", "--variant", "full",
+                "--out", str(tmp_path / "out")]
+        if source == "flag":
+            argv += [flag, "0.3"]
+        else:
+            cfgfile = tmp_path / "cfg.txt"
+            cfgfile.write_text("%s = 0.3\n" % key)
+            argv += ["--config", str(cfgfile)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: step-size overrides") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "run_seed0.csv").exists()
+
     @pytest.mark.parametrize("text, message", [
         (None, "No such file"),
         ("theta = abc\n", "config key 'theta': could not convert"),

@@ -50,6 +50,18 @@ class TestLedger:
             problem.eval_hvp(np.zeros(5), v, np.array([3, 7]))
         assert problem.ledger.props == 24
 
+    def test_since_counts_from_a_snapshot(self, monkeypatch):
+        ledger = OracleLedger()
+        ledger.f_calls, ledger.grad_calls, ledger.hv_calls = 5, 3, 2
+        start = ledger.snapshot()
+        ledger.f_calls += 7
+        ledger.hv_calls += 1
+        assert ledger.since(start) == {"f_calls": 7, "grad_calls": 0, "hv_calls": 1,
+                                       "props": 11}
+        # props comes from the one formula, not from subtracting two props.
+        monkeypatch.setattr(OracleLedger, "props", property(lambda self: -1))
+        assert ledger.since(start)["props"] == -1
+
     def test_audit_calls_do_not_pollute(self):
         problem = synthetic_nls(50, 5, seed=1)
         problem.audit_f(np.zeros(5))

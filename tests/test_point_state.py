@@ -1,0 +1,221 @@
+"""The per-point state behind NLSProblem's f, gradient and HVP.
+
+Every answer must be bit-identical to a direct computation from A, b and
+the link formulas, whatever index set, data layout or call order, and a
+memo hit must still validate and charge the ledger.  The replay test counts
+work (products and row copies on a counting matrix), not time, so a lost
+saving fails here rather than only in the benchmark.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from numpy.testing import assert_array_equal
+from scipy.special import expit
+
+import ntcg.problems
+from ntcg import HessianOperator, NLSProblem, synthetic_nls
+from ntcg.problems import SIGMOID, TANH, WELSCH
+
+N, DIM = 60, 5
+
+
+def direct(A, b, link, alpha, x, v, idx):
+    """(f, grad, hvp, dense Hessian) over idx, recomputed from scratch."""
+    Ai, bi = A[idx], b[idx]
+    z = np.asarray(Ai @ x).ravel()
+    if link == WELSCH:
+        r = bi - z
+        e = np.exp(-alpha * r * r)
+        loss = (1.0 - e) / alpha
+        w = -(2.0 * r * e)
+        c = (2.0 - 4.0 * alpha * r * r) * e
+    else:
+        if link == SIGMOID:
+            phi = expit(z)
+            d1 = phi * (1.0 - phi)
+            d2 = d1 * (1.0 - 2.0 * phi)
+        else:
+            phi = np.tanh(z)
+            d1 = 1.0 - phi * phi
+            d2 = -2.0 * phi * d1
+        resid = bi - phi
+        loss = resid * resid
+        w = -2.0 * resid * d1
+        c = 2.0 * (d1 * d1 - resid * d2)
+    f = float(np.mean(loss))
+    g = np.asarray(Ai.T @ w).ravel() / idx.size
+    t = np.asarray(Ai @ v).ravel()
+    hv = np.asarray(Ai.T @ (c * t)).ravel() / idx.size
+    if sp.issparse(Ai):
+        H = np.asarray((Ai.multiply(c[:, None])).T @ Ai.todense())
+    else:
+        H = (c[:, None] * Ai).T @ Ai
+    return f, g, hv, np.asarray(H) / idx.size
+
+
+def instance(link, sparse):
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((N, DIM))
+    A[rng.random((N, DIM)) < 0.4] = 0.0
+    b = {SIGMOID: rng.integers(0, 2, N).astype(float),
+         TANH: rng.choice([-1.0, 1.0], N),
+         WELSCH: rng.standard_normal(N)}[link]
+    return NLSProblem(sp.csr_matrix(A) if sparse else A, b, link=link, alpha=0.7)
+
+
+def index_set(kind):
+    rng = np.random.default_rng(11)
+    return {"full": np.arange(N),
+            "subset": np.sort(rng.choice(N, 17, replace=False)),
+            "permuted-full": rng.permutation(N),
+            "repeated": rng.integers(0, N, N)}[kind]
+
+
+def evaluate(problem, x, v, idx):
+    return (problem.eval_f(x, idx), problem.eval_grad(x, idx),
+            problem.eval_hvp(x, v, idx), problem.dense_hessian(x, idx))
+
+
+def assert_same(got, want):
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", ["full", "subset", "permuted-full", "repeated"])
+@pytest.mark.parametrize("link", [SIGMOID, TANH, WELSCH])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+def test_bit_identical_to_direct_computation(sparse, link, kind):
+    problem = instance(link, sparse)
+    rng = np.random.default_rng(3)
+    x, y, v = (rng.standard_normal(DIM) for _ in range(3))
+    idx, other = index_set(kind), index_set("subset" if kind != "subset" else "full")
+    want_x = direct(problem.A, problem.b, link, problem.alpha, x, v, idx)
+    want_y = direct(problem.A, problem.b, link, problem.alpha, y, v, other)
+    # Interleave two keys so later calls are memo hits, then a third key
+    # that evicts the first.
+    for _ in range(2):
+        assert_same(evaluate(problem, x, v, idx), want_x)
+        assert_same(evaluate(problem, y, v, other), want_y)
+    evaluate(problem, y, v, idx)
+    assert_same(evaluate(problem, x, v, idx), want_x)
+
+
+@pytest.mark.parametrize("link", [SIGMOID, TANH, WELSCH])
+def test_in_place_mutation_of_x_is_seen(link):
+    problem = instance(link, sparse=False)
+    rng = np.random.default_rng(5)
+    x, v = rng.standard_normal(DIM), rng.standard_normal(DIM)
+    idx = np.arange(N)
+    evaluate(problem, x, v, idx)
+    x[0] += 0.5
+    idx_before = idx.copy()
+    assert_same(evaluate(problem, x, v, idx),
+                direct(problem.A, problem.b, link, problem.alpha, x, v, idx))
+    idx[:] = idx[::-1]  # the same buffer, now a permuted full set
+    assert_same(evaluate(problem, x, v, idx),
+                direct(problem.A, problem.b, link, problem.alpha, x, v, idx))
+    assert not np.array_equal(idx, idx_before)
+
+
+def test_memo_hits_validate_and_charge_the_ledger():
+    problem = instance(SIGMOID, sparse=False)
+    x, v, idx = np.ones(DIM), np.ones(DIM), np.arange(10)
+    for _ in range(3):
+        problem.eval_f(x, idx)
+        problem.eval_grad(x, idx)
+        problem.eval_hvp(x, v, idx)
+    assert problem.ledger.snapshot() == {
+        "f_calls": 30, "grad_calls": 30, "hv_calls": 30, "props": 30 + 60 + 120}
+    with pytest.raises(ValueError, match="length"):
+        problem.eval_f(x[:-1], idx)
+    with pytest.raises(IndexError):
+        problem.eval_grad(x, [0, N])
+    with pytest.raises(ValueError, match="non-finite"):
+        problem.eval_hvp(x, np.full(DIM, np.nan), idx)
+
+
+class _CountingRows(np.ndarray):
+    """A data matrix that logs the products taken with it and the row
+    copies fancy indexing makes of it; views and copies share the log."""
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
+
+    def __matmul__(self, other):
+        self.log.append(("product", self.shape, np.array(other, copy=True)))
+        return np.asarray(self) @ other
+
+    def __getitem__(self, key):
+        out = super().__getitem__(key)
+        if isinstance(key, (np.ndarray, list)):
+            self.log.append(("copy", np.shape(out), None))
+        return out
+
+
+class _CountingFactor(np.ndarray):
+    """A link derivative that logs each product taken with it."""
+
+    def __mul__(self, other):
+        self.log.append(("scale", self.shape, None))
+        return np.asarray(self) * other
+
+    __rmul__ = __mul__
+
+
+def test_exact_iteration_does_each_product_once(monkeypatch):
+    """One `full`-preset iteration: grad(x), three HVPs at x, f(x), one
+    accepted trial f(x'), grad(x'), all on the full index set."""
+    problem = synthetic_nls(300, 6, seed=2)
+    reference = synthetic_nls(300, 6, seed=2)
+    log = []
+    problem.A = problem.A.view(_CountingRows)
+    problem.A.log = log
+    link_calls = []
+    link = ntcg.problems.sigmoid_link
+
+    def counting_link(z):
+        # phi'' enters the curvature weights only.
+        link_calls.append(z.size)
+        phi, d1, d2 = link(z)
+        d2 = d2.view(_CountingFactor)
+        d2.log = log
+        return phi, d1, d2
+
+    monkeypatch.setattr(ntcg.problems, "sigmoid_link", counting_link)
+
+    rng = np.random.default_rng(0)
+    x, d = rng.standard_normal(6), rng.standard_normal(6)
+    vs = [rng.standard_normal(6) for _ in range(3)]
+    x_trial = x + 0.5 * d
+    full = problem.full_index_set()
+
+    def iteration(p):
+        g = p.eval_grad(x, full)
+        H = HessianOperator.from_oracle(p, x, full)
+        hvs = [H.apply(v) for v in vs]
+        return (g, *hvs, p.eval_f(x, full), p.eval_f(x_trial, full),
+                p.eval_grad(x_trial, full))
+
+    got = iteration(problem)
+    monkeypatch.undo()
+    for a, b in zip(got, iteration(reference)):
+        assert_array_equal(a, b)
+    assert problem.ledger.snapshot() == reference.ledger.snapshot()
+
+    assert [entry for entry in log if entry[0] == "copy"] == []
+    products = [entry for entry in log if entry[0] == "product"]
+
+    def with_operand(u):
+        return sum(1 for _, shape, w in products
+                   if shape == (300, 6) and np.array_equal(w, u))
+
+    assert with_operand(x) == 1 and with_operand(x_trial) == 1
+    assert all(with_operand(v) == 1 for v in vs)
+    # Two gradients and three HVPs each take one transposed product.
+    assert sum(1 for _, shape, _ in products if shape == (6, 300)) == 5
+    assert len(products) == 10
+    # The link terms once per point, the curvature weights once at x.
+    assert link_calls == [300, 300]
+    assert sum(1 for entry in log if entry[0] == "scale") == 1

@@ -381,6 +381,20 @@ class TestRunLineSearch:
         np.testing.assert_array_equal(first.x_final, second.x_final)
         assert policy.grad_batch == 250
 
+    def test_back_to_back_runs_report_their_own_calls(self):
+        # The problem's ledgers keep counting across runs; records and
+        # report count from the start of each run.
+        problem = synthetic_nls(300, 5, seed=3)
+        cfg = SolverConfig(eps_g=1e-3, max_outer_iters=20)
+        first, second = (run(problem, cfg, x0=np.zeros(5), audit=True)
+                         for _ in range(2))
+        assert first.ledger["props"] == 72000
+        assert [r.props for r in first.records] == [r.props for r in second.records]
+        assert first.ledger == second.ledger
+        assert first.audit_ledger == second.audit_ledger
+        assert first.audit_ledger["props"] > 0
+        assert problem.ledger.props == 2 * first.ledger["props"]
+
     def test_sub_eval_policy_runs(self):
         problem = synthetic_nls(200, 5, seed=8)
         policy = SamplingPolicy(mode=SUB_BOTH, grad_batch=30, hess_batch=10,
@@ -437,6 +451,16 @@ class TestRunFixedStep:
         for rec in rep.records:
             if rec.alpha is not None:
                 assert rec.alpha in (0.2, 0.04)
+
+    @pytest.mark.parametrize("override", ["alpha_sol_fixed", "alpha_nc_fixed"])
+    def test_line_search_rejects_step_size_overrides(self, override):
+        # LineSearch never reads the overrides; accepting one would drop
+        # the requested step size silently.
+        q = QuadraticProblem(np.ones(4))
+        cfg = SolverConfig(eps_g=1e-3, **{override: 0.3})
+        with pytest.raises(ValueError, match="FixedStep only"):
+            run(q, cfg, x0=np.ones(4), constants=q.constants())
+        assert q.ledger.props == 0
 
     def test_zero_l_h_rejected_when_steps_are_derived(self):
         # The derived steps assume L_H > 0; at L_H = 0 the Newton step
