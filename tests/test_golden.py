@@ -1,12 +1,13 @@
 """Golden trajectories: pinned outcomes of whole solver runs.
 
 Each case pins the termination status, the iteration count, the ledger
-props, the sha256 of the integer and string columns of the run CSV (step
-types, classes, inner iteration counts, cumulative oracle calls) and the
-final objective to a relative 1e-12.  Float columns stay out of the digest
+props, two sha256 digests of the integer and string columns of the run CSV
+and the final objective to a relative 1e-12.  The trajectory digest covers
+step types, classes and inner iteration counts; the count digest covers the
+cumulative oracle calls and props.  Float columns stay out of the digests
 so the pins do not depend on the last bit of BLAS reductions, while any
-change to the control flow, the random draw order or the oracle-call order
-shows up in the integer columns.
+change to the control flow or the random draw order shows up in the
+trajectory digest, and any change to what the run pays in the count digest.
 
 The preset cases run ``ntcg solve`` end to end on LIBSVM files written from
 ``synthetic_nls(3000, 15, seed=1)``; the audit cases call ``run`` directly
@@ -34,91 +35,111 @@ from ntcg.problems import TANH
 from ntcg.reporting import write_run_csv
 from ntcg.sampling import SUB_BOTH
 
-DIGEST_COLUMNS = (
+# The trajectory columns fix the control flow; the count columns fix what
+# the run paid for it.  A change that only stops paying for a value twice
+# moves the count digest and leaves the trajectory digest alone.
+TRAJECTORY_COLUMNS = (
     "iter", "d_type", "step_class", "ls_trials", "cg_iters", "meo_iters",
-    "f_calls", "grad_calls", "hv_calls", "props",
 )
+COUNT_COLUMNS = ("f_calls", "grad_calls", "hv_calls", "props")
 
-# case -> (termination, iterations, props, column digest, final f)
+# case -> (termination, iterations, props, trajectory digest, count digest,
+#          final f)
 GOLDEN = {
     "full": (
         "CertifiedAtCurrentPoint", 472, 17142000,
-        "406394e42e3b6d8e7b461afec7eb5f6471e943263d958f4b259f43356ed83bb5",
+        "b66a841cf6579ddb2a6273b1530aac1b7d00852b1e775c6b3e0206bf4386289a",
+        "26cac222aa2679c79f44c04c2c10734415861b17b67f37a30b94878200f90cda",
         0.12799617610203531,
     ),
     "subh": (
         "CertifiedAtCurrentPoint", 472, 5817000,
-        "645eebb7cd0854c6cacc1a0fb19c0f5666e9dd22bf6a0d601bb19d0c69c1d242",
+        "e6cb21b76529e273735ee0905e3621b061a3c5db056058ddb022aad9ebc87a63",
+        "e19bfe15077bfd72c0c45f28c658455897af55954ae0da175621458a7077b08b",
         0.12799576718562336,
     ),
     "inexact-full-eval": (
         "ContractViolation", 224, 1682214,
-        "d9b867d68579575a5d456006ae34d28744b8af6049a0653e3eb19d0bdc8097a5",
+        "bacb71984d33969956064c4d80b76b8dd7e9668df081e60e18067128db3e1e47",
+        "606b3357bb753c2e87f406f358a28d0161f2335b7d6dc61096034606f0961bb9",
         0.1313462703047632,
     ),
     "inexact-fixed": (
         "CertifiedAtCurrentPoint", 2362, 5813148,
-        "2a71530314e5b522b207a07c046bfadcf83265947cd03d2b94ccf7d0f8ee4b99",
+        "f4da15629abc6903d96b73de3b53951ec7abada07ca37c5ebcfe7c7ed7ed96c5",
+        "f6d4f0ea4aa9b49fed1909944bb3ad43bebb59355186f98b517ec87e1d270ef5",
         0.1279962126943314,
     ),
     "inexact-sub-eval": (
         "CertifiedAtCurrentPoint", 2490, 2799498,
-        "fe11ba3426593d420430472f3590a96cfee1bf6e35d0075b060da5b52526a74b",
+        "7a5a3a2fbb8250a34058cbd06e785aa105f80f7cfc86b6f6fb1bc51163f09090",
+        "3cec103c1318460cd597beb4d378ab00f0380c13188f0b597f1673be90d75a1a",
         0.12694902912443676,
     ),
     "tanh-subh-block": (
         "FirstOrderAndCertified", 416, 5143440,
-        "ea25373b9243059d08813921746b9a468e717b6e142558c5e52d6ec45a5a3bd7",
+        "cf8dbe2f85500cd2b10d0e2481dd76c04caf3d652c6c7cbc989a4e285935f2c2",
+        "79abbdf9b66bc638859b871f4bbb01c94b7d69f5acca5790eea9d0a31f60f924",
         0.15000955704296065,
     ),
     "tanh-subh-block-nc": (
         "FirstOrderAndCertified", 48, 699720,
-        "f13bb5cf0989e39bacd7b7091ac48803d8999aa3cc9cc9d8d5082d60761b1441",
+        "de5c1a247646a161f527e4a2e911fcdebfd4d09fa253c7302bd86adde02211c4",
+        "03c519a47e256ec2fd034f9281ffa51d150409baa85c8820ba225a7302f45be3",
         0.14933480332971924,
     ),
     "saddle-LineSearch-negative-axis": (
         "FirstOrderAndCertified", 3, 42,
-        "465912fa8660571d3cada380c399e5e9f054a9b9c278fc344da28bbcb352ba1f",
+        "72aa4fe9f3f5cd65e9d8e35248e9d03d77877f4914b7cfa001a78fef4ce48605",
+        "5b0dbe67307cce94e8ac2298a131f121320bf79cddbd195a2da686fb0c1ffdf7",
         -0.24999913683030922,
     ),
     "saddle-LineSearch-origin": (
         "CertifiedAtCurrentPoint", 2, 22,
-        "d6eaaeef05929850f05ba77a6df1a57a4f756fc13aa466b19ec82ea1924468f0",
+        "422cbc12140a729beadc6aa2b68924256b7d7888e99a6080f64ba812cf90a248",
+        "ce3515d12e9d72fce6dd63aef82f2ebc097e1f101430f2ae57ff2b65a340a137",
         -0.25,
     ),
     "saddle-LineSearch-positive-axis": (
         "FirstOrderAndCertified", 3, 66,
-        "3b09f787ac6e6f54f1748e3b3d37d3358e8437f3e38b445183354b4bce5d7a7f",
+        "8df1f117dd6b17363439d987033d9535d5dddc8375cdca44f647c7e0bc2e8957",
+        "ed747d14bf80ae2e5c2d3b35799121073ff8e64697fef6ca1e36beeb23a15838",
         -0.2499999204019439,
     ),
     "saddle-FixedStep-negative-axis": (
         "FirstOrderAndCertified", 27, 278,
-        "f1201cfb9a4eab3a1110de749bafa535a27d2db374d31a21c6c1cc00f57d3074",
+        "e808148e234e597f0b450df3d903e491f522764ad27683e1cdd5a0ac5dd03fb2",
+        "027ebb8ec3f315ccb5d9ab582efaab4d1c31c5e965da2e31613951320160fe08",
         -0.24999955744584304,
     ),
     "saddle-FixedStep-origin": (
         "FirstOrderAndCertified", 28, 292,
-        "127a0d7e06d54ee63775aae770c16e454015c556596abd651a8560537a28140a",
+        "d443a7f556534f83a82142a387749e7a3cf5a9bd8ee03cceb6ac17e57d14a7c7",
+        "d6abf91603e858433b710a20ccc15b710947209ca844087e5732eeaf99c2eba6",
         -0.24999959721471054,
     ),
     "saddle-FixedStep-positive-axis": (
         "FirstOrderAndCertified", 29, 314,
-        "8fe7785790df8878cc89a09bfccc1ff8df04dcd9ecfff9c51e88b3e7b20a3c35",
+        "d8695486b18a49db3ae08eb2fc12ae15dca51782764b3258cf1334e1d9384ba0",
+        "604debacd9c15bcc3d4591de81c3cc662d4d360686d27c2aa10b6b4a90217a97",
         -0.24999959683683262,
     ),
     "nls-audit-LineSearch-sampled": (
         "MaxIters", 40, 58480,
-        "eeb284cf867729ca28141a1841b84ddf31cec5676c0e68c9a50c6090fcd77c7e",
+        "b39c30206e59b737e86d59646f2196988b31ee2c5bdd7ca766341ddfe827120b",
+        "e49ada6094482ad407796fd29cc3dc77a73a885c0d2436df56b2577bfc3b2d51",
         0.11450239122340579,
     ),
     "nls-audit-LineSearch-exact": (
         "FirstOrderAndCertified", 86, 315000,
-        "60a496bf9c871bd2fec44525f3a040547087405104aa29c2a59dec7e82f61d9b",
+        "f7ba6eceb7d52c2f6f0060925185649d660d878d01f21849eb75140118ee4135",
+        "e1ae2603edb633bb9d6f155fae2c0cab70c46e0b9b67dd75a89971e51e012e2b",
         0.0948241170207906,
     ),
     "nls-audit-FixedStep-exact": (
         "FirstOrderAndCertified", 209, 633000,
-        "678bff1ed8041ea95bb07722641c255477620058b4f848d5f4a0d2aa0526aff5",
+        "827892f7d185b6b657464f8efa53a6c49639aa9e6da02f5b1582b93bb3c0242f",
+        "bf750f8c58cce86d3aa1ff0afbe957311e275cece797e3eaae4b65f0c70fa45e",
         0.09491784979367379,
     ),
 }
@@ -140,19 +161,20 @@ AUDIT = {
 }
 
 
-def column_digest(csv_path):
-    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    text = "\n".join(",".join(row[c] for c in DIGEST_COLUMNS) for row in rows)
+def column_digest(rows, columns):
+    text = "\n".join(",".join(row[c] for c in columns) for row in rows)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def fingerprint(report, csv_path):
+    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     return (
         report.termination,
         report.iterations,
         report.ledger["props"],
-        column_digest(csv_path),
+        column_digest(rows, TRAJECTORY_COLUMNS),
+        column_digest(rows, COUNT_COLUMNS),
         report.final_f,
     )
 
@@ -266,7 +288,7 @@ def audit_pin(report):
 
 
 def check(case, report, path):
-    termination, iterations, props, digest, final_f = GOLDEN[case]
+    *pinned, final_f = GOLDEN[case]
     got = fingerprint(report, path)
-    assert got[:4] == (termination, iterations, props, digest)
-    assert got[4] == pytest.approx(final_f, rel=1e-12, abs=0.0)
+    assert got[:5] == tuple(pinned)
+    assert got[5] == pytest.approx(final_f, rel=1e-12, abs=0.0)
