@@ -54,6 +54,16 @@ class CappedCGParams:
 
 @dataclass
 class CappedCGResult:
+    """Outcome of one capped CG run.
+
+    curvature : d^T H d of an NC direction, where the run formed it as
+        p^T (H p) with the operator product it already held (the "p0" and
+        "p" exits); bit-identical to a fresh product, so a caller that
+        scales d saves one operator application.  None otherwise: the "y"
+        and "slow_decay" directions only have it through the residual
+        identity, which differs from a direct product in the last bits.
+    """
+
     d_type: str
     d: np.ndarray
     iterations: int
@@ -61,6 +71,7 @@ class CappedCGResult:
     residual_norm: Optional[float] = None  # SOL only
     nc_source: Optional[str] = None  # "p0", "y", "p", "slow_decay"
     extraction_index: Optional[int] = None  # slow-decay branch only
+    curvature: Optional[float] = None  # "p0" and "p" exits only
 
 
 def _derived(M, epsilon, zeta):
@@ -164,7 +175,8 @@ def capped_cg(H, g, params, trace=None):
     p_bar_p = p @ Hp + 2.0 * eps * (p @ p)
     if p_bar_p < eps * (p @ p):
         emit("terminate", j=0, branch="nc_p0")
-        return CappedCGResult(NC, p, iterations=0, M_final=M, nc_source="p0")
+        return CappedCGResult(NC, p, iterations=0, M_final=M, nc_source="p0",
+                              curvature=float(p @ Hp))
     ratio0 = _safe_ratio(Hp, p)
     if ratio0 > M:
         M = ratio0
@@ -216,7 +228,8 @@ def capped_cg(H, g, params, trace=None):
             )
         if p_bar_p <= eps * (p @ p):
             emit("terminate", j=j, branch="nc_p")
-            return CappedCGResult(NC, p, iterations=j, M_final=M, nc_source="p")
+            return CappedCGResult(NC, p, iterations=j, M_final=M, nc_source="p",
+                                  curvature=float(p @ Hp))
         if norm_r >= math.sqrt(T) * (1.0 - tau) ** (j / 2.0) * norm_r0:
             # Residual decays slower than positive-definite CG allows: a
             # negative-curvature direction hides among the accumulated

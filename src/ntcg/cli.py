@@ -118,10 +118,10 @@ def run_experiment(spec):
     """Execute the spec; returns (reports, exit_code).
 
     Side effects: per-repeat CSVs ``run_seed<seed>.csv`` and
-    ``aggregate.json`` under spec.out.
+    ``aggregate.json`` under spec.out, created with the first CSV, so a run
+    rejected before it finishes leaves no directory behind.
     """
     out_dir = Path(spec.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     problem, constants, x0 = build_problem(spec)
 
     reports = []
@@ -147,6 +147,7 @@ def run_experiment(spec):
             print("contract violation (seed %d): %s" % (seed, exc), file=sys.stderr)
             return reports, EXIT_CONTRACT_VIOLATION
         reports.append(report)
+        out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / ("run_seed%d.csv" % seed)
         write_run_csv(path, report)
         csv_paths.append(str(path))

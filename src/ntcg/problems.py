@@ -40,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from ._validation import check_matrix, check_vector
+from ._validation import check_index_set, check_matrix, check_vector
 from .oracle import ObjectiveOracle
 
 SIGMOID = "sigmoid"
@@ -202,7 +202,7 @@ class NLSProblem(ObjectiveOracle):
         idx = (
             self.full_index_set()
             if index_set is None
-            else np.asarray(index_set, dtype=np.int64)
+            else check_index_set(index_set, self.n)
         )
         x = check_vector(x, "x", self.dim)
         state = self._state(x, idx)

@@ -20,7 +20,11 @@ condition
     f(x + alpha d) < f(x) - (eta/6) |alpha|^3 ||d||^3,
 
 bidirectionally (1, -1, theta, -theta, ...) for curvature directions, since
-the sign of d^T grad f is unknown when the gradient is inexact.  The
+the sign of d^T grad f is unknown when the gradient is inexact.  Each
+counted value is paid for once: under full evaluation f(x_k) is the
+accepted trial value of the previous search (the same expression
+x + alpha d on the same set), and a condition retry restores it with x_k;
+a batch search evaluates f(x_k) on its fresh batch every iteration.  The
 FixedStep variant replaces the search with predefined step sizes that
 provably satisfy the same decrease condition given accuracy levels
 (delta_g, delta_H) on the estimates.
@@ -123,14 +127,18 @@ class SolverConfig:
 class IterationRecord:
     """One row of a run trace.
 
-    f_value is the objective at the iterate the iteration started from:
-    exact whenever the driver evaluated it exactly, otherwise recomputed
-    through the ledger-exempt audit channel so convergence curves stay
-    comparable across variants.  step_class follows the K1..K5 taxonomy:
-    K1 small gradient, K2/K3 accepted Newton steps split on whether the
-    next gradient estimate fell below eps_g, K4 small Newton step, K5
-    curvature step.  The K2/K3 split for the final record of a run that
-    hit the iteration cap falls back to the exact final gradient norm.
+    f_value is the objective at the iterate the iteration started from.
+    Under full line-search evaluation it is the driver's own full-set value,
+    carried from the previous accepted trial or evaluated for the first
+    search; otherwise (batch evaluation, FixedStep, an iterate that no
+    search has reached) it is recomputed through the ledger-exempt audit
+    channel so convergence curves stay comparable across variants.
+
+    step_class follows the K1..K5 taxonomy: K1 small gradient, K2/K3
+    accepted Newton steps split on whether the next gradient estimate fell
+    below eps_g, K4 small Newton step, K5 curvature step.  The K2/K3 split
+    for the final record of a run that hit the iteration cap falls back to
+    the exact final gradient norm.
     """
 
     k: int
@@ -181,6 +189,9 @@ def scale_nc_direction(d_raw, H, g, curvature=None):
     |d^T H d| / ||d||^2 and it points against the gradient estimate.
 
     The result satisfies d^T H d / ||d||^2 = -||d|| and d^T g <= 0.
+    `curvature` is d_raw^T H d_raw when the caller already holds it (capped
+    CG's `CappedCGResult.curvature`); otherwise one product H d_raw pays
+    for it.
     """
     d_raw = np.asarray(d_raw, dtype=np.float64)
     norm = np.linalg.norm(d_raw)
@@ -208,8 +219,9 @@ def scale_meo_direction(v, H, g, curvature=None):
 
 
 def _backtrack(f_eval, x, d, eta, f0, max_trials, steps, kind, name):
-    """(alpha, trials) for the first of `steps` that meets the cubic
-    decrease condition; ContractViolation once max_trials have failed."""
+    """(alpha, trials, f_eval(x + alpha d)) for the first of `steps` that
+    meets the cubic decrease condition; ContractViolation once max_trials
+    have failed."""
     d = np.asarray(d, dtype=np.float64)
     norm_d3 = float(np.linalg.norm(d)) ** 3
     if norm_d3 == 0.0:
@@ -217,18 +229,21 @@ def _backtrack(f_eval, x, d, eta, f0, max_trials, steps, kind, name):
     if f0 is None:
         f0 = f_eval(x)
     for trials, alpha in enumerate(itertools.islice(steps, max_trials), start=1):
-        if f_eval(x + alpha * d) < f0 - (eta / 6.0) * abs(alpha) ** 3 * norm_d3:
-            return alpha, trials
+        f_trial = f_eval(x + alpha * d)
+        if f_trial < f0 - (eta / 6.0) * abs(alpha) ** 3 * norm_d3:
+            return alpha, trials, f_trial
     raise ContractViolation("%s exhausted %d trials" % (name, max_trials),
                             detail={"kind": kind})
 
 
 def line_search_sol(f_eval, x, d, eta, theta, f0=None, max_trials=60):
-    """Backtracking over theta^j; returns (alpha, trials).
+    """Backtracking over theta^j; returns (alpha, trials, f_new).
 
-    trials counts candidate evaluations beyond f(x).  Exceeding max_trials
-    means the decrease condition is unreachable, which the theory rules out
-    under the accuracy conditions, hence ContractViolation.
+    trials counts candidate evaluations beyond f(x); f_new is f_eval at the
+    accepted point x + alpha d, which a caller evaluating f on the same set
+    at the next iterate can reuse.  Exceeding max_trials means the decrease
+    condition is unreachable, which the theory rules out under the accuracy
+    conditions, hence ContractViolation.
     """
     return _backtrack(f_eval, x, d, eta, f0, max_trials,
                       (theta**j for j in itertools.count()), "sol", "line search")
@@ -237,7 +252,8 @@ def line_search_sol(f_eval, x, d, eta, theta, f0=None, max_trials=60):
 def line_search_nc(f_eval, x, d, eta, theta, f0=None, max_trials=60):
     """Bidirectional backtracking over 1, -1, theta, -theta, theta^2, ...
 
-    The decrease condition uses |alpha|; trials counts candidates.
+    The decrease condition uses |alpha|; returns (alpha, trials, f_new) as
+    :func:`line_search_sol` does.
     """
     steps = (alpha for j in itertools.count() for alpha in (theta**j, -(theta**j)))
     return _backtrack(f_eval, x, d, eta, f0, max_trials, steps,
@@ -533,7 +549,8 @@ def _direction(H, g, g_norm, eff, skip_small_step_block, rng):
         )
         cg_iters = result.iterations
         if result.d_type == NC:
-            return scale_nc_direction(result.d, H, g), NC, "cg", cg_iters, 0, None
+            d = scale_nc_direction(result.d, H, g, curvature=result.curvature)
+            return d, NC, "cg", cg_iters, 0, None
         d, d_type, certified = result.d, SOL, TERM_FIRST_ORDER_AND_CERTIFIED
         if skip_small_step_block or not float(np.linalg.norm(d)) <= eps_g / eps_H:
             return d, SOL, None, cg_iters, 0, None
@@ -547,8 +564,9 @@ def _direction(H, g, g_norm, eff, skip_small_step_block, rng):
 
 
 def _step_length(f_eval, x, d, d_type, f_x, variant, eff, config, targets):
-    """(alpha, ls_trials): backtracking from f_x = f_eval(x) under
-    LineSearch, the predefined formulas or overrides under FixedStep."""
+    """(alpha, ls_trials, f_next): backtracking from f_x = f_eval(x) under
+    LineSearch, with f_next = f_eval(x + alpha d); the predefined formulas
+    or overrides under FixedStep, which evaluate nothing (f_next None)."""
     if variant == LINE_SEARCH:
         search = line_search_sol if d_type == SOL else line_search_nc
         return search(f_eval, x, d, eff["eta"], eff["theta"], f0=f_x,
@@ -556,13 +574,13 @@ def _step_length(f_eval, x, d, d_type, f_x, variant, eff, config, targets):
     norm_d, L_H, eta = float(np.linalg.norm(d)), eff["L_H"], eff["eta"]
     if d_type == SOL:
         if config.alpha_sol_fixed is not None:
-            return config.alpha_sol_fixed, 0
-        return fixed_step_sol(norm_d, eff["eps_H"], eff["zeta"], L_H, eta), 0
+            return config.alpha_sol_fixed, 0, None
+        return fixed_step_sol(norm_d, eff["eps_H"], eff["zeta"], L_H, eta), 0, None
     if config.alpha_nc_fixed is not None:
-        return config.alpha_nc_fixed, 0
+        return config.alpha_nc_fixed, 0, None
     alpha = fixed_step_nc(norm_d, targets.delta_H, targets.delta_g, L_H, eta,
                           eff["theta_tilde"])
-    return alpha, 0
+    return alpha, 0, None
 
 
 def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
@@ -622,8 +640,13 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
     termination = TERM_MAX_ITERS
     prev_g_norm = None
     retries_left = config.max_condition_retries
-    # The last iteration's record and start point; the record is committed
-    # once ||g_{k+1}|| is known, or dropped by a retry.
+    # f(x) on the line-search set when already paid for: the accepted trial
+    # of the last line search under full evaluation, the same expression
+    # x + alpha d on the same set.  A batch line search draws a new set each
+    # iteration, and FixedStep evaluates nothing, so neither carries it.
+    f_x = None
+    # The last iteration's record and start iterate (x, f_x); the record is
+    # committed once ||g_{k+1}|| is known, or dropped by a retry.
     open_record, start = None, None
 
     def commit(record, next_norm, exact_next_norm, condition_ok):
@@ -654,7 +677,7 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
                     and retries_left > 0):
                 retries_left -= 1
                 policy.tighten_gradient(n, eff["U_g"])
-                x, k = start, open_record.k
+                (x, f_x), k = start, open_record.k
                 open_record = auditor.pending = None
                 continue
             commit(open_record, g_norm, exact_g_norm, condition_ok)
@@ -666,22 +689,22 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
             H, g, g_norm, eff, config.skip_small_step_block, rng
         )
 
-        # f at x_k: the exact line-search evaluation doubles as the record
+        # f at x_k: the full-set line-search value doubles as the record
         # value; other paths report through the audit channel.
         line_idx = full_idx if exact_line_f else grad_idx
-        searching = terminate is None and variant == LINE_SEARCH
-        f_search = problem.eval_f(x, line_idx) if searching else None
-        f_here = f_search if searching and exact_line_f else problem.audit_f(x)
+        if f_x is None and terminate is None and variant == LINE_SEARCH:
+            f_x = problem.eval_f(x, line_idx)
+        f_here = f_x if exact_line_f and f_x is not None else problem.audit_f(x)
 
-        alpha, ls_trials, step_class, x_next = None, 0, None, None
+        alpha, ls_trials, step_class, x_next, f_next = None, 0, None, None, None
         if terminate == TERM_FIRST_ORDER_AND_CERTIFIED:
             alpha, step_class = 1.0, "K4"
         elif terminate == TERM_CERTIFIED_AT_CURRENT:
             step_class = "K1"
         else:
             try:
-                alpha, ls_trials = _step_length(
-                    lambda y: problem.eval_f(y, line_idx), x, d, d_type, f_search,
+                alpha, ls_trials, f_next = _step_length(
+                    lambda y: problem.eval_f(y, line_idx), x, d, d_type, f_x,
                     variant, eff, config, policy.targets,
                 )
             except ContractViolation as exc:
@@ -716,7 +739,8 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
         if prev_g_norm is not None and prev_g_norm > 0 and g_norm > 0:
             policy.adapt(g_norm, prev_g_norm, n)
         prev_g_norm = g_norm
-        x, start = x_next, x
+        start = (x, f_x if exact_line_f else None)
+        x, f_x = x_next, (f_next if exact_line_f else None)
         k += 1
 
     x_final = x + d if termination == TERM_FIRST_ORDER_AND_CERTIFIED else x

@@ -133,6 +133,34 @@ class TestNCBranch:
             d = res.d
             assert d @ (H @ d) < -eps * (d @ d) + 1e-12
 
+    @staticmethod
+    def _instance(source):
+        if source == "p0":
+            return -np.eye(3), np.ones(3), 0.1
+        rng = np.random.default_rng({"p": 100, "y": 93}[source])
+        if source == "p":
+            dim, eps = int(rng.integers(3, 30)), float(rng.uniform(0.05, 0.4))
+            vals = rng.uniform(0.5, 3.0, size=dim)
+            vals[0] = -2.0 * eps - rng.uniform(0.1, 2.0)
+        else:
+            dim, eps = int(rng.integers(2, 8)), 0.1
+            vals = rng.uniform(-1, 1, size=dim)
+        return symmetric_with_spectrum(rng, vals), rng.standard_normal(dim), eps
+
+    @pytest.mark.parametrize("source", ["p0", "p", "y"])
+    def test_curvature_is_returned_where_cg_formed_it(self, source):
+        # p0 and p: d^T H d from the product CG took, bit for bit what a
+        # fresh product gives.  y: only the residual identity has it, which
+        # is not bit-identical, so the caller pays for the product.
+        H, g, eps = self._instance(source)
+        op = HessianOperator.from_matrix(H)
+        res = capped_cg(op, g, CappedCGParams(epsilon=eps, zeta=0.5))
+        assert (res.d_type, res.nc_source) == (NC, source)
+        if source == "y":
+            assert res.curvature is None
+        else:
+            assert res.curvature == float(res.d @ op.apply(res.d))
+
     def test_accumulated_extraction_finds_first_nc_difference(self):
         # The slow-decay branch is a worst-case safety net; random spectra
         # essentially never reach it (the direct curvature tests fire

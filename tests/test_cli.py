@@ -200,7 +200,7 @@ class TestSolveCommand:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: step-size overrides") and err.count("\n") == 1
-        assert not (tmp_path / "out" / "run_seed0.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text, message", [
         (None, "No such file"),

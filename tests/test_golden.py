@@ -47,21 +47,21 @@ COUNT_COLUMNS = ("f_calls", "grad_calls", "hv_calls", "props")
 #          final f)
 GOLDEN = {
     "full": (
-        "CertifiedAtCurrentPoint", 472, 17142000,
+        "CertifiedAtCurrentPoint", 472, 15732000,
         "b66a841cf6579ddb2a6273b1530aac1b7d00852b1e775c6b3e0206bf4386289a",
-        "26cac222aa2679c79f44c04c2c10734415861b17b67f37a30b94878200f90cda",
+        "2aa6025a9a2eb62856f6aa6f6ba21ef49b1ef50f562827c972c481bc8e4bd29a",
         0.12799617610203531,
     ),
     "subh": (
-        "CertifiedAtCurrentPoint", 472, 5817000,
+        "CertifiedAtCurrentPoint", 472, 4407000,
         "e6cb21b76529e273735ee0905e3621b061a3c5db056058ddb022aad9ebc87a63",
-        "e19bfe15077bfd72c0c45f28c658455897af55954ae0da175621458a7077b08b",
+        "f001f0c5cc389333eb312a9e10aa8f0cb92a603fbf70c15e2b3340dcebcda512",
         0.12799576718562336,
     ),
     "inexact-full-eval": (
-        "ContractViolation", 224, 1682214,
+        "ContractViolation", 224, 1013214,
         "bacb71984d33969956064c4d80b76b8dd7e9668df081e60e18067128db3e1e47",
-        "606b3357bb753c2e87f406f358a28d0161f2335b7d6dc61096034606f0961bb9",
+        "f481ed04a1edb2d115ae2290844f943d0a349b59036084e11beeebf77caf2f0f",
         0.1313462703047632,
     ),
     "inexact-fixed": (
@@ -77,21 +77,21 @@ GOLDEN = {
         0.12694902912443676,
     ),
     "tanh-subh-block": (
-        "FirstOrderAndCertified", 416, 5143440,
+        "FirstOrderAndCertified", 416, 3901440,
         "cf8dbe2f85500cd2b10d0e2481dd76c04caf3d652c6c7cbc989a4e285935f2c2",
-        "79abbdf9b66bc638859b871f4bbb01c94b7d69f5acca5790eea9d0a31f60f924",
+        "d02f1006791b52fb9a02c753f6631195b289576dab1c88bb7e342203d21b6c77",
         0.15000955704296065,
     ),
     "tanh-subh-block-nc": (
-        "FirstOrderAndCertified", 48, 699720,
+        "FirstOrderAndCertified", 48, 560040,
         "de5c1a247646a161f527e4a2e911fcdebfd4d09fa253c7302bd86adde02211c4",
-        "03c519a47e256ec2fd034f9281ffa51d150409baa85c8820ba225a7302f45be3",
+        "4b5281a7804e67af16be53e677e329833d735d5b0774fdc08b49adf49446ae3d",
         0.14933480332971924,
     ),
     "saddle-LineSearch-negative-axis": (
-        "FirstOrderAndCertified", 3, 42,
+        "FirstOrderAndCertified", 3, 37,
         "72aa4fe9f3f5cd65e9d8e35248e9d03d77877f4914b7cfa001a78fef4ce48605",
-        "5b0dbe67307cce94e8ac2298a131f121320bf79cddbd195a2da686fb0c1ffdf7",
+        "1266a86ad9b0f7ace434904a3fa7cf4551e719da15c4f61667e23a78ebfe0353",
         -0.24999913683030922,
     ),
     "saddle-LineSearch-origin": (
@@ -101,39 +101,39 @@ GOLDEN = {
         -0.25,
     ),
     "saddle-LineSearch-positive-axis": (
-        "FirstOrderAndCertified", 3, 66,
+        "FirstOrderAndCertified", 3, 65,
         "8df1f117dd6b17363439d987033d9535d5dddc8375cdca44f647c7e0bc2e8957",
-        "ed747d14bf80ae2e5c2d3b35799121073ff8e64697fef6ca1e36beeb23a15838",
+        "b10a14462b8c6dd1884e11f491b34280aeae29404160076dc937cabc0cdff27c",
         -0.2499999204019439,
     ),
     "saddle-FixedStep-negative-axis": (
-        "FirstOrderAndCertified", 27, 278,
+        "FirstOrderAndCertified", 27, 254,
         "e808148e234e597f0b450df3d903e491f522764ad27683e1cdd5a0ac5dd03fb2",
-        "027ebb8ec3f315ccb5d9ab582efaab4d1c31c5e965da2e31613951320160fe08",
+        "b73bde485d5ff5bebf0be2f20b98e680e9c54d85bf893f97ff392c07d5dee8fc",
         -0.24999955744584304,
     ),
     "saddle-FixedStep-origin": (
-        "FirstOrderAndCertified", 28, 292,
+        "FirstOrderAndCertified", 28, 268,
         "d443a7f556534f83a82142a387749e7a3cf5a9bd8ee03cceb6ac17e57d14a7c7",
-        "d6abf91603e858433b710a20ccc15b710947209ca844087e5732eeaf99c2eba6",
+        "a0b052b579f78cb4d509605018d7264c6c366d122babe0ec5298ac3ed244ee42",
         -0.24999959721471054,
     ),
     "saddle-FixedStep-positive-axis": (
-        "FirstOrderAndCertified", 29, 314,
+        "FirstOrderAndCertified", 29, 290,
         "d8695486b18a49db3ae08eb2fc12ae15dca51782764b3258cf1334e1d9384ba0",
-        "604debacd9c15bcc3d4591de81c3cc662d4d360686d27c2aa10b6b4a90217a97",
+        "cf6fc1c06dc6bd71a5bece12c87d482e9b0567c4c9fe227eb738b544a5314fff",
         -0.24999959683683262,
     ),
     "nls-audit-LineSearch-sampled": (
-        "MaxIters", 40, 58480,
+        "MaxIters", 40, 46780,
         "b39c30206e59b737e86d59646f2196988b31ee2c5bdd7ca766341ddfe827120b",
-        "e49ada6094482ad407796fd29cc3dc77a73a885c0d2436df56b2577bfc3b2d51",
+        "e18289e5accecd349859abd0113b547b964586b1c6bbe406f12f48f23858ef2a",
         0.11450239122340579,
     ),
     "nls-audit-LineSearch-exact": (
-        "FirstOrderAndCertified", 86, 315000,
+        "FirstOrderAndCertified", 86, 289800,
         "f7ba6eceb7d52c2f6f0060925185649d660d878d01f21849eb75140118ee4135",
-        "e1ae2603edb633bb9d6f155fae2c0cab70c46e0b9b67dd75a89971e51e012e2b",
+        "bdfbd104e51bdb6defc88a24d9fdb675df19bb21fd1301d175d6ac58db7553a3",
         0.0948241170207906,
     ),
     "nls-audit-FixedStep-exact": (

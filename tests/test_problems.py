@@ -70,6 +70,16 @@ class TestClosedForms:
                 H[:, j], problem._hvp(x, e, problem.full_index_set()), atol=1e-12
             )
 
+    @pytest.mark.parametrize("bad", ([-1], [10], [0, 10]))
+    def test_dense_hessian_rejects_out_of_range_rows_as_hvp_does(self, bad):
+        # -1 must not wrap to the last row.
+        problem = random_instance(SIGMOID, 10, 4, 7)
+        x = np.zeros(4)
+        with pytest.raises(IndexError):
+            problem.eval_hvp(x, np.ones(4), bad)
+        with pytest.raises(IndexError):
+            problem.dense_hessian(x, bad)
+
     def test_sparse_rows_agree_with_dense(self):
         problem_d = random_instance(SIGMOID, 15, 6, 9)
         problem_s = NLSProblem(

@@ -98,8 +98,9 @@ class TestLineSearches:
         f = lambda y: 0.5 * float(y @ y)
         x = np.array([10.0, 0.0])
         d = -x / 1.2
-        alpha, trials = line_search_sol(f, x, d, eta=0.1, theta=0.5)
+        alpha, trials, f_new = line_search_sol(f, x, d, eta=0.1, theta=0.5)
         assert alpha == 1.0 and trials == 1
+        assert f_new == f(x + alpha * d)
 
     def test_sol_matches_brute_force_scan(self):
         # Descent direction with heavy overshoot: acceptance happens deep
@@ -108,7 +109,8 @@ class TestLineSearches:
         d = np.array([1.0])
         f = lambda y: -0.01 * y[0] + 10.0 * y[0] ** 2
         x = np.zeros(1)
-        alpha, trials = line_search_sol(f, x, d, eta, theta)
+        alpha, trials, f_new = line_search_sol(f, x, d, eta, theta)
+        assert f_new == f(x + alpha * d)
         f0 = f(x)
         first = None
         for j in range(60):
@@ -124,7 +126,7 @@ class TestLineSearches:
         d = np.array([1.0])
         f = lambda y: -0.01 * y[0] + 10.0 * y[0] ** 2
         x = np.zeros(1)
-        alpha, _ = line_search_sol(f, x, d, eta, theta)
+        alpha, _, _ = line_search_sol(f, x, d, eta, theta)
         f0 = f(x)
         assert f(x + alpha * d) < f0 - eta / 6 * alpha**3
         prev = alpha / theta  # the rejected candidate just before
@@ -138,12 +140,12 @@ class TestLineSearches:
     def test_nc_picks_negative_unit_second(self):
         # f linear: increasing along +d, decreasing along -d.
         f = lambda y: float(y[0])
-        alpha, trials = line_search_nc(f, np.zeros(1), np.ones(1), 0.1, 0.5)
-        assert alpha == -1.0 and trials == 2
+        alpha, trials, f_new = line_search_nc(f, np.zeros(1), np.ones(1), 0.1, 0.5)
+        assert alpha == -1.0 and trials == 2 and f_new == -1.0
 
     def test_nc_accepts_first_on_double_well(self):
         f = lambda y: 0.25 * (y[0] ** 2 - 1.0) ** 2
-        alpha, trials = line_search_nc(f, np.zeros(1), np.ones(1), 0.1, 0.5)
+        alpha, trials, _ = line_search_nc(f, np.zeros(1), np.ones(1), 0.1, 0.5)
         assert alpha == 1.0 and trials == 1
 
     def test_nc_scripted_fifth_candidate(self):
@@ -157,9 +159,10 @@ class TestLineSearches:
                 return 0.0
             return -1.0 if a == passing else 1.0
 
-        alpha, trials = line_search_nc(f, np.zeros(1), np.ones(1), eta, theta)
+        alpha, trials, f_new = line_search_nc(f, np.zeros(1), np.ones(1), eta, theta)
         assert alpha == 0.25
         assert trials == 5
+        assert f_new == -1.0  # the accepted trial's value, not the last rejected
 
     def test_nc_exhaustion_raises(self):
         f = lambda y: 0.0
@@ -388,7 +391,7 @@ class TestRunLineSearch:
         cfg = SolverConfig(eps_g=1e-3, max_outer_iters=20)
         first, second = (run(problem, cfg, x0=np.zeros(5), audit=True)
                          for _ in range(2))
-        assert first.ledger["props"] == 72000
+        assert first.ledger["props"] == 66300
         assert [r.props for r in first.records] == [r.props for r in second.records]
         assert first.ledger == second.ledger
         assert first.audit_ledger == second.audit_ledger

@@ -1,0 +1,109 @@
+"""Each counted oracle value is paid for once.
+
+The driver reuses what it already holds: f(x_k) on the full set from the
+accepted trial of the previous line search, and d^T H d of a capped-CG
+curvature direction from the product CG formed.  These tests wrap the
+counted entry points of one problem instance and key every charged call by
+the bytes of its arguments, so a value bought twice shows up as a repeated
+key.
+"""
+
+import collections
+
+import numpy as np
+import pytest
+
+from ntcg import (
+    FIXED_STEP,
+    LINE_SEARCH,
+    AccuracyTargets,
+    SamplingPolicy,
+    SolverConfig,
+    run,
+    synthetic_nls,
+    synthetic_saddle,
+)
+from ntcg.problems import TANH, constants_for
+from ntcg.sampling import SUB_BOTH, preset_policy
+
+
+def _key(*arrays):
+    return tuple(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+
+def count_calls(problem):
+    """Wrap eval_f and eval_hvp of `problem`; returns a Counter of call keys.
+
+    Audit-channel calls (f through a ledger other than the problem's own)
+    are not charged, so they are not keyed.
+    """
+    calls = collections.Counter()
+    eval_f, eval_hvp = problem.eval_f, problem.eval_hvp
+
+    def counted_f(x, index_set, ledger=None):
+        if ledger is None:
+            calls["f", _key(x, np.asarray(index_set, dtype=np.int64))] += 1
+        return eval_f(x, index_set, ledger=ledger)
+
+    def counted_hvp(x, v, index_set):
+        calls["hvp", _key(x, np.asarray(index_set, dtype=np.int64), v)] += 1
+        return eval_hvp(x, v, index_set)
+
+    problem.eval_f, problem.eval_hvp = counted_f, counted_hvp
+    return calls
+
+
+def assert_paid_once(calls):
+    repeated = collections.Counter(kind for (kind, _), n in calls.items() if n > 1)
+    assert not repeated, "values evaluated more than once: %s" % dict(repeated)
+
+
+def test_full_run_pays_for_each_f_once():
+    problem = synthetic_nls(2000, 10, seed=4)
+    calls = count_calls(problem)
+    report = run(problem, SolverConfig(eps_g=1e-3, skip_small_step_block=True,
+                                       max_outer_iters=40),
+                 policy=preset_policy("full", problem.n), x0=np.zeros(10))
+    assert report.iterations > 5
+    assert sum(n for (kind, _), n in calls.items() if kind == "f") > report.iterations
+    assert_paid_once(calls)
+
+
+def test_subh_tanh_run_with_curvature_steps_pays_once():
+    # The small eps_H makes capped CG return curvature directions.
+    problem = synthetic_nls(3000, 15, link=TANH, seed=1)
+    calls = count_calls(problem)
+    report = run(problem, SolverConfig(eps_g=1e-3, eps_H=5e-3, max_outer_iters=60),
+                 policy=preset_policy("subh", problem.n),
+                 constants=constants_for(problem), x0=np.zeros(15))
+    assert any(r.nc_origin == "cg" for r in report.records)
+    assert_paid_once(calls)
+
+
+@pytest.mark.parametrize("variant", (LINE_SEARCH, FIXED_STEP))
+def test_saddle_run_off_the_origin_pays_once(variant):
+    # Off the origin along the negative-curvature axis capped CG returns
+    # the curvature direction itself.
+    problem, consts = synthetic_saddle(3, mu=1.0, gamma=1.0)
+    calls = count_calls(problem)
+    x0 = np.array([0.05, 0.0, 0.0])
+    report = run(problem, SolverConfig(eps_g=1e-3, U_H=consts.U_H, L_H=consts.L_H,
+                                       seed=21, max_outer_iters=5000),
+                 variant=variant, constants=consts, x0=x0)
+    assert any(r.nc_origin == "cg" for r in report.records)
+    assert_paid_once(calls)
+
+
+def test_condition_retry_restores_the_start_value():
+    # The failed accuracy condition of iteration 0 redoes it from x_0 on a
+    # grown gradient batch; f(x_0) on the full set comes back with x_0.
+    problem = synthetic_nls(400, 5, seed=33)
+    calls = count_calls(problem)
+    policy = SamplingPolicy(mode=SUB_BOTH, grad_batch=2, hess_batch=40,
+                            targets=AccuracyTargets(delta_g=1e-9, delta_H=0.05))
+    config = SolverConfig(eps_g=1e-3, seed=34, max_outer_iters=8,
+                          retry_condition_failure=True, max_condition_retries=3,
+                          skip_small_step_block=True)
+    report = run(problem, config, policy=policy, x0=np.zeros(5), audit=True)
+    assert report.records[0].grad_calls > problem.n  # iteration 0 was redone
+    assert_paid_once(calls)
