@@ -56,12 +56,11 @@ class CappedCGParams:
 class CappedCGResult:
     """Outcome of one capped CG run.
 
-    curvature : d^T H d of an NC direction, where the run formed it as
-        p^T (H p) with the operator product it already held (the "p0" and
-        "p" exits); bit-identical to a fresh product, so a caller that
-        scales d saves one operator application.  None otherwise: the "y"
-        and "slow_decay" directions only have it through the residual
-        identity, which differs from a direct product in the last bits.
+    curvature is d^T H d of an NC direction from the "p0" and "p" exits,
+    formed from the product H p the run already took and bit-identical to
+    a fresh one, so a caller scaling d needs no operator application.  The
+    "y" and "slow_decay" directions have it only through the residual
+    identity, which differs in the last bits, so they leave it None.
     """
 
     d_type: str

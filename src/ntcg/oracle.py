@@ -147,17 +147,20 @@ class ObjectiveOracle:
         return self.eval_grad(x, self.full_index_set(), ledger=self.audit_ledger)
 
     def dense_hessian(self, x, index_set=None):
-        """Dense mean Hessian over index_set; for audits on small problems.
-
-        Default assembles column by column from `_hvp`, uncounted.  Problem
-        classes override with closed forms where cheap.
-        """
+        """Dense mean Hessian over index_set (default: all components),
+        uncounted; for audits on small problems.  Validates x and index_set
+        as the counted calls do."""
         x = check_vector(x, "x", self.dim)
         idx = (
             self.full_index_set()
             if index_set is None
             else check_index_set(index_set, self.n)
         )
+        return self._dense_hessian(x, idx)
+
+    def _dense_hessian(self, x, idx):
+        # Column by column from `_hvp`; problem classes override with
+        # closed forms where cheap.
         H = np.empty((self.dim, self.dim))
         eye = np.eye(self.dim)
         for j in range(self.dim):

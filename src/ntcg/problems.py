@@ -40,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from ._validation import check_index_set, check_matrix, check_vector
+from ._validation import check_matrix, check_vector
 from .oracle import ObjectiveOracle
 
 SIGMOID = "sigmoid"
@@ -198,13 +198,7 @@ class NLSProblem(ObjectiveOracle):
         t = np.asarray(state.A @ v).ravel()
         return np.asarray(state.A.T @ (state.curv_weights * t)).ravel() / idx.size
 
-    def dense_hessian(self, x, index_set=None):
-        idx = (
-            self.full_index_set()
-            if index_set is None
-            else check_index_set(index_set, self.n)
-        )
-        x = check_vector(x, "x", self.dim)
+    def _dense_hessian(self, x, idx):
         state = self._state(x, idx)
         Ai, c = state.A, state.curv_weights
         if sp.issparse(Ai):
@@ -261,7 +255,7 @@ class QuadraticProblem(ObjectiveOracle):
     def _hvp(self, x, v, idx):
         return self.diag * v
 
-    def dense_hessian(self, x, index_set=None):
+    def _dense_hessian(self, x, idx):
         return np.diag(self.diag)
 
     def constants(self, radius=10.0):
@@ -303,8 +297,7 @@ class SaddleProblem(ObjectiveOracle):
     def _hvp(self, x, v, idx):
         return self.diag * v + self.gamma * ((x @ x) * v + 2.0 * (x @ v) * x)
 
-    def dense_hessian(self, x, index_set=None):
-        x = np.asarray(x, dtype=float)
+    def _dense_hessian(self, x, idx):
         return (
             np.diag(self.diag)
             + self.gamma * ((x @ x) * np.eye(self.dim) + 2.0 * np.outer(x, x))

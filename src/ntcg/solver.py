@@ -573,13 +573,14 @@ def _step_length(f_eval, x, d, d_type, f_x, variant, eff, config, targets):
                       max_trials=config.max_ls_trials)
     norm_d, L_H, eta = float(np.linalg.norm(d)), eff["L_H"], eff["eta"]
     if d_type == SOL:
-        if config.alpha_sol_fixed is not None:
-            return config.alpha_sol_fixed, 0, None
-        return fixed_step_sol(norm_d, eff["eps_H"], eff["zeta"], L_H, eta), 0, None
-    if config.alpha_nc_fixed is not None:
-        return config.alpha_nc_fixed, 0, None
-    alpha = fixed_step_nc(norm_d, targets.delta_H, targets.delta_g, L_H, eta,
-                          eff["theta_tilde"])
+        alpha = config.alpha_sol_fixed
+        if alpha is None:
+            alpha = fixed_step_sol(norm_d, eff["eps_H"], eff["zeta"], L_H, eta)
+    else:
+        alpha = config.alpha_nc_fixed
+        if alpha is None:
+            alpha = fixed_step_nc(norm_d, targets.delta_H, targets.delta_g, L_H, eta,
+                                  eff["theta_tilde"])
     return alpha, 0, None
 
 

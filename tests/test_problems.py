@@ -70,10 +70,15 @@ class TestClosedForms:
                 H[:, j], problem._hvp(x, e, problem.full_index_set()), atol=1e-12
             )
 
+    @pytest.mark.parametrize("make", [
+        lambda: random_instance(SIGMOID, 10, 4, 7),
+        lambda: QuadraticProblem(np.ones(4)),
+        lambda: synthetic_saddle(4)[0],
+    ], ids=["nls", "quadratic", "saddle"])
     @pytest.mark.parametrize("bad", ([-1], [10], [0, 10]))
-    def test_dense_hessian_rejects_out_of_range_rows_as_hvp_does(self, bad):
+    def test_dense_hessian_rejects_out_of_range_rows_as_hvp_does(self, make, bad):
         # -1 must not wrap to the last row.
-        problem = random_instance(SIGMOID, 10, 4, 7)
+        problem = make()
         x = np.zeros(4)
         with pytest.raises(IndexError):
             problem.eval_hvp(x, np.ones(4), bad)
