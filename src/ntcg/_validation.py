@@ -8,12 +8,13 @@ import scipy.sparse as sp
 
 def check_vector(x, name="x", dim=None):
     """Coerce to a finite 1-D float64 array, optionally of fixed length."""
-    x = np.asarray(x, dtype=np.float64)
+    if type(x) is not np.ndarray or x.dtype != np.float64:
+        x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("%s must be a 1-D vector, got shape %s" % (name, (x.shape,)))
     if dim is not None and x.shape[0] != dim:
         raise ValueError("%s must have length %d, got %d" % (name, dim, x.shape[0]))
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("%s contains non-finite entries" % name)
     return x
 
@@ -48,12 +49,12 @@ def check_X_y(X, y):
 
 def check_index_set(indices, n, name="index_set"):
     """Validate a nonempty integer index set into range(n)."""
-    idx = np.asarray(indices)
+    idx = indices if type(indices) is np.ndarray else np.asarray(indices)
     if idx.ndim != 1:
         idx = idx.ravel()
     if idx.size == 0:
         raise ValueError("%s is empty; the mean over it is undefined" % name)
-    if not np.issubdtype(idx.dtype, np.integer):
+    if idx.dtype != np.int64 and not np.issubdtype(idx.dtype, np.integer):
         if np.issubdtype(idx.dtype, np.floating) and np.all(idx == idx.astype(np.int64)):
             idx = idx.astype(np.int64)
         else:

@@ -110,11 +110,21 @@ def j_cap(M, epsilon, zeta):
     return J
 
 
-def _safe_ratio(Hw, w):
-    nw = np.linalg.norm(w)
-    if nw == 0.0:
+def _norm(v):
+    """Euclidean norm of a 1-D float64 vector, bit-identical to
+    ``np.linalg.norm(v)``: the same dot product of the same contiguous
+    ravel and a correctly rounded square root, without the dispatch."""
+    v = v.ravel(order="K")
+    return math.sqrt(v @ v)
+
+
+def _safe_ratio(Hw, ww):
+    """||Hw|| / ||w|| from ww = w @ w, the dot a caller already took (the
+    square root of it is ``_norm(w)`` for the contiguous w here); 0 for
+    w = 0."""
+    if ww == 0.0:
         return 0.0
-    return np.linalg.norm(Hw) / nw
+    return _norm(Hw) / math.sqrt(ww)
 
 
 def extract_accumulated_nc(ys, rs, y_next, r_next, epsilon):
@@ -150,7 +160,7 @@ def capped_cg(H, g, params, trace=None):
     operator produces non-finite output.
     """
     g = check_vector(g, "g", H.dim)
-    norm_g = np.linalg.norm(g)
+    norm_g = _norm(g)
     if norm_g < _MIN_GRAD_NORM:
         raise ValueError("capped_cg requires a nonzero gradient")
 
@@ -164,60 +174,71 @@ def capped_cg(H, g, params, trace=None):
             kw["event"] = event
             trace(kw)
 
+    # Every dot product below is taken once per vector and reused (r @ r
+    # as rr, p @ p as pp, y @ y as yy); the norms are their square roots.
     y = np.zeros(dim)
     r = g.copy()
+    rr = r @ r
     p = -g
     Hp = H.apply(p)
-    if not np.all(np.isfinite(Hp)):
+    if not np.isfinite(Hp).all():
         raise ContractViolation("operator returned non-finite values")
 
-    p_bar_p = p @ Hp + 2.0 * eps * (p @ p)
-    if p_bar_p < eps * (p @ p):
+    pp = p @ p
+    p_bar_p = p @ Hp + 2.0 * eps * pp
+    if p_bar_p < eps * pp:
         emit("terminate", j=0, branch="nc_p0")
         return CappedCGResult(NC, p, iterations=0, M_final=M, nc_source="p0",
                               curvature=float(p @ Hp))
-    ratio0 = _safe_ratio(Hp, p)
+    ratio0 = _safe_ratio(Hp, pp)
     if ratio0 > M:
         M = ratio0
         _, zeta_hat, tau, T = _derived(M, eps, params.zeta)
 
-    ys = [y.copy()]
-    rs = [r.copy()]
+    # The iteration cap depends on M only; None until needed after a change.
+    cap = None
+    # y and r are rebound each iteration, never written in place, so the
+    # stored iterates need no copies.
+    ys = [y]
+    rs = [r]
     norm_r0 = norm_g
     j = 0
 
     while True:
-        alpha = (r @ r) / p_bar_p
+        alpha = rr / p_bar_p
         y = y + alpha * p
         Hbar_p = Hp + 2.0 * eps * p
         r_new = r + alpha * Hbar_p
-        beta = (r_new @ r_new) / (r @ r)
+        rr_new = r_new @ r_new
+        beta = rr_new / rr
         p_new = -r_new + beta * p
-        Hp_prev, r, p = Hp, r_new, p_new
+        Hp_prev, r, rr, p = Hp, r_new, rr_new, p_new
         j += 1
-        ys.append(y.copy())
-        rs.append(r.copy())
+        ys.append(y)
+        rs.append(r)
 
         Hp = H.apply(p)
-        if not np.all(np.isfinite(Hp)):
+        if not np.isfinite(Hp).all():
             raise ContractViolation("operator returned non-finite values")
+        pp, yy = p @ p, y @ y
         # Curvature-bound update from the three directions at hand; Hy and
         # Hr come from stored quantities, not extra products.
         Hy = r - g - 2.0 * eps * y
         Hr = beta * Hp_prev - Hp
-        observed = max(_safe_ratio(Hp, p), _safe_ratio(Hy, y), _safe_ratio(Hr, r))
+        observed = max(_safe_ratio(Hp, pp), _safe_ratio(Hy, yy), _safe_ratio(Hr, rr))
         if observed > M:
             M = observed
             _, zeta_hat, tau, T = _derived(M, eps, params.zeta)
+            cap = None
 
-        norm_r = np.linalg.norm(r)
+        norm_r = math.sqrt(rr)
         if trace is not None:
             emit("iter", j=j, r_norm=norm_r, y=y.copy(), r=r.copy(), M=M)
 
-        y_bar_y = y @ Hy + 2.0 * eps * (y @ y)
-        p_bar_p = p @ Hp + 2.0 * eps * (p @ p)
+        y_bar_y = y @ Hy + 2.0 * eps * yy
+        p_bar_p = p @ Hp + 2.0 * eps * pp
 
-        if y_bar_y <= eps * (y @ y):
+        if y_bar_y <= eps * yy:
             emit("terminate", j=j, branch="nc_y")
             return CappedCGResult(NC, y, iterations=j, M_final=M, nc_source="y")
         if norm_r <= zeta_hat * norm_r0:
@@ -225,7 +246,7 @@ def capped_cg(H, g, params, trace=None):
             return CappedCGResult(
                 SOL, y, iterations=j, M_final=M, residual_norm=norm_r
             )
-        if p_bar_p <= eps * (p @ p):
+        if p_bar_p <= eps * pp:
             emit("terminate", j=j, branch="nc_p")
             return CappedCGResult(NC, p, iterations=j, M_final=M, nc_source="p",
                                   curvature=float(p @ Hp))
@@ -233,7 +254,7 @@ def capped_cg(H, g, params, trace=None):
             # Residual decays slower than positive-definite CG allows: a
             # negative-curvature direction hides among the accumulated
             # iterates.  Take one more CG step, then scan for it.
-            alpha = (r @ r) / p_bar_p
+            alpha = rr / p_bar_p
             y_next = y + alpha * p
             r_next = r + alpha * (Hp + 2.0 * eps * p)
             found = extract_accumulated_nc(ys[:j], rs[:j], y_next, r_next, eps)
@@ -252,9 +273,10 @@ def capped_cg(H, g, params, trace=None):
                 extraction_index=idx_found,
             )
 
-        cap = min(dim, j_cap(M, eps, params.zeta))
-        if params.max_iters_override is not None:
-            cap = min(cap, params.max_iters_override)
+        if cap is None:
+            cap = min(dim, j_cap(M, eps, params.zeta))
+            if params.max_iters_override is not None:
+                cap = min(cap, params.max_iters_override)
         if j >= cap:
             raise ContractViolation(
                 "capped CG exceeded its iteration cap without any "

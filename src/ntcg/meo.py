@@ -14,7 +14,12 @@ probability at most delta.
 Implementation notes, all load-bearing for the contracts above:
   * full reorthogonalization every step; cheap at these dimensions, and it
     removes the ghost-eigenvalue failure mode;
-  * the tridiagonal eigenproblem is solved every iteration; the run stops
+  * the tridiagonal eigenproblem is solved every iteration, for its bottom
+    pair only: LAPACK bisection (stebz) for the smallest eigenvalue, then
+    inverse iteration (stein) for its vector, called directly with the
+    arguments and checks of scipy's ``eigh_tridiagonal(select="i",
+    select_range=(0, 0))``, so the pair is bit-identical to that call's
+    without its per-call argument handling; the run stops
     early only once the smallest Ritz value is at most -eps/2 AND its
     Lanczos residual is at most CONV_TOL * max(1, M) (so the assembled
     vector's Rayleigh quotient matches the Ritz value), which keeps runs
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from ._validation import as_generator, check_interval
 
@@ -42,6 +47,35 @@ CERTIFICATE = "Certificate"
 # Lanczos breakdown and Ritz-pair convergence, relative to max(1, M).
 BREAKDOWN_TOL = 1e-12
 CONV_TOL = 1e-10
+
+_stebz, _stein = get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
+
+
+def bottom_ritz_pair(d, e):
+    """Smallest eigenvalue and its unit eigenvector of the symmetric
+    tridiagonal matrix with diagonal d (length >= 2) and off-diagonal e.
+
+    The LAPACK calls of ``eigh_tridiagonal(d, e, select="i",
+    select_range=(0, 0))`` with its default tol = 0: stebz with il = iu = 1
+    and block ordering, then stein on the one eigenvalue, with the same
+    finiteness and info checks.
+    """
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    m, w, iblock, isplit, info = _stebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    _check_info(info, "stebz")
+    v, info = _stein(d, e, w[:m], iblock, isplit)
+    _check_info(info, "stein", "%d eigenvectors failed to converge")
+    return float(w[0]), v[:, 0]
+
+
+def _check_info(info, driver, positive="did not converge (LAPACK info=%d)"):
+    """scipy's LAPACK info check, with its messages."""
+    if info < 0:
+        raise ValueError("illegal value in argument %d of internal %s "
+                         "(eigh_tridiagonal)" % (-info, driver))
+    if info > 0:
+        raise LinAlgError(("%s (eigh_tridiagonal) " + positive) % (driver, info))
 
 
 @dataclass
@@ -100,10 +134,7 @@ def meo_lanczos(H, M, epsilon, delta, rng):
     def bottom_ritz(steps):
         if steps == 1:
             return float(alphas[0]), np.array([1.0])
-        vals, vecs = eigh_tridiagonal(
-            alphas[:steps], betas[: steps - 1], select="i", select_range=(0, 0)
-        )
-        return float(vals[0]), vecs[:, 0]
+        return bottom_ritz_pair(alphas[:steps], betas[: steps - 1])
 
     def assemble(steps, s):
         v = Q[:, :steps] @ s
@@ -123,7 +154,7 @@ def meo_lanczos(H, M, epsilon, delta, rng):
     theta, s = np.inf, None
     while steps < cap:
         w = H.apply(q)
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ValueError("operator returned non-finite values")
         alpha = float(q @ w)
         Q[:, steps] = q

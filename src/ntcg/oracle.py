@@ -5,6 +5,10 @@ drivers: one unit per component function value, two per component gradient,
 four per component Hessian-vector product.  All counting happens here, so
 drivers cannot miscount; see :class:`OracleLedger`.
 
+``full_index_set()`` returns one array per oracle, arange(n), shared by
+every caller and read-only (writing to it raises), so code can recognise
+the full set by identity and keep it without a defensive copy.
+
 Concurrency: one problem is evaluated by one thread at a time, the same
 contract as its ledgers, which assume a single writer.  Oracles may keep
 per-point state between calls (:class:`ntcg.problems.NLSProblem` memoizes
@@ -90,6 +94,8 @@ class ObjectiveOracle:
             raise ValueError("need n >= 1 and dim >= 1")
         self.n = int(n)
         self.dim = int(dim)
+        self._full_index = np.arange(self.n, dtype=np.int64)
+        self._full_index.flags.writeable = False
         self.ledger = OracleLedger()
         # Audit-mode evaluations (exact quantities used for reporting and
         # contract checks) are ledger-exempt and tallied separately.
@@ -114,7 +120,8 @@ class ObjectiveOracle:
     # -- counted evaluation surface ---------------------------------------
 
     def full_index_set(self):
-        return np.arange(self.n, dtype=np.int64)
+        """arange(n), the same read-only array on every call."""
+        return self._full_index
 
     def eval_f(self, x, index_set, ledger=None):
         """Mean of f_i(x) over index_set."""
@@ -234,7 +241,11 @@ class HessianOperator:
     @classmethod
     def from_oracle(cls, oracle, x, index_set):
         """Subsampled (or exact) Hessian of `oracle` at the point x, counted
-        into the oracle's ledger."""
+        into the oracle's ledger.  x and the index set are copied, so later
+        changes to the caller's arrays do not reach the operator; the
+        oracle's read-only full index set is kept as it is.  The copy keeps
+        its dtype, so every product validates the indices as given."""
         x = np.array(x, dtype=np.float64, copy=True)
-        idx = np.asarray(index_set, dtype=np.int64)
+        full = oracle.full_index_set()
+        idx = full if index_set is full else np.array(index_set)
         return cls(oracle.dim, lambda v: oracle.eval_hvp(x, v, idx))

@@ -107,8 +107,10 @@ class _PointState:
 
     def __init__(self, problem, x, idx):
         self.x = x.copy()
-        self.idx = idx.copy()
-        full = idx.size == problem.n and np.array_equal(idx, problem.full_index_set())
+        full_idx = problem.full_index_set()
+        full = idx is full_idx or (idx.shape == full_idx.shape and (idx == full_idx).all())
+        # The shared full index set is read-only, so it serves as its own key.
+        self.idx = full_idx if full else idx.copy()
         self.A = problem.A if full else problem.A[idx]
         self._b = problem.b if full else problem.b[idx]
         self._z = np.asarray(self.A @ x).ravel()
@@ -116,7 +118,11 @@ class _PointState:
         self._alpha = problem.alpha
 
     def matches(self, x, idx):
-        return np.array_equal(self.idx, idx) and np.array_equal(self.x, x)
+        """Whether (x, idx) equals the key by value; x is validated, so it
+        has the key's shape."""
+        return (self.idx.shape == idx.shape
+                and (self.idx is idx or (self.idx == idx).all())
+                and (self.x == x).all())
 
     @cached_property
     def _terms(self):
@@ -178,10 +184,14 @@ class NLSProblem(ObjectiveOracle):
     def _state(self, x, idx):
         """The :class:`_PointState` of (x, idx), from the memo when one of
         the last MEMO_SIZE keys matches by value."""
-        state = next((s for s in self._memo if s.matches(x, idx)), None)
-        if state is None:
-            state = _PointState(self, x, idx)
-        self._memo = [state] + [s for s in self._memo if s is not state][:MEMO_SIZE - 1]
+        memo = self._memo
+        for i, state in enumerate(memo):
+            if state.matches(x, idx):
+                if i:
+                    memo.insert(0, memo.pop(i))
+                return state
+        state = _PointState(self, x, idx)
+        self._memo = [state] + memo[:MEMO_SIZE - 1]
         return state
 
     # -- oracle primitives (means over idx) ----------------------------------
@@ -194,9 +204,10 @@ class NLSProblem(ObjectiveOracle):
         return np.asarray(state.A.T @ state.grad_weights).ravel() / idx.size
 
     def _hvp(self, x, v, idx):
+        # Both products of a dense or CSR row block with a 1-D vector are
+        # 1-D ndarrays already.
         state = self._state(x, idx)
-        t = np.asarray(state.A @ v).ravel()
-        return np.asarray(state.A.T @ (state.curv_weights * t)).ravel() / idx.size
+        return state.A.T @ (state.curv_weights * (state.A @ v)) / idx.size
 
     def _dense_hessian(self, x, idx):
         state = self._state(x, idx)

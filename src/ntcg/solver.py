@@ -745,9 +745,20 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
         k += 1
 
     x_final = x + d if termination == TERM_FIRST_ORDER_AND_CERTIFIED else x
-    final_grad = problem.audit_grad(x_final)
-    final_f = problem.audit_f(x_final)
-    final_norm = float(np.linalg.norm(final_grad))
+    if termination in (TERM_CERTIFIED_AT_CURRENT, TERM_CONTRACT_VIOLATION):
+        # The run stopped at the x of its last record, which holds f(x) on
+        # the full set and, when the gradient was exact (under audit or on
+        # the full batch), ||grad f(x)|| as the audit channel computes them.
+        final_f = f_here
+        if audit:
+            final_norm = exact_g_norm
+        elif not policy.subsamples_gradient():
+            final_norm = g_norm
+        else:
+            final_norm = float(np.linalg.norm(problem.audit_grad(x_final)))
+    else:
+        final_f = problem.audit_f(x_final)
+        final_norm = float(np.linalg.norm(problem.audit_grad(x_final)))
     commit(open_record, final_norm, final_norm,
            auditor.condition_holds(final_norm) if audit else None)
     if audit:

@@ -5,7 +5,7 @@ import pytest
 from helpers import random_symmetric, symmetric_with_spectrum
 
 from ntcg import NC, SOL, CappedCGParams, ContractViolation, HessianOperator, capped_cg, j_cap
-from ntcg.capped_cg import _derived
+from ntcg.capped_cg import _derived, _norm
 
 
 def solve_dense(H, g, eps):
@@ -293,3 +293,15 @@ class TestJCap:
         ys = np.log(Js)
         slope = np.polyfit(xs, ys, 1)[0]
         assert 0.8 <= slope <= 1.2
+
+
+class TestNorm:
+    def test_bit_identical_to_numpy(self):
+        # Contiguous vectors and the strided and reversed views an
+        # operator may return, over sizes and magnitudes.
+        rng = np.random.default_rng(8)
+        for size in (1, 2, 7, 64, 100, 1001):
+            for scale in (1e-150, 1e-3, 1.0, 1e150):
+                base = scale * rng.standard_normal(2 * size)
+                for v in (base[:size], base[::2], base[::-2]):
+                    assert _norm(v) == np.linalg.norm(v)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 from helpers import symmetric_with_spectrum
+from numpy.testing import assert_array_equal
+from scipy.linalg import eigh_tridiagonal
 
 from ntcg import CERTIFICATE, NEGATIVE_CURVATURE, HessianOperator, meo_lanczos
-from ntcg.meo import meo_iteration_cap
+from ntcg.meo import bottom_ritz_pair, meo_iteration_cap
 
 
 def planted_operator(rng, dim, lam_min, bulk_low, bulk_high):
@@ -122,3 +124,31 @@ class TestStatistics:
             res = meo_lanczos(op, M=2.5, epsilon=1.0, delta=0.05, rng=t)
             if res.outcome == NEGATIVE_CURVATURE:
                 assert res.lam <= -0.5
+
+
+class TestBottomRitzPair:
+    """The direct LAPACK calls give scipy's pair bit for bit."""
+
+    @staticmethod
+    def assert_same_as_scipy(d, e):
+        lam, v = bottom_ritz_pair(d, e)
+        vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+        assert lam == vals[0]
+        assert_array_equal(v, vecs[:, 0])
+
+    def test_random_tridiagonals(self):
+        rng = np.random.default_rng(3)
+        for size in range(2, 61):
+            self.assert_same_as_scipy(rng.standard_normal(size),
+                                      np.abs(rng.standard_normal(size - 1)))
+
+    def test_clustered_spectrum(self):
+        # Eigenvalues within about 1e-8 of 1: bisection and inverse
+        # iteration work hardest to separate them.
+        rng = np.random.default_rng(4)
+        self.assert_same_as_scipy(1.0 + 1e-9 * rng.standard_normal(40),
+                                  1e-8 * rng.random(39))
+
+    def test_nonfinite_input_rejected(self):
+        with pytest.raises(ValueError):
+            bottom_ritz_pair(np.array([1.0, np.nan]), np.array([0.5]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from helpers import central_diff_grad, central_diff_hvp, rel_err
+from numpy.testing import assert_array_equal
 
 from ntcg import CallableOracle, HessianOperator, OracleLedger, synthetic_nls
 
@@ -177,3 +178,87 @@ class TestHessianOperator:
         H.apply(np.ones(5))
         assert problem.ledger.hv_calls == 10
         assert problem.ledger.props == 40
+
+    def test_operator_keeps_its_own_index_set(self):
+        problem = synthetic_nls(50, 4, seed=0)
+        x = np.random.default_rng(1).standard_normal(4)
+        idx = np.array([0, 1, 2])
+        H = HessianOperator.from_oracle(problem, x, idx)
+        before = H.apply(np.ones(4))
+        idx[0] = 40
+        assert_array_equal(H.apply(np.ones(4)), before)
+
+    def test_operator_rejects_fractional_indices(self):
+        problem = synthetic_nls(50, 4, seed=0)
+        H = HessianOperator.from_oracle(problem, np.ones(4), [0.5])
+        with pytest.raises(ValueError):
+            H.apply(np.ones(4))
+
+
+def _read_only(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+def _evaluate(problem, method, x, idx, v):
+    if method == "eval_hvp":
+        return problem.eval_hvp(x, v, idx)
+    return getattr(problem, method)(x, idx)
+
+
+# Props per row of each counted call.
+VALIDATION_METHODS = {"eval_f": 1, "eval_grad": 2, "eval_hvp": 4}
+X0 = np.array([0.5, -1.0, 2.0])
+V0 = np.array([1.0, 0.25, -3.0])
+IDX0 = np.array([0, 3, 7], dtype=np.int64)
+
+# (x, index set, v) in the forms a caller may pass; each must give the
+# answer of (X0, IDX0, V0).
+ACCEPTED = {
+    "lists": (X0.tolist(), IDX0.tolist(), V0.tolist()),
+    "tuples": (tuple(X0), tuple(IDX0), tuple(V0)),
+    "int32-indices": (X0, IDX0.astype(np.int32), V0),
+    "integral-float-indices": (X0, IDX0.astype(float), V0),
+    "read-only": (_read_only(X0), _read_only(IDX0), _read_only(V0)),
+}
+
+# (x, index set, v, the exception the oracle raises).
+REJECTED = {
+    "2-d-x": (X0[None, :], IDX0, V0, ValueError),
+    "short-x": (X0[:2], IDX0, V0, ValueError),
+    "nan-x": (np.array([0.5, np.nan, 2.0]), IDX0, V0, ValueError),
+    "inf-x": (np.array([0.5, np.inf, 2.0]), IDX0, V0, ValueError),
+    "fractional-indices": (X0, np.array([0.0, 3.5]), V0, ValueError),
+    "bool-indices": (X0, np.array([True, False, True]), V0, ValueError),
+    "negative-index": (X0, np.array([0, -1]), V0, IndexError),
+    "out-of-range-index": (X0, np.array([0, 10]), V0, IndexError),
+}
+
+
+class TestValidation:
+    @pytest.mark.parametrize("case", sorted(ACCEPTED))
+    @pytest.mark.parametrize("method", VALIDATION_METHODS)
+    def test_accepted_forms(self, method, case):
+        problem = synthetic_nls(10, 3, seed=2)
+        want = _evaluate(synthetic_nls(10, 3, seed=2), method, X0, IDX0, V0)
+        x, idx, v = ACCEPTED[case]
+        assert_array_equal(_evaluate(problem, method, x, idx, v), want)
+        assert problem.ledger.props == VALIDATION_METHODS[method] * IDX0.size
+
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    @pytest.mark.parametrize("method", VALIDATION_METHODS)
+    def test_rejected_forms(self, method, case):
+        problem = synthetic_nls(10, 3, seed=2)
+        x, idx, v, exc = REJECTED[case]
+        with pytest.raises(exc):
+            _evaluate(problem, method, x, idx, v)
+        assert problem.ledger.props == 0
+
+    def test_full_index_set_is_shared_and_read_only(self):
+        problem = synthetic_nls(10, 3, seed=2)
+        full = problem.full_index_set()
+        assert full is problem.full_index_set()
+        assert_array_equal(full, np.arange(10))
+        with pytest.raises(ValueError):
+            full[0] = 1

@@ -25,20 +25,34 @@ from ntcg import (
 )
 from ntcg.problems import TANH, constants_for
 from ntcg.sampling import SUB_BOTH, preset_policy
+from ntcg.solver import TERM_CERTIFIED_AT_CURRENT
 
 
 def _key(*arrays):
     return tuple(np.ascontiguousarray(a).tobytes() for a in arrays)
 
 
-def count_calls(problem):
+def count_calls(problem, audit=False):
     """Wrap eval_f and eval_hvp of `problem`; returns a Counter of call keys.
 
     Audit-channel calls (f through a ledger other than the problem's own)
-    are not charged, so they are not keyed.
+    are not charged, so they are not keyed, unless `audit` is set: then
+    audit_f and audit_grad are keyed by their point as well.
     """
     calls = collections.Counter()
     eval_f, eval_hvp = problem.eval_f, problem.eval_hvp
+
+    def keyed(name):
+        method = getattr(problem, name)
+
+        def audited(x):
+            calls[name, _key(x)] += 1
+            return method(x)
+
+        return audited
+
+    if audit:
+        problem.audit_f, problem.audit_grad = keyed("audit_f"), keyed("audit_grad")
 
     def counted_f(x, index_set, ledger=None):
         if ledger is None:
@@ -91,6 +105,21 @@ def test_saddle_run_off_the_origin_pays_once(variant):
                                        seed=21, max_outer_iters=5000),
                  variant=variant, constants=consts, x0=x0)
     assert any(r.nc_origin == "cg" for r in report.records)
+    assert_paid_once(calls)
+
+
+def test_audited_saddle_run_from_the_origin_reuses_the_last_record():
+    # Certified at its last iterate, the run reads f and the exact gradient
+    # norm there from the last record instead of asking the audit again.
+    problem, consts = synthetic_saddle(4, mu=1.0, gamma=1.0)
+    calls = count_calls(problem, audit=True)
+    report = run(problem, SolverConfig(eps_g=1e-3, U_H=consts.U_H, L_H=consts.L_H,
+                                       seed=5, max_outer_iters=5000),
+                 constants=consts, x0=np.zeros(4), audit=True)
+    assert report.termination == TERM_CERTIFIED_AT_CURRENT
+    assert report.final_f == report.records[-1].f_value
+    assert report.final_true_grad_norm == report.records[-1].grad_true_norm
+    assert any(kind == "audit_grad" for kind, _ in calls)
     assert_paid_once(calls)
 
 
