@@ -125,3 +125,145 @@ class TestRoundTrip:
             assert np.array_equal(b2, b)
             for before, after in zip(stored, (A.data, A.indices, A.indptr)):
                 assert np.array_equal(before, after)
+
+
+def load_bytes(tmp_path, payload, sparse=False):
+    path = tmp_path / "a.txt"
+    path.write_bytes(payload)
+    return load_libsvm(path, sparse=sparse)
+
+
+def format_error(tmp_path, payload):
+    path = tmp_path / "a.txt"
+    path.write_bytes(payload)
+    with pytest.raises(LibSVMFormatError) as err:
+        load_libsvm(path)
+    return err.value
+
+
+class TestLineSyntax:
+    """The per-line grammar as the loader accepts it, pinned byte for byte."""
+
+    REFERENCE = b"1 1:0.5 3:2.0\n-1 2:1.5\n"
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_crlf_and_lone_cr_line_endings(self, tmp_path, newline):
+        A_ref, b_ref = load_bytes(tmp_path, self.REFERENCE)
+        A, b = load_bytes(tmp_path, self.REFERENCE.replace(b"\n", newline))
+        assert np.array_equal(A, A_ref) and np.array_equal(b, b_ref)
+
+    def test_lone_cr_counts_as_a_line_break_in_error_positions(self, tmp_path):
+        err = format_error(tmp_path, b"1 1:0.5\r# note\r\n-1 2:x\r")
+        assert err.lineno == 3
+
+    def test_tabs_and_runs_of_spaces(self, tmp_path):
+        A_ref, b_ref = load_bytes(tmp_path, self.REFERENCE)
+        A, b = load_bytes(tmp_path, b"  1\t1:0.5 \t  3:2.0\t\n-1    2:1.5   \n")
+        assert np.array_equal(A, A_ref) and np.array_equal(b, b_ref)
+
+    def test_comment_lines_between_data_lines(self, tmp_path):
+        A_ref, b_ref = load_bytes(tmp_path, self.REFERENCE)
+        A, b = load_bytes(
+            tmp_path,
+            b"# header\n1 1:0.5 3:2.0 # trailing 4:9\n   # indented\n\n"
+            b"-1 2:1.5#glued 7:1\n#\n",
+        )
+        assert np.array_equal(A, A_ref) and np.array_equal(b, b_ref)
+
+    def test_lines_counted_across_comments_and_blanks(self, tmp_path):
+        err = format_error(tmp_path, b"# c\n\n1 1:1\n  # c\n1 1:1 1:2\n")
+        assert err.lineno == 5
+
+    def test_unusual_but_accepted_spellings(self, tmp_path):
+        A, b = load_bytes(tmp_path, b"+1e0 01:-.5 +2:1E3 1_0:2_5\n", sparse=True)
+        assert A.shape == (1, 10)
+        assert A.indices.tolist() == [0, 1, 9]
+        assert A.data.tolist() == [-0.5, 1000.0, 25.0]
+        assert b.tolist() == [1.0]
+
+    def test_zero_row_and_dimension_floor(self, tmp_path):
+        A, b = load_bytes(tmp_path, b"3\n-2 \n", sparse=True)
+        assert A.shape == (2, 1) and A.nnz == 0
+        assert A.indptr.tolist() == [0, 0, 0]
+        assert b.tolist() == [3.0, -2.0]
+
+
+class TestErrorMessages:
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            (b"xyz 1:2\n", "line 1: label 'xyz' is not a number"),
+            (b"1 1:1 nocolon\n", "line 1: feature 'nocolon' lacks an index:value separator"),
+            (b"1 1:abc\n", "line 1: cannot parse feature '1:abc'"),
+            (b"1 0:1.0\n", "line 1: feature index 0 is not 1-based"),
+            (b"1 -3:1.0\n", "line 1: feature index -3 is not 1-based"),
+            (b"1 3:1.0 2:5.0\n",
+             "line 1: feature indices must be strictly increasing (2 after 3)"),
+            (b"1 3:1.0 3:5.0\n",
+             "line 1: feature indices must be strictly increasing (3 after 3)"),
+        ],
+    )
+    def test_full_message_text(self, tmp_path, payload, message):
+        err = format_error(tmp_path, payload)
+        assert str(err) == message
+        assert err.lineno == 1
+
+    def test_no_data_lines_message(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_bytes(b"# only a comment\n\n")
+        with pytest.raises(LibSVMFormatError) as err:
+            load_libsvm(path)
+        assert str(err.value) == "file %r contains no data lines" % str(path)
+        assert err.value.lineno is None
+
+    @pytest.mark.parametrize(
+        "token,message",
+        [
+            ("2:1:5", "cannot parse feature '2:1:5'"),
+            (":5", "cannot parse feature ':5'"),
+            ("5:", "cannot parse feature '5:'"),
+            ("1.5:2", "cannot parse feature '1.5:2'"),
+        ],
+    )
+    def test_malformed_index_value_tokens(self, tmp_path, token, message):
+        err = format_error(tmp_path, ("1 %s\n" % token).encode())
+        assert str(err) == "line 1: " + message
+
+    def test_label_containing_colon(self, tmp_path):
+        err = format_error(tmp_path, b"1 1:1\n1:2 3:4\n")
+        assert str(err) == "line 2: label '1:2' is not a number"
+
+    def test_first_error_in_file_order_wins(self, tmp_path):
+        err = format_error(tmp_path, b"1 1:1\n1 4:1 2:1\n1 1:abc\nxyz\n")
+        assert str(err) == (
+            "line 2: feature indices must be strictly increasing (2 after 4)")
+
+    def test_first_bad_token_in_a_line_wins(self, tmp_path):
+        err = format_error(tmp_path, b"1 2:1 1:abc 0:1\n")
+        assert str(err) == "line 1: cannot parse feature '1:abc'"
+        err = format_error(tmp_path, b"1 2:1 1:1 nocolon\n")
+        assert str(err) == (
+            "line 1: feature indices must be strictly increasing (1 after 2)")
+
+
+class TestAgainstWrittenCSR:
+    def test_bit_identical_arrays_and_dtypes(self, tmp_path):
+        rng = np.random.default_rng(7)
+        A = sp.random(40, 600, density=0.05, format="csr", random_state=rng)
+        A.data = rng.standard_normal(A.nnz) * 10.0 ** rng.integers(-20, 20, A.nnz)
+        A.sort_indices()
+        b = rng.standard_normal(40)
+        assert A.indices.max() > 256
+        path = tmp_path / "w.txt"
+        dump_libsvm(path, A, b)
+        A2, b2 = load_libsvm(path, sparse=True)
+        assert A2.shape == A.shape
+        for got, want in ((A2.data, A.data), (A2.indices, A.indices),
+                          (A2.indptr, A.indptr), (b2, b)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert A2.indices.dtype == np.int32 and A2.indptr.dtype == np.int32
+        D, b3 = load_libsvm(path)
+        assert D.dtype == np.float64 and D.flags.c_contiguous
+        assert D.tobytes() == A.toarray().tobytes()
+        assert b3.tobytes() == b.tobytes()
