@@ -7,10 +7,15 @@ reported with their 1-based line number.  Values are written with Python's
 shortest round-trip float repr, so a write/read cycle is bit-exact.
 """
 
+from array import array
+
 import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import LibSVMFormatError
+
+# Feature indices are held as int64; a larger one cannot be stored.
+_MAX_INDEX = np.iinfo(np.int64).max
 
 
 def load_libsvm(path, sparse=False, comment_char="#"):
@@ -18,16 +23,28 @@ def load_libsvm(path, sparse=False, comment_char="#"):
 
     A : (n, d) float64 ndarray, or CSR when sparse=True.
     b : (n,) float64 labels, used as loaded (no remapping).
+
+    The file is read one line at a time into typed buffers (int64 feature
+    indices, float64 values and labels, int64 row pointers), so while
+    parsing the loader holds the result's buffers plus one line of text.
+    Its peak is about 21 bytes per stored value, of which the returned CSR
+    keeps 12 (the value and its int32 column index).
+
+    Raises LibSVMFormatError naming the first bad line in file order: a
+    label that is not a number, a feature without ``:``, a feature whose
+    index or value does not parse, an index below 1, indices that do not
+    strictly increase along the line, or an index above 2**63 - 1 (it would
+    not fit the int64 index buffer).  A file without data lines raises it
+    without a line number.
     """
-    labels = []
-    indptr, indices, data = [0], [], []  # CSR arrays, 0-based indices
+    labels = array("d")
+    indptr, indices, data = array("q", [0]), array("q"), array("d")
     max_index = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split(comment_char, 1)[0].strip()
-            if not line:
+            parts = raw.partition(comment_char)[0].split()
+            if not parts:
                 continue
-            parts = line.split()
             try:
                 label = float(parts[0])
             except ValueError:
@@ -36,11 +53,11 @@ def load_libsvm(path, sparse=False, comment_char="#"):
                 ) from None
             prev = 0
             for token in parts[1:]:
-                if ":" not in token:
+                idx_s, sep, val_s = token.partition(":")
+                if not sep:
                     raise LibSVMFormatError(
                         "feature %r lacks an index:value separator" % token, lineno
                     )
-                idx_s, val_s = token.split(":", 1)
                 try:
                     idx = int(idx_s)
                     val = float(val_s)
@@ -48,18 +65,24 @@ def load_libsvm(path, sparse=False, comment_char="#"):
                     raise LibSVMFormatError(
                         "cannot parse feature %r" % token, lineno
                     ) from None
-                if idx < 1:
+                if not prev < idx <= _MAX_INDEX:
+                    if idx < 1:
+                        raise LibSVMFormatError(
+                            "feature index %d is not 1-based" % idx, lineno
+                        )
+                    if idx <= prev:
+                        raise LibSVMFormatError(
+                            "feature indices must be strictly increasing "
+                            "(%d after %d)" % (idx, prev),
+                            lineno,
+                        )
                     raise LibSVMFormatError(
-                        "feature index %d is not 1-based" % idx, lineno
-                    )
-                if idx <= prev:
-                    raise LibSVMFormatError(
-                        "feature indices must be strictly increasing "
-                        "(%d after %d)" % (idx, prev),
+                        "feature index %d exceeds the largest supported index %d"
+                        % (idx, _MAX_INDEX),
                         lineno,
                     )
                 prev = idx
-                indices.append(idx - 1)
+                indices.append(idx)
                 data.append(val)
             labels.append(label)
             indptr.append(len(indices))
@@ -68,12 +91,14 @@ def load_libsvm(path, sparse=False, comment_char="#"):
     if not labels:
         raise LibSVMFormatError("file %r contains no data lines" % str(path))
 
+    cols = np.frombuffer(indices, dtype=np.int64)
+    cols -= 1  # the buffer holds the file's 1-based indices
     A = sp.csr_matrix(
-        (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int64),
-         np.asarray(indptr, dtype=np.int64)),
+        (np.frombuffer(data, dtype=np.float64), cols,
+         np.frombuffer(indptr, dtype=np.int64)),
         shape=(len(labels), max(max_index, 1)),
     )
-    return (A if sparse else A.toarray()), np.asarray(labels, dtype=np.float64)
+    return (A if sparse else A.toarray()), np.array(labels, dtype=np.float64)
 
 
 def dump_libsvm(path, A, b):

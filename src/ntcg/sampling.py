@@ -88,7 +88,7 @@ def sample_indices(n, batch, rng):
     if batch == n:
         return np.arange(n, dtype=np.int64)
     rng = as_generator(rng)
-    return rng.choice(n, size=batch, replace=False).astype(np.int64)
+    return rng.choice(n, size=batch, replace=False).astype(np.int64, copy=False)
 
 
 def adapt_grad_batch(prev_batch, g_norm_now, g_norm_prev, n_total=None,

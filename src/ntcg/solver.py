@@ -663,7 +663,10 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
 
     k = 0
     while k < config.max_outer_iters:
-        grad_idx = policy.draw_grad_indices(n, rng)
+        # Full batches are the oracle's shared read-only index set, which
+        # `_PointState` and `HessianOperator.from_oracle` recognise by identity.
+        grad_idx = (policy.draw_grad_indices(n, rng) if policy.subsamples_gradient()
+                    else full_idx)
         g = problem.eval_grad(x, grad_idx)
         g_norm = float(np.linalg.norm(g))
 
@@ -684,7 +687,8 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
             commit(open_record, g_norm, exact_g_norm, condition_ok)
         retries_left = config.max_condition_retries
 
-        hess_idx = policy.draw_hess_indices(n, rng)
+        hess_idx = (policy.draw_hess_indices(n, rng) if policy.subsamples_hessian()
+                    else full_idx)
         H = HessianOperator.from_oracle(problem, x, hess_idx)
         d, d_type, nc_origin, cg_iters, meo_iters, terminate = _direction(
             H, g, g_norm, eff, config.skip_small_step_block, rng

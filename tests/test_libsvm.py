@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from ntcg import LibSVMFormatError, dump_libsvm, load_libsvm
+from ntcg.cli import main
 
 
 class TestParsing:
@@ -267,3 +270,53 @@ class TestAgainstWrittenCSR:
         assert D.dtype == np.float64 and D.flags.c_contiguous
         assert D.tobytes() == A.toarray().tobytes()
         assert b3.tobytes() == b.tobytes()
+
+
+class TestIndexRange:
+    def test_largest_int64_index_loads(self, tmp_path):
+        A, _ = load_bytes(tmp_path, b"1 1:0.5 9223372036854775807:1\n", sparse=True)
+        assert A.shape == (1, 2**63 - 1)
+        assert A.indices.tolist() == [0, 2**63 - 2]
+
+    @pytest.mark.parametrize("index", [2**63, 99999999999999999999])
+    def test_overflowing_index_is_a_format_error(self, tmp_path, index):
+        err = format_error(tmp_path, b"1 1:1\n# c\n1 1:0.5 %d:1\n" % index)
+        assert str(err) == (
+            "line 3: feature index %d exceeds the largest supported index "
+            "9223372036854775807" % index)
+        assert err.lineno == 3
+
+    def test_overflowing_index_is_a_clean_cli_error(self, tmp_path, capsys):
+        bad = tmp_path / "big.libsvm"
+        bad.write_text("1 1:0.5 99999999999999999999:1\n")
+        code = main(["solve", "--problem", "nls-sigmoid", "--data", str(bad),
+                     "--variant", "full", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: line 1: feature index 99999999999999999999 exceeds the "
+            "largest supported index 9223372036854775807\n")
+
+
+class TestMemory:
+    def test_parse_peak_stays_near_the_result_size(self, tmp_path):
+        # Column indices above 256 are not small-int singletons, so a loader
+        # that keeps one Python object per value shows its full cost.
+        rng = np.random.default_rng(5)
+        A = sp.random(1250, 2000, density=0.01, format="csr", random_state=rng)
+        A.data = rng.integers(1, 1000, A.nnz) / 8.0  # short reprs write fast
+        path = tmp_path / "m.txt"
+        dump_libsvm(path, A, rng.standard_normal(1250))
+        warm = tmp_path / "warm.txt"
+        warm.write_text("1 300:1\n")
+        load_libsvm(warm, sparse=True)  # imports made on first use stay out
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            A2, _ = load_libsvm(path, sparse=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert A2.nnz == A.nnz > 20000
+        assert peak <= 32 * A.nnz

@@ -20,7 +20,7 @@ from ntcg import (
     synthetic_nls,
     synthetic_saddle,
 )
-from ntcg.sampling import SUB_BOTH, AccuracyTargets
+from ntcg.sampling import EXACT, SUB_BOTH, SUB_HESSIAN_ONLY, AccuracyTargets
 from ntcg.solver import FIXED_STEP, run
 
 
@@ -594,3 +594,31 @@ class TestConditionMachinery:
                            skip_small_step_block=True)
         rep = traced(lambda trace: run(problem, cfg, x0=np.zeros(15), trace=trace))
         assert {"K2", "K3"} & {r.step_class for r in rep.records}
+
+
+class TestFullBatchIndexSet:
+    @pytest.mark.parametrize("mode,hessian_full", [(EXACT, True),
+                                                   (SUB_HESSIAN_ONLY, False)])
+    def test_full_batches_pass_the_shared_index_set(self, mode, hessian_full):
+        # Full batches reach the oracle as its own read-only index set, so
+        # the memo and the Hessian operator can match them by identity.
+        problem = synthetic_nls(200, 5, seed=3)
+        full = problem.full_index_set()
+        seen = {"grad": set(), "hvp": set()}
+        eval_grad, eval_hvp = problem.eval_grad, problem.eval_hvp
+
+        def spy_grad(x, index_set, ledger=None):
+            seen["grad"].add(index_set is full)
+            return eval_grad(x, index_set, ledger=ledger)
+
+        def spy_hvp(x, v, index_set):
+            seen["hvp"].add(index_set is full)
+            return eval_hvp(x, v, index_set)
+
+        problem.eval_grad, problem.eval_hvp = spy_grad, spy_hvp
+        policy = SamplingPolicy(mode=mode, hess_batch=20)
+        cfg = SolverConfig(eps_g=1e-8, seed=4, max_outer_iters=4,
+                           skip_small_step_block=True)
+        rep = run(problem, cfg, policy=policy, x0=np.zeros(5))
+        assert len(rep.records) == 4
+        assert seen == {"grad": {True}, "hvp": {hessian_full}}
