@@ -19,17 +19,54 @@ def check_vector(x, name="x", dim=None):
     return x
 
 
+# Reductions over the rows of a data matrix (the finiteness test here, the
+# row norms in problems.py) run on blocks of about this many float64 values,
+# 1 MiB, so that their temporaries take one block, not the matrix's size.
+_BLOCK_VALUES = 1 << 17
+
+
+def row_blocks(A):
+    """Slices of A's rows that each hold about _BLOCK_VALUES values: by
+    width for a dense A, by stored values for CSR (a block holds more when
+    one of its rows alone does).
+
+    A dense block never holds a single row unless A does: numpy reduces a
+    lone row of a column-major array pairwise but each row of a taller
+    block one column at a time, so a one-row block would change the last
+    bits of that row's sums.
+    """
+    n = A.shape[0]
+    if sp.issparse(A):
+        # Cut at the first row end at or past each multiple of the block.
+        marks = np.arange(_BLOCK_VALUES, A.indptr[-1], _BLOCK_VALUES)
+        cuts = np.unique(np.searchsorted(A.indptr, marks))
+        cuts = cuts[cuts < n].tolist()
+    else:
+        step = max(2, _BLOCK_VALUES // max(A.shape[1], 1))
+        cuts = range(step, n - 1, step)
+    bounds = [0, *cuts, n]
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
 def check_matrix(A, name="A"):
-    """Coerce to 2-D float64, dense ndarray or CSR. Rejects non-finite data."""
+    """Coerce to 2-D float64, dense ndarray or CSR. Rejects non-finite data.
+
+    A float64 ndarray or CSR is returned as is, not copied.  The finiteness
+    test reads row blocks of a dense A (:func:`row_blocks`) and runs of
+    about 1 MiB of a CSR's stored values, so it allocates about 128 KiB of
+    flags at a time instead of one flag per value.
+    """
     if sp.issparse(A):
         A = A.tocsr().astype(np.float64, copy=False)
-        if not np.all(np.isfinite(A.data)):
-            raise ValueError("%s contains non-finite entries" % name)
-        return A
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2:
-        raise ValueError("%s must be 2-D, got shape %s" % (name, (A.shape,)))
-    if not np.all(np.isfinite(A)):
+        values = A.data
+        blocks = [slice(start, start + _BLOCK_VALUES)
+                  for start in range(0, values.size, _BLOCK_VALUES)]
+    else:
+        A = np.asarray(A, dtype=np.float64)
+        if A.ndim != 2:
+            raise ValueError("%s must be 2-D, got shape %s" % (name, (A.shape,)))
+        values, blocks = A, row_blocks(A)
+    if not all(np.isfinite(values[block]).all() for block in blocks):
         raise ValueError("%s contains non-finite entries" % name)
     return A
 

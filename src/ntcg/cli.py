@@ -282,6 +282,10 @@ def main(argv=None):
     except (OSError, LibSVMFormatError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print("error: out of memory (%s); --sparse keeps LIBSVM data in CSR form"
+              % exc, file=sys.stderr)
+        return 1
     for rep in reports:
         print(
             json.dumps(

@@ -30,6 +30,11 @@ def load_libsvm(path, sparse=False, comment_char="#"):
     Its peak is about 21 bytes per stored value, of which the returned CSR
     keeps 12 (the value and its int32 column index).
 
+    A dense A that cannot be allocated raises MemoryError; so does one
+    whose byte size numpy refuses outright (past 2**63 bytes, as for a
+    feature index of 2**62), before any allocation.  sparse=True holds
+    such a file in CSR form.
+
     Raises LibSVMFormatError naming the first bad line in file order: a
     label that is not a number, a feature without ``:``, a feature whose
     index or value does not parse, an index below 1, indices that do not
@@ -98,7 +103,17 @@ def load_libsvm(path, sparse=False, comment_char="#"):
          np.frombuffer(indptr, dtype=np.int64)),
         shape=(len(labels), max(max_index, 1)),
     )
-    return (A if sparse else A.toarray()), np.array(labels, dtype=np.float64)
+    b = np.array(labels, dtype=np.float64)
+    if sparse:
+        return A, b
+    try:
+        return A.toarray(), b
+    except ValueError:
+        # numpy refuses a byte size past the address space before it
+        # allocates anything; a size it tries and fails raises MemoryError.
+        raise MemoryError(
+            "a dense %d x %d float64 matrix exceeds the address space" % A.shape
+        ) from None
 
 
 def dump_libsvm(path, A, b):

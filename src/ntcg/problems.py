@@ -21,9 +21,19 @@ these are the standard per-row formulas maximized over the data:
   welsch:  L_H = 9 a^{3/2} max ||a_i||^3, K_g = sqrt(2/a) max ||a_i||,
            K_H = 2 max ||a_i||^2
 
+The row norms behind these constants, and the row normalisation of
+`synthetic_nls`, are reduced over row blocks of about 1 MiB of float64
+(``_validation.row_blocks``), bit-identical to the unblocked formulas.  So
+set-up allocates A plus about one block and O(n) vectors: by tracemalloc,
+`synthetic_nls(20000, 200)` peaks at A plus 1.2 MB, and `constants_for`
+allocates 1.2 MB on that instance and 1.8 MB on a 50000-row CSR holding
+1M values.
+
 An NLS evaluation at (x, idx) goes through one per-point state: the row
 block, z = A_idx x, the batch labels, and the link terms with the value,
-gradient weights and curvature weights built from them on first use.  The
+gradient weights and curvature weights built from them on first use, so a
+state asked only for f (a line-search trial, an audit value) evaluates the
+link but not its derivatives.  The
 row block is A itself when idx is arange(n), so full-batch calls copy no
 rows; any other index set, a permuted or repeated full-size one included,
 takes the copy A[idx].  The problem memoizes the states of its last two
@@ -40,7 +50,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from ._validation import check_matrix, check_vector
+from ._validation import check_matrix, check_vector, row_blocks
 from .oracle import ObjectiveOracle
 
 SIGMOID = "sigmoid"
@@ -62,35 +72,71 @@ class ProblemConstants:
     f_low: float = 0.0
 
 
-# -- link functions: value and first two derivatives ------------------------
+# -- link functions ------------------------------------------------------------
+#
+# Each link is (phi, phi' from phi, phi'' from phi and phi'), so that a
+# state asked only for its value evaluates phi alone.
 
 
-def sigmoid_link(z):
-    p = expit(z)
-    d1 = p * (1.0 - p)
-    d2 = d1 * (1.0 - 2.0 * p)
-    return p, d1, d2
+def _sigmoid_d1(p):
+    return p * (1.0 - p)
 
 
-def tanh_link(z):
-    t = np.tanh(z)
-    d1 = 1.0 - t * t
-    d2 = -2.0 * t * d1
-    return t, d1, d2
+def _sigmoid_d2(p, d1):
+    return d1 * (1.0 - 2.0 * p)
 
 
-def welsch_loss(z, alpha):
-    e = np.exp(-alpha * z * z)
-    value = (1.0 - e) / alpha
-    d1 = 2.0 * z * e
-    d2 = (2.0 - 4.0 * alpha * z * z) * e
-    return value, d1, d2
+def _tanh_d1(t):
+    return 1.0 - t * t
+
+
+def _tanh_d2(t, d1):
+    return -2.0 * t * d1
+
+
+LINKS = {SIGMOID: (expit, _sigmoid_d1, _sigmoid_d2),
+         TANH: (np.tanh, _tanh_d1, _tanh_d2)}
 
 
 def _row_norms(A):
-    if sp.issparse(A):
+    """Euclidean norms of A's rows, computed on :func:`row_blocks`.
+
+    Each row reads the same values in the same order as the unblocked
+    formulas, so the norms are bit-identical to np.linalg.norm(A, axis=1)
+    for a dense A and to np.sqrt(A.multiply(A).sum(axis=1)) for CSR; the
+    temporaries take about one block instead of a copy of A.
+    """
+    if not sp.issparse(A):
+        norms = np.empty(A.shape[0])
+        for rows in row_blocks(A):
+            norms[rows] = np.linalg.norm(A[rows], axis=1)
+        return norms
+    if not A.has_canonical_format:
+        # For operands that are not canonical, scipy's product merges
+        # repeated columns and emits each row in reverse order of first
+        # appearance.  It decides by the operands it is given, and a block
+        # of such an A can be canonical, so such an A is reduced whole.
         return np.sqrt(np.asarray(A.multiply(A).sum(axis=1)).ravel())
-    return np.linalg.norm(A, axis=1)
+    sums = np.zeros(A.shape[0])
+    for rows in row_blocks(A):
+        ptr = A.indptr[rows.start:rows.stop + 1]
+        filled, block_sums = _square_sums(A.data[ptr[0]:ptr[-1]], ptr - ptr[0])
+        sums[rows.start + filled] = block_sums
+    return np.sqrt(sums)
+
+
+def _square_sums(values, ptr):
+    """(rows, sums): the rows of a CSR block that A.multiply(A) leaves
+    nonempty and the sums of their squares, as that product and its sum
+    over axis 1 form them.  A function of its own, so that one block's
+    squares are freed before the next block's are made."""
+    squares = values * values
+    if not squares.all():  # the product stores no zeros
+        kept = squares != 0
+        squares = squares[kept]
+        ptr = np.concatenate(([0], np.cumsum(kept)))[ptr]
+    filled = np.flatnonzero(np.diff(ptr))
+    return filled, np.add.reduceat(squares, ptr[filled])
 
 
 class _PointState:
@@ -99,10 +145,11 @@ class _PointState:
     The row block is A itself for the index set arange(n) and the copy
     A[idx] otherwise (a permuted or repeated full-size set keeps its own
     row order, hence its summation order); z = A_idx x is computed once.
-    The link terms and the weights are built on first use: the value
-    (mean loss), w_i with grad f_i = w_i a_i and c_i with
-    hess f_i = c_i a_i a_i^T.  The key (x, idx) is kept as private copies,
-    so a caller who later mutates x in place gets a miss, not a stale hit.
+    The link terms and the weights are built on first use, each from the
+    ones before it: the value (mean loss) needs phi(z) alone, w_i with
+    grad f_i = w_i a_i adds phi', and c_i with hess f_i = c_i a_i a_i^T
+    adds phi''.  The key (x, idx) is kept as private copies, so a caller
+    who later mutates x in place gets a miss, not a stale hit.
     """
 
     def __init__(self, problem, x, idx):
@@ -125,29 +172,47 @@ class _PointState:
                 and (self.x == x).all())
 
     @cached_property
-    def _terms(self):
-        """(loss_i, phi', phi''): the welsch loss of r = b - z and its
-        derivatives in r; for sigmoid/tanh the residual b - phi(z) and the
-        link derivatives in z."""
+    def _head(self):
+        """What the value needs and the derivatives build on: for welsch
+        (r, e^{-alpha r^2}) with r = b - z, for sigmoid/tanh (phi(z), the
+        residual b - phi(z))."""
         if self._link == WELSCH:
-            return welsch_loss(self._b - self._z, self._alpha)
-        phi, d1, d2 = (sigmoid_link if self._link == SIGMOID else tanh_link)(self._z)
-        return self._b - phi, d1, d2
+            r = self._b - self._z
+            return r, np.exp(-self._alpha * r * r)
+        phi = LINKS[self._link][0](self._z)
+        return phi, self._b - phi
+
+    @cached_property
+    def _d1(self):
+        """The welsch loss's derivative in r, or phi'(z)."""
+        if self._link == WELSCH:
+            r, e = self._head
+            return 2.0 * r * e
+        return LINKS[self._link][1](self._head[0])
+
+    @cached_property
+    def _d2(self):
+        """The welsch loss's second derivative in r, or phi''(z)."""
+        if self._link == WELSCH:
+            r, e = self._head
+            return (2.0 - 4.0 * self._alpha * r * r) * e
+        return LINKS[self._link][2](self._head[0], self._d1)
 
     @cached_property
     def value(self):
-        head = self._terms[0]
-        return float(np.mean(head if self._link == WELSCH else head * head))
+        if self._link == WELSCH:
+            return float(np.mean((1.0 - self._head[1]) / self._alpha))
+        resid = self._head[1]
+        return float(np.mean(resid * resid))
 
     @cached_property
     def grad_weights(self):
-        head, d1, _ = self._terms
-        return -d1 if self._link == WELSCH else -2.0 * head * d1
+        return -self._d1 if self._link == WELSCH else -2.0 * self._head[1] * self._d1
 
     @cached_property
     def curv_weights(self):
-        head, d1, d2 = self._terms
-        return d2 if self._link == WELSCH else 2.0 * (d1 * d1 - head * d2)
+        d1, d2 = self._d1, self._d2
+        return d2 if self._link == WELSCH else 2.0 * (d1 * d1 - self._head[1] * d2)
 
 
 class NLSProblem(ObjectiveOracle):
@@ -358,7 +423,7 @@ def synthetic_nls(n, dim, link=SIGMOID, alpha=1.0, row_norm=1.0, seed=0):
     """
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, dim))
-    A /= np.linalg.norm(A, axis=1, keepdims=True)
+    A /= _row_norms(A)[:, None]
     A *= row_norm * rng.uniform(0.5, 1.0, size=(n, 1))
     x_star = rng.standard_normal(dim)
     x_star /= np.linalg.norm(x_star)

@@ -5,6 +5,8 @@ factorizations, and eigendecompositions.  Tests compare the library's
 fast paths against these, never against themselves.
 """
 
+import tracemalloc
+
 import numpy as np
 
 
@@ -42,3 +44,24 @@ def rel_err(a, b):
     b = np.asarray(b, dtype=float)
     denom = max(np.linalg.norm(b), 1e-30)
     return np.linalg.norm(a - b) / denom
+
+
+def traced_peak(fn):
+    """(fn(), peak): peak is the most memory, in bytes, that tracemalloc saw
+    allocated at once while fn ran, beyond what was traced when it started.
+
+    A trace that is already running stays on, with its peak reset;
+    otherwise tracing starts for the call and stops after it.
+    """
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return result, peak

@@ -1,9 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from helpers import traced_peak
 
+import ntcg.cli
 from ntcg import LibSVMFormatError, dump_libsvm, load_libsvm
 from ntcg.cli import main
 
@@ -297,6 +297,41 @@ class TestIndexRange:
             "largest supported index 9223372036854775807\n")
 
 
+class TestDenseAllocation:
+    """A dense matrix too large to allocate is a clean error that names
+    --sparse.  Nothing here allocates it: numpy refuses a 2**62-column
+    float64 row before it tries, and the loader is otherwise patched."""
+
+    def test_loader_refuses_before_allocating(self, tmp_path):
+        with pytest.raises(MemoryError, match="dense 1 x 4611686018427387904 float64"):
+            load_bytes(tmp_path, b"1 4611686018427387904:1\n")
+
+    def _solve(self, path, tmp_path):
+        return main(["solve", "--problem", "nls-sigmoid", "--data", str(path),
+                     "--variant", "full", "--out", str(tmp_path)])
+
+    def test_unaddressable_width_is_a_clean_cli_error(self, tmp_path, capsys):
+        bad = tmp_path / "wide.libsvm"
+        bad.write_text("1 4611686018427387904:1\n")
+        assert self._solve(bad, tmp_path) == 1
+        assert capsys.readouterr().err == (
+            "error: out of memory (a dense 1 x 4611686018427387904 float64 matrix "
+            "exceeds the address space); --sparse keeps LIBSVM data in CSR form\n")
+
+    def test_failed_allocation_is_a_clean_cli_error(self, tmp_path, capsys, monkeypatch):
+        def loader(path, sparse=False):
+            raise MemoryError("Unable to allocate 8.00 PiB")
+
+        monkeypatch.setattr(ntcg.cli, "load_libsvm", loader)
+        data = tmp_path / "any.libsvm"
+        data.write_text("1 1:1\n")
+        assert self._solve(data, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: out of memory (Unable to allocate 8.00 PiB)")
+        assert "--sparse" in err
+
+
 class TestMemory:
     def test_parse_peak_stays_near_the_result_size(self, tmp_path):
         # Column indices above 256 are not small-int singletons, so a loader
@@ -309,14 +344,6 @@ class TestMemory:
         warm = tmp_path / "warm.txt"
         warm.write_text("1 300:1\n")
         load_libsvm(warm, sparse=True)  # imports made on first use stay out
-        was_tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
-            A2, _ = load_libsvm(path, sparse=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
+        (A2, _), peak = traced_peak(lambda: load_libsvm(path, sparse=True))
         assert A2.nnz == A.nnz > 20000
         assert peak <= 32 * A.nnz

@@ -173,17 +173,25 @@ def test_exact_iteration_does_each_product_once(monkeypatch):
     problem.A = problem.A.view(_CountingRows)
     problem.A.log = log
     link_calls = []
-    link = ntcg.problems.sigmoid_link
+    phi, d1, d2 = ntcg.problems.LINKS[SIGMOID]
 
-    def counting_link(z):
+    def counting_phi(z):
+        link_calls.append(("phi", z.size))
+        return phi(z)
+
+    def counting_d1(p):
+        link_calls.append(("d1", p.size))
+        return d1(p)
+
+    def counting_d2(p, slope):
         # phi'' enters the curvature weights only.
-        link_calls.append(z.size)
-        phi, d1, d2 = link(z)
-        d2 = d2.view(_CountingFactor)
-        d2.log = log
-        return phi, d1, d2
+        link_calls.append(("d2", p.size))
+        curvature = d2(p, slope).view(_CountingFactor)
+        curvature.log = log
+        return curvature
 
-    monkeypatch.setattr(ntcg.problems, "sigmoid_link", counting_link)
+    monkeypatch.setitem(ntcg.problems.LINKS, SIGMOID,
+                        (counting_phi, counting_d1, counting_d2))
 
     rng = np.random.default_rng(0)
     x, d = rng.standard_normal(6), rng.standard_normal(6)
@@ -216,6 +224,41 @@ def test_exact_iteration_does_each_product_once(monkeypatch):
     # Two gradients and three HVPs each take one transposed product.
     assert sum(1 for _, shape, _ in products if shape == (6, 300)) == 5
     assert len(products) == 10
-    # The link terms once per point, the curvature weights once at x.
-    assert link_calls == [300, 300]
+    # Each link term once per point that needs it: phi and phi' at x and
+    # x', phi'' (and the curvature weights) at x only.
+    assert link_calls == [("phi", 300), ("d1", 300), ("d2", 300),
+                          ("phi", 300), ("d1", 300)]
     assert sum(1 for entry in log if entry[0] == "scale") == 1
+
+
+@pytest.mark.parametrize("link", [SIGMOID, TANH])
+def test_value_only_states_skip_the_link_derivatives(monkeypatch, link):
+    """Line-search trials and audit values ask a state for f alone: they
+    evaluate phi and neither derivative; later asks add each one once."""
+    rng = np.random.default_rng(9)
+    x, v = rng.standard_normal(DIM), rng.standard_normal(DIM)
+    idx = index_set("subset")
+    points = [x + 0.5, x + 1.0, x]
+
+    def replay(problem):
+        return ([problem.eval_f(y, idx) for y in points]
+                + [problem.eval_f(x, idx), problem.eval_hvp(x, v, idx),
+                   problem.eval_grad(x, idx)])
+
+    want = replay(instance(link, sparse=False))
+    calls = []
+
+    def counting(name, fn):
+        def stage(*args):
+            calls.append(name)
+            return fn(*args)
+        return stage
+
+    stages = tuple(counting(name, fn)
+                   for name, fn in zip(("phi", "d1", "d2"), ntcg.problems.LINKS[link]))
+    monkeypatch.setitem(ntcg.problems.LINKS, link, stages)
+    got = replay(instance(link, sparse=False))
+    assert got[:4] == want[:4]
+    for a, b in zip(got[4:], want[4:]):
+        assert_array_equal(a, b)
+    assert calls == ["phi"] * 3 + ["d1", "d2"]
