@@ -37,13 +37,11 @@ class CappedCGParams:
     zeta : relative accuracy for the SOL branch, in (0, 1).
     M_init : optional initial curvature bound (>= 0, defaults to 0); if the
         caller knows a bound U_H on ||H|| it should pass it here.
-    max_iters_override : optional hard cap replacing min(dim, J).
     """
 
     epsilon: float
     zeta: float
     M_init: float = 0.0
-    max_iters_override: Optional[int] = None
 
     def __post_init__(self):
         self.epsilon = check_interval(self.epsilon, "epsilon", 0.0, 1.0)
@@ -275,8 +273,6 @@ def capped_cg(H, g, params, trace=None):
 
         if cap is None:
             cap = min(dim, j_cap(M, eps, params.zeta))
-            if params.max_iters_override is not None:
-                cap = min(cap, params.max_iters_override)
         if j >= cap:
             raise ContractViolation(
                 "capped CG exceeded its iteration cap without any "

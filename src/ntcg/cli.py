@@ -94,11 +94,19 @@ def build_problem(spec):
         ]
         A, b = load_libsvm(spec.data, sparse=spec.sparse)
         problem = NLSProblem(A, b, link=link, alpha=spec.welsch_alpha)
+        try:
+            x0 = np.zeros(problem.dim)
+        except (ValueError, MemoryError):
+            # numpy refuses a byte size past 2**63 with ValueError.
+            raise ValueError(
+                "dimension %d, the largest feature index in %s, is too large "
+                "for a dense iterate" % (problem.dim, spec.data)) from None
     elif spec.problem == "quadratic":
         problem = QuadraticProblem(np.ones(spec.dim))
+        x0 = np.ones(problem.dim)
     else:
         problem = SaddleProblem(spec.dim)
-    x0 = np.ones(problem.dim) if spec.problem == "quadratic" else np.zeros(problem.dim)
+        x0 = np.zeros(problem.dim)
     return problem, constants_for(problem), x0
 
 
@@ -200,7 +208,6 @@ _CONFIG_TYPES = {
     "max_outer_iters": int, "max_ls_trials": int,
     "skip_small_step_block": _config_bool,
     "alpha_sol_fixed": float, "alpha_nc_fixed": float,
-    "retry_condition_failure": _config_bool,
 }
 
 # The SolverConfig field that each command-line flag sets, by the

@@ -78,6 +78,9 @@ class _BaseNewtonCG(_ParamsMixin):
     def decision_function(self, X):
         self._check_fitted()
         X = check_matrix(X, "X")
+        if X.shape[1] != self.n_features_in_:
+            raise ValueError("X has %d features, but the estimator was fitted "
+                             "with %d" % (X.shape[1], self.n_features_in_))
         return np.asarray(X @ self.coef_).ravel()
 
 

@@ -2,7 +2,8 @@
 
 Line grammar: ``label index:value index:value ...`` with 1-based, strictly
 increasing feature indices.  The dimension is inferred as the largest index
-seen; an empty feature list is a valid zero row.  Malformed lines are
+seen; an empty feature list is a valid zero row, and ``#`` starts a
+comment that runs to the end of the line.  Malformed lines are
 reported with their 1-based line number.  Values are written with Python's
 shortest round-trip float repr, so a write/read cycle is bit-exact.
 """
@@ -18,7 +19,7 @@ from .exceptions import LibSVMFormatError
 _MAX_INDEX = np.iinfo(np.int64).max
 
 
-def load_libsvm(path, sparse=False, comment_char="#"):
+def load_libsvm(path, sparse=False):
     """Parse a LIBSVM file into (A, b).
 
     A : (n, d) float64 ndarray, or CSR when sparse=True.
@@ -47,7 +48,7 @@ def load_libsvm(path, sparse=False, comment_char="#"):
     max_index = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            parts = raw.partition(comment_char)[0].split()
+            parts = raw.partition("#")[0].split()
             if not parts:
                 continue
             try:

@@ -25,10 +25,8 @@ SUB_BOTH = "SubBoth"
 COND2 = "Cond2"
 COND3 = "Cond3"
 
-# Smallest adaptive gradient batch, and the per-iteration failure
-# probability the concentration sizing is computed for.
+# Smallest adaptive gradient batch.
 MIN_BATCH = 32
-DELTA_BAR = 0.1
 
 
 @dataclass
@@ -164,8 +162,7 @@ class SamplingPolicy:
         fixed-step driver feeds them into its step formulas.  Zero for
         exact modes.
 
-    Adaptive and retried gradient batches never drop below MIN_BATCH;
-    concentration sizing uses the failure probability DELTA_BAR.
+    Adaptive gradient batches never drop below MIN_BATCH.
     """
 
     mode: str = EXACT
@@ -198,16 +195,6 @@ class SamplingPolicy:
         if not self.subsamples_hessian():
             return np.arange(n, dtype=np.int64)
         return sample_indices(n, min(max(self.hess_batch, 1), n), rng)
-
-    def tighten_gradient(self, n, K_g=None):
-        """Halve targets.delta_g and resize the gradient batch for it by the
-        concentration formula, or double it when no bound K_g is known."""
-        self.targets.delta_g = max(self.targets.delta_g / 2.0, 1e-300)
-        if K_g is not None:
-            batch = grad_sample_size(K_g, self.targets.delta_g, DELTA_BAR)
-        else:
-            batch = max(2 * self.grad_batch, MIN_BATCH)
-        self.grad_batch = min(n, batch)
 
     def adapt(self, g_norm_now, g_norm_prev, n):
         if not (self.adaptive and self.subsamples_gradient()):

@@ -23,11 +23,10 @@ bidirectionally (1, -1, theta, -theta, ...) for curvature directions, since
 the sign of d^T grad f is unknown when the gradient is inexact.  Each
 counted value is paid for once: under full evaluation f(x_k) is the
 accepted trial value of the previous search (the same expression
-x + alpha d on the same set), and a condition retry restores it with x_k;
-a batch search evaluates f(x_k) on its fresh batch every iteration.  The
-FixedStep variant replaces the search with predefined step sizes that
-provably satisfy the same decrease condition given accuracy levels
-(delta_g, delta_H) on the estimates.
+x + alpha d on the same set); a batch search evaluates f(x_k) on its
+fresh batch every iteration.  The FixedStep variant replaces the search
+with predefined step sizes that provably satisfy the same decrease
+condition given accuracy levels (delta_g, delta_H) on the estimates.
 
 Audit mode recomputes exact quantities through a ledger-exempt channel and
 enforces the per-step decrease floors, backtracking caps, and iteration
@@ -106,10 +105,6 @@ class SolverConfig:
     # a LineSearch run rejects them.
     alpha_sol_fixed: Optional[float] = None
     alpha_nc_fixed: Optional[float] = None
-    # Optional audit feature: redo an iteration with a better gradient
-    # batch when the retrospective accuracy condition failed.
-    retry_condition_failure: bool = False
-    max_condition_retries: int = 10
 
     def __post_init__(self):
         check_interval(self.eps_g, "eps_g", 0.0, 1.0)
@@ -431,14 +426,6 @@ class _Audit:
         self.delta_g = float(np.linalg.norm(g - exact_g))
         return float(np.linalg.norm(exact_g))
 
-    def condition_holds(self, norm_g_next):
-        """The pending accuracy condition given ||g_{k+1}||; None if none."""
-        ctx = self.pending and self.pending["condition"]
-        if not ctx:
-            return None
-        return verify_condition(ctx["delta_g_used"], ctx["delta_H_used"],
-                                dict(ctx, norm_g_next=norm_g_next), which=self.which)
-
     def step(self, record, x, x_next, d, g, hess_idx, f_here):
         """Checks of a step just taken; queues the retrospective ones."""
         eff, k, d_type = self.eff, record.k, record.d_type
@@ -493,14 +480,17 @@ class _Audit:
         self.pending = {"k": k, "condition": condition, "sol_floor": sol_floor,
                         "decrease": decrease}
 
-    def resolve(self, condition_ok, exact_g_next_norm):
-        """Close the pending checks with the next gradient known."""
+    def resolve(self, norm_g_next, exact_g_next_norm):
+        """Close the pending checks with the next gradient estimate's norm
+        ||g_{k+1}|| and the exact one known."""
         pending, self.pending = self.pending, None
         if pending is None:
             return
-        k = pending["k"]
-        if condition_ok is not None:
-            self.condition_results.append({"k": k, "ok": bool(condition_ok)})
+        k, ctx = pending["k"], pending["condition"]
+        if ctx is not None:
+            ok = verify_condition(ctx["delta_g_used"], ctx["delta_H_used"],
+                                  dict(ctx, norm_g_next=norm_g_next), which=self.which)
+            self.condition_results.append({"k": k, "ok": bool(ok)})
         if pending["sol_floor"] is not None:
             eps_H, decrease = self.eff["eps_H"], pending["decrease"]
             floor = pending["sol_floor"] * max(0.0, min(
@@ -602,8 +592,7 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
     trace : optional callable fed each IterationRecord once it is final:
         a step's record when the next gradient estimate has fixed its K2/K3
         class and its audit checks, the last record when the run ends.  It
-        sees exactly `records` of the report, in order; an iteration redone
-        by a retry is never fed.
+        sees exactly `records` of the report, in order.
     """
     if variant not in (LINE_SEARCH, FIXED_STEP):
         raise ValueError("unknown variant %r" % (variant,))
@@ -640,29 +629,26 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
     records = []
     termination = TERM_MAX_ITERS
     prev_g_norm = None
-    retries_left = config.max_condition_retries
     # f(x) on the line-search set when already paid for: the accepted trial
     # of the last line search under full evaluation, the same expression
     # x + alpha d on the same set.  A batch line search draws a new set each
     # iteration, and FixedStep evaluates nothing, so neither carries it.
     f_x = None
-    # The last iteration's record and start iterate (x, f_x); the record is
-    # committed once ||g_{k+1}|| is known, or dropped by a retry.
-    open_record, start = None, None
+    # The last iteration's record, committed once ||g_{k+1}|| is known.
+    open_record = None
 
-    def commit(record, next_norm, exact_next_norm, condition_ok):
+    def commit(record, next_norm, exact_next_norm):
         """Close an iteration: the K2/K3 class of an accepted Newton step,
         the audit checks waiting on the next gradient, the record, trace."""
         if record.step_class is None and record.alpha is not None:
             record.step_class = "K2" if next_norm < eps_g else "K3"
         if audit:
-            auditor.resolve(condition_ok, exact_next_norm)
+            auditor.resolve(next_norm, exact_next_norm)
         records.append(record)
         if trace is not None:
             trace(record)
 
-    k = 0
-    while k < config.max_outer_iters:
+    for k in range(config.max_outer_iters):
         # Full batches are the oracle's shared read-only index set, which
         # `_PointState` and `HessianOperator.from_oracle` recognise by identity.
         grad_idx = (policy.draw_grad_indices(n, rng) if policy.subsamples_gradient()
@@ -670,22 +656,9 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
         g = problem.eval_grad(x, grad_idx)
         g_norm = float(np.linalg.norm(g))
 
-        exact_g_norm = condition_ok = None
-        if audit:
-            exact_g_norm = auditor.gradient(x, g)
-            condition_ok = auditor.condition_holds(g_norm)
+        exact_g_norm = auditor.gradient(x, g) if audit else None
         if open_record is not None:
-            # A failed retrospective accuracy condition may redo the last
-            # iteration with a larger gradient batch.
-            if (condition_ok is False and config.retry_condition_failure
-                    and retries_left > 0):
-                retries_left -= 1
-                policy.tighten_gradient(n, eff["U_g"])
-                (x, f_x), k = start, open_record.k
-                open_record = auditor.pending = None
-                continue
-            commit(open_record, g_norm, exact_g_norm, condition_ok)
-        retries_left = config.max_condition_retries
+            commit(open_record, g_norm, exact_g_norm)
 
         hess_idx = (policy.draw_hess_indices(n, rng) if policy.subsamples_hessian()
                     else full_idx)
@@ -744,9 +717,7 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
         if prev_g_norm is not None and prev_g_norm > 0 and g_norm > 0:
             policy.adapt(g_norm, prev_g_norm, n)
         prev_g_norm = g_norm
-        start = (x, f_x if exact_line_f else None)
         x, f_x = x_next, (f_next if exact_line_f else None)
-        k += 1
 
     x_final = x + d if termination == TERM_FIRST_ORDER_AND_CERTIFIED else x
     if termination in (TERM_CERTIFIED_AT_CURRENT, TERM_CONTRACT_VIOLATION):
@@ -763,8 +734,7 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
     else:
         final_f = problem.audit_f(x_final)
         final_norm = float(np.linalg.norm(problem.audit_grad(x_final)))
-    commit(open_record, final_norm, final_norm,
-           auditor.condition_holds(final_norm) if audit else None)
+    commit(open_record, final_norm, final_norm)
     if audit:
         audit_summary = auditor.summary(records)
     else:

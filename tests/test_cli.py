@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from ntcg import dump_libsvm, synthetic_nls
+from ntcg import SolverConfig, dump_libsvm, synthetic_nls
 from ntcg.cli import (
+    _CONFIG_TYPES,
     EXIT_OK,
     ExperimentSpec,
     load_config_file,
@@ -166,23 +168,30 @@ class TestSolveCommand:
         ("1", True), ("0", False), ("ture", None), ("", None),
     ])
     def test_config_booleans(self, text, value):
-        for key in ("skip_small_step_block", "retry_condition_failure"):
-            if value is None:
-                with pytest.raises(ValueError, match=key):
-                    spec_fields_from_config({key: text})
-                continue
-            fields = spec_fields_from_config({key: text})
-            assert fields.get(key, fields["overrides"].get(key)) is value
+        key = "skip_small_step_block"
+        if value is None:
+            with pytest.raises(ValueError, match=key):
+                spec_fields_from_config({key: text})
+        else:
+            assert spec_fields_from_config({key: text})[key] is value
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.txt"
-        cfgfile.write_text("not_a_key = 1\n")
-        code = main([
-            "solve", "--problem", "quadratic", "--variant", "full",
-            "--out", str(tmp_path), "--config", str(cfgfile),
-        ])
-        assert code == 1
-        assert capsys.readouterr().err == "error: unknown config key 'not_a_key'\n"
+        for key, value in (("not_a_key", "1"), ("retry_condition_failure", "true")):
+            cfgfile.write_text("%s = %s\n" % (key, value))
+            code = main([
+                "solve", "--problem", "quadratic", "--variant", "full",
+                "--out", str(tmp_path), "--config", str(cfgfile),
+            ])
+            assert code == 1
+            assert capsys.readouterr().err == "error: unknown config key %r\n" % key
+
+    def test_config_keys_match_solver_config_fields(self):
+        # A config file can set every SolverConfig field but the seed, which
+        # --seed sets, and nothing else.
+        fields = {f.name for f in dataclasses.fields(SolverConfig)}
+        assert set(_CONFIG_TYPES) <= fields
+        assert fields - set(_CONFIG_TYPES) == {"seed"}
 
     @pytest.mark.parametrize("flag, key", [("--alpha-sol", "alpha_sol_fixed"),
                                            ("--alpha-nc", "alpha_nc_fixed")])

@@ -105,6 +105,16 @@ class TestWelschRegressor:
         np.testing.assert_allclose(reg.predict(X), X @ reg.coef_)
 
 
+@pytest.mark.parametrize("make", [SquaredLossClassifier, WelschRegressor])
+def test_predict_rejects_a_different_feature_count(make):
+    X, y = classification_data(seed=8, n=40, d=3)
+    est = make(eps=1e-2, max_iter=20).fit(X, y)
+    with pytest.raises(ValueError, match="X has 4 features, but the estimator "
+                                         "was fitted with 3"):
+        est.predict(np.ones((2, 4)))
+    assert est.predict(np.ones((2, 3))).shape == (2,)
+
+
 class TestParamsProtocol:
     def test_get_params_round_trip(self):
         clf = SquaredLossClassifier(link="tanh", eps=1e-4, max_iter=7,

@@ -299,8 +299,9 @@ class TestIndexRange:
 
 class TestDenseAllocation:
     """A dense matrix too large to allocate is a clean error that names
-    --sparse.  Nothing here allocates it: numpy refuses a 2**62-column
-    float64 row before it tries, and the loader is otherwise patched."""
+    --sparse; under --sparse, so is a dense iterate of the file's width.
+    Nothing here allocates either: numpy refuses 2**62 float64 values
+    before it tries, and the loader is otherwise patched."""
 
     def test_loader_refuses_before_allocating(self, tmp_path):
         with pytest.raises(MemoryError, match="dense 1 x 4611686018427387904 float64"):
@@ -317,6 +318,19 @@ class TestDenseAllocation:
         assert capsys.readouterr().err == (
             "error: out of memory (a dense 1 x 4611686018427387904 float64 matrix "
             "exceeds the address space); --sparse keeps LIBSVM data in CSR form\n")
+
+    def test_unaddressable_sparse_width_is_a_clean_cli_error(self, tmp_path, capsys):
+        # The CSR loads; the dense iterate of that width is what numpy refuses.
+        bad = tmp_path / "wide.libsvm"
+        bad.write_text("1 4611686018427387904:1\n")
+        out = tmp_path / "out"
+        code = main(["solve", "--problem", "nls-sigmoid", "--data", str(bad),
+                     "--variant", "full", "--sparse", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: dimension 4611686018427387904, the largest feature index in "
+            "%s, is too large for a dense iterate\n" % bad)
+        assert not out.exists()
 
     def test_failed_allocation_is_a_clean_cli_error(self, tmp_path, capsys, monkeypatch):
         def loader(path, sparse=False):

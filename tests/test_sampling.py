@@ -18,7 +18,6 @@ from ntcg import (
 from ntcg.sampling import (
     COND2,
     COND3,
-    DELTA_BAR,
     EXACT,
     MIN_BATCH,
     SUB_BOTH,
@@ -238,17 +237,6 @@ class TestPolicy:
 
     def test_targets_default_zero(self):
         assert SamplingPolicy().targets == AccuracyTargets(0.0, 0.0)
-
-    def test_tighten_gradient_halves_target_and_resizes(self):
-        p = SamplingPolicy(mode=SUB_BOTH, grad_batch=10,
-                           targets=AccuracyTargets(0.2, 0.1))
-        p.tighten_gradient(1000)  # no bound: double, at least MIN_BATCH
-        assert (p.targets.delta_g, p.grad_batch) == (0.1, 32)
-        p.tighten_gradient(50, K_g=0.01)
-        assert p.targets.delta_g == 0.05
-        assert p.grad_batch == grad_sample_size(0.01, 0.05, DELTA_BAR) == 2
-        p.tighten_gradient(50, K_g=1.0)  # clamped to n
-        assert p.grad_batch == 50
 
     def test_preset_policies(self):
         assert preset_policy("full", 1050).mode == EXACT

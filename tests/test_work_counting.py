@@ -16,15 +16,13 @@ import pytest
 from ntcg import (
     FIXED_STEP,
     LINE_SEARCH,
-    AccuracyTargets,
-    SamplingPolicy,
     SolverConfig,
     run,
     synthetic_nls,
     synthetic_saddle,
 )
 from ntcg.problems import TANH, constants_for
-from ntcg.sampling import SUB_BOTH, preset_policy
+from ntcg.sampling import preset_policy
 from ntcg.solver import TERM_CERTIFIED_AT_CURRENT
 
 
@@ -120,19 +118,4 @@ def test_audited_saddle_run_from_the_origin_reuses_the_last_record():
     assert report.final_f == report.records[-1].f_value
     assert report.final_true_grad_norm == report.records[-1].grad_true_norm
     assert any(kind == "audit_grad" for kind, _ in calls)
-    assert_paid_once(calls)
-
-
-def test_condition_retry_restores_the_start_value():
-    # The failed accuracy condition of iteration 0 redoes it from x_0 on a
-    # grown gradient batch; f(x_0) on the full set comes back with x_0.
-    problem = synthetic_nls(400, 5, seed=33)
-    calls = count_calls(problem)
-    policy = SamplingPolicy(mode=SUB_BOTH, grad_batch=2, hess_batch=40,
-                            targets=AccuracyTargets(delta_g=1e-9, delta_H=0.05))
-    config = SolverConfig(eps_g=1e-3, seed=34, max_outer_iters=8,
-                          retry_condition_failure=True, max_condition_retries=3,
-                          skip_small_step_block=True)
-    report = run(problem, config, policy=policy, x0=np.zeros(5), audit=True)
-    assert report.records[0].grad_calls > problem.n  # iteration 0 was redone
     assert_paid_once(calls)
