@@ -7,7 +7,8 @@ drivers cannot miscount; see :class:`OracleLedger`.
 
 ``full_index_set()`` returns one array per oracle, arange(n), shared by
 every caller and read-only (writing to it raises), so code can recognise
-the full set by identity and keep it without a defensive copy.
+the full set by identity and keep it without a defensive copy.  The
+counted calls skip the range check on it, which cannot fail.
 
 Concurrency: one problem is evaluated by one thread at a time, the same
 contract as its ledgers, which assume a single writer.  Oracles may keep
@@ -123,17 +124,22 @@ class ObjectiveOracle:
         """arange(n), the same read-only array on every call."""
         return self._full_index
 
+    def _index_set(self, index_set):
+        if index_set is self._full_index:
+            return index_set
+        return check_index_set(index_set, self.n)
+
     def eval_f(self, x, index_set, ledger=None):
         """Mean of f_i(x) over index_set."""
         x = check_vector(x, "x", self.dim)
-        idx = check_index_set(index_set, self.n)
+        idx = self._index_set(index_set)
         ledger = ledger if ledger is not None else self.ledger
         ledger.f_calls += idx.size
         return float(self._value(x, idx))
 
     def eval_grad(self, x, index_set, ledger=None):
         x = check_vector(x, "x", self.dim)
-        idx = check_index_set(index_set, self.n)
+        idx = self._index_set(index_set)
         ledger = ledger if ledger is not None else self.ledger
         ledger.grad_calls += idx.size
         return self._grad(x, idx)
@@ -141,7 +147,7 @@ class ObjectiveOracle:
     def eval_hvp(self, x, v, index_set):
         x = check_vector(x, "x", self.dim)
         v = check_vector(v, "v", self.dim)
-        idx = check_index_set(index_set, self.n)
+        idx = self._index_set(index_set)
         self.ledger.hv_calls += idx.size
         return self._hvp(x, v, idx)
 
@@ -158,11 +164,7 @@ class ObjectiveOracle:
         uncounted; for audits on small problems.  Validates x and index_set
         as the counted calls do."""
         x = check_vector(x, "x", self.dim)
-        idx = (
-            self.full_index_set()
-            if index_set is None
-            else check_index_set(index_set, self.n)
-        )
+        idx = self._full_index if index_set is None else self._index_set(index_set)
         return self._dense_hessian(x, idx)
 
     def _dense_hessian(self, x, idx):

@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 
+from ntcg.libsvm import _parse_lines, _Rows
+
 
 def central_diff_grad(f, x, h=1e-5):
     x = np.asarray(x, dtype=float)
@@ -65,3 +67,12 @@ def traced_peak(fn):
         if not was_tracing:
             tracemalloc.stop()
     return result, peak
+
+
+def load_libsvm_per_line(path, sparse=False):
+    """load_libsvm with every line through the per-line reference parser,
+    in one pass over the file and no chunks."""
+    rows = _Rows()
+    with open(path, "r", encoding="utf-8") as fh:
+        rows.append(*_parse_lines(fh, 1), share=1.0)
+    return rows.matrices(path, sparse)

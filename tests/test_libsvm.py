@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from helpers import traced_peak
+from helpers import load_libsvm_per_line, traced_peak
 
 import ntcg.cli
-from ntcg import LibSVMFormatError, dump_libsvm, load_libsvm
+from ntcg import LibSVMFormatError, dump_libsvm, libsvm, load_libsvm
 from ntcg.cli import main
 
 
@@ -360,4 +360,109 @@ class TestMemory:
         load_libsvm(warm, sparse=True)  # imports made on first use stay out
         (A2, _), peak = traced_peak(lambda: load_libsvm(path, sparse=True))
         assert A2.nnz == A.nnz > 20000
+        assert peak <= 32 * A.nnz
+
+
+def written_lines(tmp_path, rows, seed):
+    """The lines, without newlines, of a dump_libsvm file with
+    full-precision values, the form the benchmark files take."""
+    rng = np.random.default_rng(seed)
+    A = sp.random(rows, 300, density=0.05, format="csr", random_state=rng)
+    A.data = rng.standard_normal(A.nnz)
+    path = tmp_path / "w.txt"
+    dump_libsvm(path, A, rng.standard_normal(rows))
+    return path.read_bytes().split(b"\n")[:-1]
+
+
+def chunked_file(tmp_path, lines, end=b"\n"):
+    path = tmp_path / "c.txt"
+    path.write_bytes(b"\n".join(lines) + end)
+    size = path.stat().st_size
+    assert size >= 16 * libsvm._chunk_size(size)
+    return path
+
+
+def assert_same_csr(got, want):
+    (A, b), (A_ref, b_ref) = got, want
+    assert A.shape == A_ref.shape
+    for x, y in ((A.data, A_ref.data), (A.indices, A_ref.indices),
+                 (A.indptr, A_ref.indptr), (b, b_ref)):
+        assert x.dtype == y.dtype
+        assert x.tobytes() == y.tobytes()
+
+
+class TestChunkBoundaries:
+    """Files of many chunks, where lines that need the per-line parser sit
+    among chunks that numpy parses."""
+
+    ROWS = 1000
+
+    def test_written_files_take_the_numpy_path(self, tmp_path, monkeypatch):
+        path = chunked_file(tmp_path, written_lines(tmp_path, self.ROWS, 0))
+        want = load_libsvm_per_line(path, sparse=True)
+
+        def refuse(lines, lineno):
+            raise AssertionError("chunk declined at line %d" % lineno)
+
+        monkeypatch.setattr(libsvm, "_parse_lines", refuse)
+        assert_same_csr(load_libsvm(path, sparse=True), want)
+
+    @pytest.mark.parametrize("suffix,message", [
+        (b" 9999:abc", "cannot parse feature '9999:abc'"),
+        (b" 9999:1 300:2", "feature indices must be strictly increasing (300 after 9999)"),
+        (b" 9999:1 nocolon", "feature 'nocolon' lacks an index:value separator"),
+        (b" \x01", "feature '\\x01' lacks an index:value separator"),
+    ])
+    def test_bad_line_in_the_last_chunk(self, tmp_path, suffix, message):
+        lines = written_lines(tmp_path, self.ROWS, 1)
+        lines.insert(5, b"# a comment: this chunk is parsed line by line")
+        bad = len(lines) - 3
+        lines[bad] += suffix
+        path = chunked_file(tmp_path, lines)
+        with pytest.raises(LibSVMFormatError) as err:
+            load_libsvm(path)
+        assert err.value.lineno == bad + 1
+        assert str(err.value) == "line %d: %s" % (bad + 1, message)
+        with pytest.raises(LibSVMFormatError) as ref:
+            load_libsvm_per_line(path)
+        assert (str(ref.value), ref.value.lineno) == (str(err.value), err.value.lineno)
+
+    @pytest.mark.parametrize("edit", [
+        lambda line: [b"# comment line", line],
+        lambda line: [line + b" # 1:2 trailing"],
+        lambda line: [b"+1 +2:1_0 07:-.5e+1 300:1E3"],
+        lambda line: [line + b"\r"],
+        lambda line: [b"\x0c" + line],
+    ], ids=["comment", "trailing-comment", "spellings", "crlf", "formfeed"])
+    def test_per_line_chunk_in_the_middle(self, tmp_path, edit):
+        lines = written_lines(tmp_path, self.ROWS, 2)
+        mid = len(lines) // 2
+        lines[mid:mid + 1] = edit(lines[mid])
+        path = chunked_file(tmp_path, lines)
+        assert_same_csr(load_libsvm(path, sparse=True),
+                        load_libsvm_per_line(path, sparse=True))
+        A, b = load_libsvm(path)
+        A_ref, b_ref = load_libsvm_per_line(path)
+        assert A.tobytes() == A_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+
+    def test_final_line_without_newline(self, tmp_path):
+        lines = written_lines(tmp_path, self.ROWS, 3)
+        want = load_libsvm(chunked_file(tmp_path, lines), sparse=True)
+        path = chunked_file(tmp_path, lines, end=b"")
+        assert_same_csr(load_libsvm(path, sparse=True), want)
+        assert_same_csr(load_libsvm_per_line(path, sparse=True), want)
+        assert want[0].shape[0] == self.ROWS
+
+
+class TestChunkedMemory:
+    def test_parse_peak_over_many_chunks_stays_near_the_result_size(self, tmp_path):
+        # Full-precision values, with one comment line parsed line by line.
+        lines = written_lines(tmp_path, 3000, 4)
+        lines.insert(1500, b"# comment")
+        path = chunked_file(tmp_path, lines)
+        warm = tmp_path / "warm.txt"
+        warm.write_text("1 300:1\n")
+        load_libsvm(warm, sparse=True)  # imports made on first use stay out
+        (A, _), peak = traced_peak(lambda: load_libsvm(path, sparse=True))
+        assert A.nnz > 40000
         assert peak <= 32 * A.nnz

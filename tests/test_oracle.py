@@ -3,6 +3,7 @@ import pytest
 from helpers import central_diff_grad, central_diff_hvp, rel_err
 from numpy.testing import assert_array_equal
 
+import ntcg.oracle
 from ntcg import CallableOracle, HessianOperator, OracleLedger, synthetic_nls
 
 
@@ -262,3 +263,45 @@ class TestValidation:
         assert_array_equal(full, np.arange(10))
         with pytest.raises(ValueError):
             full[0] = 1
+
+
+class TestFullIndexSet:
+    """The oracle's own full set skips the range scan; any other set,
+    an equal copy included, is validated, with the same values and counts."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        seen = []
+        real = ntcg.oracle.check_index_set
+
+        def check(indices, n):
+            seen.append(indices)
+            return real(indices, n)
+
+        monkeypatch.setattr(ntcg.oracle, "check_index_set", check)
+        return seen
+
+    @pytest.mark.parametrize("method", VALIDATION_METHODS)
+    def test_only_other_sets_are_checked(self, checked, method):
+        problem = synthetic_nls(10, 3, seed=2)
+        full = problem.full_index_set()
+        got = _evaluate(problem, method, X0, full, V0)
+        assert checked == []
+        want = _evaluate(problem, method, X0, full.copy(), V0)
+        assert len(checked) == 1
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert problem.ledger.props == 2 * VALIDATION_METHODS[method] * 10
+
+    def test_dense_hessian_skips_the_check_on_the_full_set(self, checked):
+        problem = synthetic_nls(10, 3, seed=2)
+        H = problem.dense_hessian(X0, problem.full_index_set())
+        assert checked == []
+        assert H.tobytes() == problem.dense_hessian(X0).tobytes()
+
+    @pytest.mark.parametrize("method", VALIDATION_METHODS)
+    def test_an_out_of_range_copy_is_still_rejected(self, method):
+        problem = synthetic_nls(10, 3, seed=2)
+        bad = problem.full_index_set() + 1
+        with pytest.raises(IndexError):
+            _evaluate(problem, method, X0, bad, V0)
+        assert problem.ledger.props == 0
