@@ -103,19 +103,13 @@ def check_index_set(indices, n, name="index_set"):
     return idx.astype(np.int64, copy=False)
 
 
-def check_interval(value, name, low, high, low_open=True, high_open=True):
-    """Validate a scalar against an interval, open by default."""
+def check_interval(value, name, low, high):
+    """Validate a scalar against the open interval (low, high)."""
     if not isinstance(value, numbers.Real) or not np.isfinite(value):
         raise ValueError("%s must be a finite real number, got %r" % (name, value))
     value = float(value)
-    lo_ok = value > low if low_open else value >= low
-    hi_ok = value < high if high_open else value <= high
-    if not (lo_ok and hi_ok):
-        lo_br = "(" if low_open else "["
-        hi_br = ")" if high_open else "]"
-        raise ValueError(
-            "%s must lie in %s%g, %g%s, got %g" % (name, lo_br, low, high, hi_br, value)
-        )
+    if not low < value < high:
+        raise ValueError("%s must lie in (%g, %g), got %g" % (name, low, high, value))
     return value
 
 

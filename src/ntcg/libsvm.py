@@ -69,31 +69,46 @@ def load_libsvm(path, sparse=False):
     feature index of 2**62), before any allocation.  sparse=True holds
     such a file in CSR form.
 
-    Raises LibSVMFormatError naming the first bad line in file order: a
-    label that is not a number, a feature without ``:``, a feature whose
-    index or value does not parse, an index below 1, indices that do not
-    strictly increase along the line, or an index above 2**63 - 1 (it would
-    not fit the int64 index buffer).  A file without data lines raises it
-    without a line number.
+    Raises LibSVMFormatError naming the line of a byte that is not UTF-8,
+    else the first bad line in file order: a label that is not a number, a
+    feature without ``:``, a feature whose index or value does not parse,
+    an index below 1, indices that do not strictly increase along the
+    line, or an index above 2**63 - 1 (it would not fit the int64 index
+    buffer).  A file without data lines raises it without a line number.
     """
     rows = _Rows()
-    with open(path, "r", encoding="utf-8") as fh:
-        nbytes = os.fstat(fh.fileno()).st_size
-        size = _chunk_size(nbytes)
-        lineno, read = 1, 0
-        while True:
-            text = fh.read(size)
-            if not text:
-                break
-            if text[-1] != "\n":
-                text += fh.readline()
-            read += len(text)
-            parsed = _parse_chunk(text)
-            if parsed is None:
-                parsed = _parse_lines(_lines(text), lineno)
-            rows.append(*parsed, share=read / max(nbytes, read))
-            lineno += text.count("\n")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            nbytes = os.fstat(fh.fileno()).st_size
+            size = _chunk_size(nbytes)
+            lineno, read = 1, 0
+            while True:
+                text = fh.read(size)
+                if not text:
+                    break
+                if text[-1] != "\n":
+                    text += fh.readline()
+                read += len(text)
+                parsed = _parse_chunk(text)
+                if parsed is None:
+                    parsed = _parse_lines(_lines(text), lineno)
+                rows.append(*parsed, share=read / max(nbytes, read))
+                lineno += text.count("\n")
+    except UnicodeDecodeError as exc:  # its position counts from a decoder block
+        bad = "byte 0x%02x is not UTF-8 (%s)" % (exc.object[exc.start], exc.reason)
+        raise LibSVMFormatError(bad, _undecodable_line(path)) from None
     return rows.matrices(path, sparse)
+
+
+def _undecodable_line(path):
+    """The 1-based number of the first line of `path` with a byte that is
+    not UTF-8, lines split as load_libsvm splits them."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:  # a byte escaped as a lone surrogate
+                return lineno
 
 
 def _chunk_size(nbytes):

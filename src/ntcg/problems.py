@@ -334,11 +334,12 @@ class QuadraticProblem(ObjectiveOracle):
     def _dense_hessian(self, x, idx):
         return np.diag(self.diag)
 
-    def constants(self, radius=10.0):
+    def constants(self):
+        """Constants whose gradient bounds hold on the ball ||x|| <= 10."""
         top = float(np.max(np.abs(self.diag)))
         f_low = 0.0 if np.all(self.diag >= 0) else -math.inf
         return ProblemConstants(
-            L_H=0.0, K_g=top * radius, K_H=top, U_H=top, U_g=top * radius,
+            L_H=0.0, K_g=top * 10.0, K_H=top, U_H=top, U_g=top * 10.0,
             f_low=f_low,
         )
 
@@ -379,16 +380,12 @@ class SaddleProblem(ObjectiveOracle):
             + self.gamma * ((x @ x) * np.eye(self.dim) + 2.0 * np.outer(x, x))
         )
 
-    def constants(self, radius=None):
-        """Constants valid on the ball ||x|| <= radius.
-
-        The default radius covers the sublevel set of f(x0) for start
-        points with ||x0|| <= 1, inflated so that line-search trial points
-        x + alpha*d stay inside.
+    def constants(self):
+        """Constants valid on the ball ||x|| <= default_radius(), which
+        covers the sublevel set of f(x0) for start points with ||x0|| <= 1,
+        inflated so that line-search trial points x + alpha*d stay inside.
         """
-        if radius is None:
-            radius = self.default_radius()
-        mu, gamma, R = self.mu, self.gamma, float(radius)
+        mu, gamma, R = self.mu, self.gamma, self.default_radius()
         return ProblemConstants(
             L_H=6.0 * gamma * R,
             K_g=max(self.mu, 1.0) * R + gamma * R**3,
@@ -414,17 +411,18 @@ def synthetic_saddle(dim, mu=1.0, gamma=1.0):
     return problem, problem.constants()
 
 
-def synthetic_nls(n, dim, link=SIGMOID, alpha=1.0, row_norm=1.0, seed=0):
+def synthetic_nls(n, dim, link=SIGMOID, seed=0):
     """Random NLS instance with controlled row norms and binary labels.
 
-    Rows are uniform on the sphere of radius `row_norm` scaled by a uniform
-    factor in [0.5, 1]; labels follow a planted linear rule through the
-    link, so the instance is learnable but not separable.
+    Rows are uniform on the unit sphere scaled by a uniform factor in
+    [0.5, 1]; labels follow a planted linear rule through the link, so the
+    instance is learnable but not separable.  A welsch instance has
+    alpha = 1.
     """
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, dim))
     A /= _row_norms(A)[:, None]
-    A *= row_norm * rng.uniform(0.5, 1.0, size=(n, 1))
+    A *= rng.uniform(0.5, 1.0, size=(n, 1))
     x_star = rng.standard_normal(dim)
     x_star /= np.linalg.norm(x_star)
     z = A @ (3.0 * x_star)
@@ -435,4 +433,4 @@ def synthetic_nls(n, dim, link=SIGMOID, alpha=1.0, row_norm=1.0, seed=0):
         b[b == 0] = 1.0
     else:
         b = z + 0.1 * rng.standard_normal(n)
-    return NLSProblem(A, b, link=link, alpha=alpha)
+    return NLSProblem(A, b, link=link)

@@ -10,7 +10,7 @@ formulas are natural logs.
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,14 +153,12 @@ class SamplingPolicy:
     """How each iteration's gradient/Hessian/function batches are drawn.
 
     mode : EXACT, SUB_HESSIAN_ONLY, or SUB_BOTH.
-    grad_batch / hess_batch : current sizes (ignored where the mode says
-        exact).  grad_batch adapts by the 1.2 rule when `adaptive` is set.
+    grad_batch / hess_batch : current sizes, at least 1 where the mode
+        samples (ignored where it says exact).  grad_batch adapts by the
+        1.2 rule when `adaptive` is set.
     line_search_eval : "full" evaluates the line-search objective exactly;
         "batch" reuses the gradient sample (the heuristic sub-eval mode,
         outside the drivers' guarantees).
-    targets : accuracy levels the batch sizes were derived for; the
-        fixed-step driver feeds them into its step formulas.  Zero for
-        exact modes.
 
     Adaptive gradient batches never drop below MIN_BATCH.
     """
@@ -170,15 +168,16 @@ class SamplingPolicy:
     hess_batch: int = 0
     adaptive: bool = False
     line_search_eval: str = "full"
-    targets: AccuracyTargets = field(
-        default_factory=lambda: AccuracyTargets(0.0, 0.0)
-    )
 
     def __post_init__(self):
         if self.mode not in (EXACT, SUB_HESSIAN_ONLY, SUB_BOTH):
             raise ValueError("unknown sampling mode %r" % (self.mode,))
         if self.line_search_eval not in ("full", "batch"):
             raise ValueError("line_search_eval must be 'full' or 'batch'")
+        if self.subsamples_gradient() and self.grad_batch < 1:
+            raise ValueError("mode %s needs grad_batch >= 1" % self.mode)
+        if self.subsamples_hessian() and self.hess_batch < 1:
+            raise ValueError("mode %s needs hess_batch >= 1" % self.mode)
 
     def subsamples_gradient(self):
         return self.mode == SUB_BOTH
@@ -189,12 +188,12 @@ class SamplingPolicy:
     def draw_grad_indices(self, n, rng):
         if not self.subsamples_gradient():
             return np.arange(n, dtype=np.int64)
-        return sample_indices(n, min(max(self.grad_batch, 1), n), rng)
+        return sample_indices(n, min(self.grad_batch, n), rng)
 
     def draw_hess_indices(self, n, rng):
         if not self.subsamples_hessian():
             return np.arange(n, dtype=np.int64)
-        return sample_indices(n, min(max(self.hess_batch, 1), n), rng)
+        return sample_indices(n, min(self.hess_batch, n), rng)
 
     def adapt(self, g_norm_now, g_norm_prev, n):
         if not (self.adaptive and self.subsamples_gradient()):

@@ -26,7 +26,7 @@ accepted trial value of the previous search (the same expression
 x + alpha d on the same set); a batch search evaluates f(x_k) on its
 fresh batch every iteration.  The FixedStep variant replaces the search
 with predefined step sizes that provably satisfy the same decrease
-condition given accuracy levels (delta_g, delta_H) on the estimates.
+condition given accuracy levels (delta_g, delta_H) on the estimates, here 0.
 
 Audit mode recomputes exact quantities through a ledger-exempt channel and
 enforces the per-step decrease floors, backtracking caps, and iteration
@@ -47,7 +47,7 @@ import copy
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -85,7 +85,7 @@ class SolverConfig:
     eps_H defaults to sqrt(L_H * eps_g) when left None (the coupling under
     which the iteration bounds are stated), falling back to sqrt(eps_g)
     for problems that declare L_H = 0.  U_H and L_H default to the problem
-    constants at run time.
+    constants at run time; `RunReport.config_resolved` holds the filled copy.
     """
 
     eps_g: float = 1e-3
@@ -161,7 +161,7 @@ class RunReport:
     x_final: np.ndarray
     final_f: float
     final_true_grad_norm: float
-    config_resolved: dict
+    config_resolved: SolverConfig
     ledger: dict
     audit_ledger: dict
     audit: dict = field(default_factory=dict)
@@ -349,31 +349,22 @@ def iteration_bound(f0_minus_flow, L_H, constants, eps, variant=LINE_SEARCH):
 
 
 def _resolve(config, constants):
-    """Fill config holes from problem constants; returns an effective dict."""
-    U_H = config.U_H if config.U_H is not None else getattr(constants, "U_H", None)
+    """The run's config: eps_H, U_H and L_H filled from the problem
+    constants where the config leaves them None (L_H may stay None)."""
+    U_H = config.U_H if config.U_H is not None else constants.U_H
     if U_H is None or U_H <= 0:
         raise ValueError("a positive Hessian-norm bound U_H is required")
-    L_H = config.L_H if config.L_H is not None else getattr(constants, "L_H", None)
+    L_H = config.L_H if config.L_H is not None else constants.L_H
     eps_H = config.eps_H
     if eps_H is None:
         if L_H is None:
             raise ValueError("eps_H or L_H must be provided")
         eps_H = math.sqrt(L_H * config.eps_g) if L_H > 0 else math.sqrt(config.eps_g)
-    check_interval(eps_H, "eps_H", 0.0, 1.0)
-    zeta = check_interval(config.zeta, "zeta", 0.0, min(1.0, U_H))
-    return {
-        "eps_g": config.eps_g,
-        "eps_H": eps_H,
-        "theta": config.theta,
-        "eta": config.eta,
-        "zeta": zeta,
-        "delta": config.delta,
-        "theta_tilde": config.theta_tilde,
-        "U_H": float(U_H),
-        "L_H": None if L_H is None else float(L_H),
-        "U_g": getattr(constants, "U_g", None),
-        "f_low": getattr(constants, "f_low", None),
-    }
+    # replace() validates the filled eps_H through __post_init__.
+    cfg = replace(config, eps_H=eps_H, U_H=float(U_H),
+                  L_H=None if L_H is None else float(L_H))
+    check_interval(cfg.zeta, "zeta", 0.0, min(1.0, cfg.U_H))
+    return cfg
 
 
 class _Audit:
@@ -384,14 +375,16 @@ class _Audit:
     never lists violations.  Checks that need the next gradient norm (the
     retrospective accuracy condition and the Newton-step decrease floor)
     wait in `pending` until `resolve`.  `n_checks` counts the per-iteration
-    checks; the iteration bound is reported on its own.
+    checks; the iteration bound is reported on its own.  The Hessian error
+    is measured up to dimension 64; above it a condition that the gradient
+    error does not break is recorded as unchecked (`ok` None).
     """
 
-    def __init__(self, problem, eff, variant, policy, guaranteed_step):
+    def __init__(self, problem, cfg, constants, variant, policy, guaranteed_step):
         self.problem = problem
-        self.eff = eff
+        self.cfg = cfg
+        self.constants = constants
         self.variant = variant
-        self.policy = policy
         self.exact_policy = policy.mode == EXACT
         self.exact_line_f = policy.line_search_eval == "full"
         self.guaranteed_step = self.exact_policy and guaranteed_step
@@ -411,14 +404,14 @@ class _Audit:
 
     def decrease_constant(self, d_type):
         """c_sol / c_nc under LineSearch, cbar_sol / cbar_nc under FixedStep."""
-        eta, theta, zeta, L_H = map(self.eff.get, ("eta", "theta", "zeta", "L_H"))
+        cfg = self.cfg
         if self.variant == LINE_SEARCH:
             if d_type == SOL:
-                return c_sol_constant(eta, theta, zeta, L_H)
-            return c_nc_constant(eta, theta, L_H)
+                return c_sol_constant(cfg.eta, cfg.theta, cfg.zeta, cfg.L_H)
+            return c_nc_constant(cfg.eta, cfg.theta, cfg.L_H)
         if d_type == SOL:
-            return cbar_sol_constant(eta, zeta, L_H)
-        return cbar_nc_constant(eta, self.eff["theta_tilde"], L_H)
+            return cbar_sol_constant(cfg.eta, cfg.zeta, cfg.L_H)
+        return cbar_nc_constant(cfg.eta, cfg.theta_tilde, cfg.L_H)
 
     def gradient(self, x, g):
         """Exact ||grad f(x)||; keeps the estimate's error for the condition."""
@@ -428,8 +421,8 @@ class _Audit:
 
     def step(self, record, x, x_next, d, g, hess_idx, f_here):
         """Checks of a step just taken; queues the retrospective ones."""
-        eff, k, d_type = self.eff, record.k, record.d_type
-        eps_g, eps_H, L_H = eff["eps_g"], eff["eps_H"], eff["L_H"]
+        cfg, k, d_type = self.cfg, record.k, record.d_type
+        eps_g, eps_H, L_H = cfg.eps_g, cfg.eps_H, cfg.L_H
         line_search = self.variant == LINE_SEARCH
         norm_d = float(np.linalg.norm(d))
         f_next = self.problem.audit_f(x_next)
@@ -449,14 +442,14 @@ class _Audit:
                 self.check(k, "fixed_sol_decrease_floor",
                            decrease >= floor - 1e-12, decrease, floor)
         if self.exact_policy and line_search and L_H is not None:
-            theta, trials = eff["theta"], record.ls_trials
+            trials = record.ls_trials
             if d_type == NC:
-                cap = j_nc_cap(theta, L_H, eff["eta"]) + 1
+                cap = j_nc_cap(cfg.theta, L_H, cfg.eta) + 1
                 j_used = math.ceil(trials / 2) - 1
                 self.check(k, "nc_backtrack_cap", j_used <= cap, j_used, cap)
-            elif eff["U_g"] is not None:
-                cap = 1 + j_sol_cap(theta, eff["zeta"], eps_H, eff["U_g"], L_H,
-                                    eff["eta"])
+            else:
+                cap = 1 + j_sol_cap(cfg.theta, cfg.zeta, eps_H, self.constants.U_g,
+                                    L_H, cfg.eta)
                 self.check(k, "sol_backtrack_cap", trials - 1 <= cap, trials - 1, cap)
         if d_type == NC:
             self.check(k, "nc_against_gradient", float(d @ g) <= 1e-12,
@@ -464,12 +457,12 @@ class _Audit:
 
         condition = None
         if not self.exact_policy:
-            delta_H = 0.0
-            if self.policy.subsamples_hessian() and self.problem.dim <= 64:
+            delta_H = None
+            if self.problem.dim <= 64:  # every sampled mode samples the Hessian
                 H_err = (self.problem.dense_hessian(x, hess_idx)
                          - self.problem.dense_hessian(x))
                 delta_H = float(np.linalg.norm(H_err, 2))
-            condition = dict(eff, delta_g_used=self.delta_g, delta_H_used=delta_H,
+            condition = dict(vars(cfg), delta_g_used=self.delta_g, delta_H_used=delta_H,
                              norm_d=norm_d, norm_g=record.grad_est_norm)
         sol_floor = None
         if (
@@ -488,14 +481,16 @@ class _Audit:
             return
         k, ctx = pending["k"], pending["condition"]
         if ctx is not None:
-            ok = verify_condition(ctx["delta_g_used"], ctx["delta_H_used"],
+            delta_H = ctx["delta_H_used"]
+            ok = verify_condition(ctx["delta_g_used"], delta_H or 0.0,
                                   dict(ctx, norm_g_next=norm_g_next), which=self.which)
-            self.condition_results.append({"k": k, "ok": bool(ok)})
+            self.condition_results.append(
+                {"k": k, "ok": None if ok and delta_H is None else bool(ok)})
         if pending["sol_floor"] is not None:
-            eps_H, decrease = self.eff["eps_H"], pending["decrease"]
+            eps_H, decrease = self.cfg.eps_H, pending["decrease"]
             floor = pending["sol_floor"] * max(0.0, min(
                 exact_g_next_norm**3 / (2.5 * eps_H) ** 3, (2.5 * eps_H) ** 3,
-                self.eff["eps_g"] ** 1.5,
+                self.cfg.eps_g ** 1.5,
             ))
             self.check(k, "sol_decrease_floor", decrease >= floor - 1e-12,
                        decrease, floor)
@@ -507,10 +502,10 @@ class _Audit:
             "violations": [],
             "condition_results": self.condition_results,
         }
-        eps_g, eps_H, L_H, f_low = map(self.eff.get, ("eps_g", "eps_H", "L_H", "f_low"))
+        eps_g, eps_H, L_H = self.cfg.eps_g, self.cfg.eps_H, self.cfg.L_H
+        f_low = self.constants.f_low
         if (
-            self.exact_policy and records and L_H
-            and f_low is not None and math.isfinite(f_low)
+            self.exact_policy and records and L_H and math.isfinite(f_low)
             and abs(eps_H - math.sqrt(L_H * eps_g)) <= 1e-12 * max(1.0, eps_H)
         ):
             prefix = "c" if self.variant == LINE_SEARCH else "cbar"
@@ -524,53 +519,53 @@ class _Audit:
         return summary
 
 
-def _direction(H, g, g_norm, eff, skip_small_step_block, rng):
+def _direction(H, g, g_norm, cfg, rng):
     """Direction at one iterate: (d, d_type, nc_origin, cg_iters, meo_iters,
     terminate).
 
     A certificate at small ||g|| keeps d_type NC with no direction; one from
     the small-step block keeps the Newton direction, returned at x + d.
     """
-    eps_g, eps_H = eff["eps_g"], eff["eps_H"]
+    eps_g, eps_H = cfg.eps_g, cfg.eps_H
     cg_iters = 0
     if g_norm >= eps_g:
         result = capped_cg(
-            H, g, CappedCGParams(epsilon=eps_H, zeta=eff["zeta"], M_init=eff["U_H"])
+            H, g, CappedCGParams(epsilon=eps_H, zeta=cfg.zeta, M_init=cfg.U_H)
         )
         cg_iters = result.iterations
         if result.d_type == NC:
             d = scale_nc_direction(result.d, H, g, curvature=result.curvature)
             return d, NC, "cg", cg_iters, 0, None
         d, d_type, certified = result.d, SOL, TERM_FIRST_ORDER_AND_CERTIFIED
-        if skip_small_step_block or not float(np.linalg.norm(d)) <= eps_g / eps_H:
+        if cfg.skip_small_step_block or not float(np.linalg.norm(d)) <= eps_g / eps_H:
             return d, SOL, None, cg_iters, 0, None
     else:
         d, d_type, certified = None, NC, TERM_CERTIFIED_AT_CURRENT
-    meo = meo_lanczos(H, eff["U_H"], eps_H, eff["delta"], rng)
+    meo = meo_lanczos(H, cfg.U_H, eps_H, cfg.delta, rng)
     if meo.is_certificate:
         return d, d_type, None, cg_iters, meo.iterations, certified
     d = scale_meo_direction(meo.v, H, g, curvature=meo.lam)
     return d, NC, "meo", cg_iters, meo.iterations, None
 
 
-def _step_length(f_eval, x, d, d_type, f_x, variant, eff, config, targets):
+def _step_length(f_eval, x, d, d_type, f_x, variant, cfg):
     """(alpha, ls_trials, f_next): backtracking from f_x = f_eval(x) under
     LineSearch, with f_next = f_eval(x + alpha d); the predefined formulas
-    or overrides under FixedStep, which evaluate nothing (f_next None)."""
+    (delta_g = delta_H = 0) or overrides under FixedStep, which evaluate
+    nothing (f_next None)."""
     if variant == LINE_SEARCH:
         search = line_search_sol if d_type == SOL else line_search_nc
-        return search(f_eval, x, d, eff["eta"], eff["theta"], f0=f_x,
-                      max_trials=config.max_ls_trials)
-    norm_d, L_H, eta = float(np.linalg.norm(d)), eff["L_H"], eff["eta"]
+        return search(f_eval, x, d, cfg.eta, cfg.theta, f0=f_x,
+                      max_trials=cfg.max_ls_trials)
+    norm_d = float(np.linalg.norm(d))
     if d_type == SOL:
-        alpha = config.alpha_sol_fixed
+        alpha = cfg.alpha_sol_fixed
         if alpha is None:
-            alpha = fixed_step_sol(norm_d, eff["eps_H"], eff["zeta"], L_H, eta)
+            alpha = fixed_step_sol(norm_d, cfg.eps_H, cfg.zeta, cfg.L_H, cfg.eta)
     else:
-        alpha = config.alpha_nc_fixed
+        alpha = cfg.alpha_nc_fixed
         if alpha is None:
-            alpha = fixed_step_nc(norm_d, targets.delta_H, targets.delta_g, L_H, eta,
-                                  eff["theta_tilde"])
+            alpha = fixed_step_nc(norm_d, 0.0, 0.0, cfg.L_H, cfg.eta, cfg.theta_tilde)
     return alpha, 0, None
 
 
@@ -596,35 +591,33 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
     """
     if variant not in (LINE_SEARCH, FIXED_STEP):
         raise ValueError("unknown variant %r" % (variant,))
-    if variant == LINE_SEARCH and (config.alpha_sol_fixed is not None
-                                   or config.alpha_nc_fixed is not None):
+    no_overrides = config.alpha_sol_fixed is None and config.alpha_nc_fixed is None
+    if variant == LINE_SEARCH and not no_overrides:
         raise ValueError("step-size overrides (alpha_sol_fixed, alpha_nc_fixed) "
                          "apply to FixedStep only; LineSearch would ignore them")
     policy = copy.deepcopy(policy) if policy is not None else SamplingPolicy(mode=EXACT)
     if constants is None:
         constants = problem.constants()
-    eff = _resolve(config, constants)
-    no_overrides = config.alpha_sol_fixed is None and config.alpha_nc_fixed is None
-    derives_step = config.alpha_sol_fixed is None or config.alpha_nc_fixed is None
-    L_H = eff["L_H"]
-    if variant == FIXED_STEP and derives_step and (L_H is None or L_H <= 0.0):
+    cfg = _resolve(config, constants)
+    derives_step = cfg.alpha_sol_fixed is None or cfg.alpha_nc_fixed is None
+    if variant == FIXED_STEP and derives_step and (cfg.L_H is None or cfg.L_H <= 0.0):
         raise ValueError("FixedStep derives its step sizes from L_H > 0; give "
                          "L_H or both step-size overrides")
 
     ledger_start = problem.ledger.snapshot()
     audit_ledger_start = problem.audit_ledger.snapshot()
-    rng = as_generator(config.seed)
+    rng = as_generator(cfg.seed)
     auditor = None
     if audit:
-        auditor = _Audit(problem, eff, variant, policy,
+        auditor = _Audit(problem, cfg, constants, variant, policy,
                          guaranteed_step=variant == LINE_SEARCH or no_overrides)
     exact_line_f = policy.line_search_eval == "full"
 
     x = np.zeros(problem.dim) if x0 is None else check_vector(x0, "x0", problem.dim)
     n = problem.n
     full_idx = problem.full_index_set()
-    eps_g, eps_H = eff["eps_g"], eff["eps_H"]
-    small_step = eps_g / eps_H
+    eps_g = cfg.eps_g
+    small_step = eps_g / cfg.eps_H
 
     records = []
     termination = TERM_MAX_ITERS
@@ -648,7 +641,7 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
         if trace is not None:
             trace(record)
 
-    for k in range(config.max_outer_iters):
+    for k in range(cfg.max_outer_iters):
         # Full batches are the oracle's shared read-only index set, which
         # `_PointState` and `HessianOperator.from_oracle` recognise by identity.
         grad_idx = (policy.draw_grad_indices(n, rng) if policy.subsamples_gradient()
@@ -664,7 +657,7 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
                     else full_idx)
         H = HessianOperator.from_oracle(problem, x, hess_idx)
         d, d_type, nc_origin, cg_iters, meo_iters, terminate = _direction(
-            H, g, g_norm, eff, config.skip_small_step_block, rng
+            H, g, g_norm, cfg, rng
         )
 
         # f at x_k: the full-set line-search value doubles as the record
@@ -683,7 +676,7 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
             try:
                 alpha, ls_trials, f_next = _step_length(
                     lambda y: problem.eval_f(y, line_idx), x, d, d_type, f_x,
-                    variant, eff, config, policy.targets,
+                    variant, cfg,
                 )
             except ContractViolation as exc:
                 if audit:
@@ -746,7 +739,7 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
         x_final=x_final,
         final_f=final_f,
         final_true_grad_norm=final_norm,
-        config_resolved=eff,
+        config_resolved=cfg,
         ledger=problem.ledger.since(ledger_start),
         audit_ledger=problem.audit_ledger.since(audit_ledger_start),
         audit=audit_summary,

@@ -241,6 +241,21 @@ class TestErrorMessages:
         assert str(err) == (
             "line 2: feature indices must be strictly increasing (2 after 4)")
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r"])
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, capsys, newline):
+        # The text decoder reads ahead in blocks; its error position counts
+        # from the block and names no line.
+        lines = [b"1 1:0.5 2:0.25"] * 20000 + [b"\xff 2:1", b""]
+        err = format_error(tmp_path, newline.join(lines))
+        assert err.lineno == 20001
+        message = "line 20001: byte 0xff is not UTF-8 (invalid start byte)"
+        assert str(err) == message
+        code = main(["solve", "--problem", "nls-sigmoid", "--data",
+                     str(tmp_path / "a.txt"), "--variant", "full",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: %s\n" % message
+
     def test_first_bad_token_in_a_line_wins(self, tmp_path):
         err = format_error(tmp_path, b"1 2:1 1:abc 0:1\n")
         assert str(err) == "line 1: cannot parse feature '1:abc'"

@@ -5,7 +5,6 @@ import pytest
 from scipy.stats import chisquare
 
 from ntcg import (
-    AccuracyTargets,
     SamplingPolicy,
     adapt_grad_batch,
     floor_targets,
@@ -180,7 +179,7 @@ class TestVerifyCondition:
         # Subsampled gradients at the prescribed size should satisfy their
         # target accuracy in at least 1 - delta_bar of draws (hugely
         # conservative bound; observed rates are ~1).
-        problem = synthetic_nls(4000, 8, seed=13, row_norm=1.0)
+        problem = synthetic_nls(4000, 8, seed=13)
         rng = np.random.default_rng(14)
         x = rng.standard_normal(8) * 0.5
         exact = problem._grad(x, problem.full_index_set())
@@ -235,8 +234,14 @@ class TestPolicy:
         with pytest.raises(ValueError):
             SamplingPolicy(mode="Nope")
 
-    def test_targets_default_zero(self):
-        assert SamplingPolicy().targets == AccuracyTargets(0.0, 0.0)
+    @pytest.mark.parametrize("mode, batches", [
+        (SUB_BOTH, {}), (SUB_BOTH, {"hess_batch": 5}),
+        (SUB_BOTH, {"grad_batch": 5}), (SUB_HESSIAN_ONLY, {"grad_batch": 5}),
+    ])
+    def test_sampled_mode_rejects_a_zero_batch(self, mode, batches):
+        # A zero batch used to be drawn as one row per iteration.
+        with pytest.raises(ValueError, match="batch >= 1"):
+            SamplingPolicy(mode=mode, **batches)
 
     def test_preset_policies(self):
         assert preset_policy("full", 1050).mode == EXACT

@@ -20,6 +20,7 @@ from ntcg import (
     synthetic_nls,
     synthetic_saddle,
 )
+from ntcg.problems import TANH
 from ntcg.sampling import EXACT, SUB_BOTH, SUB_HESSIAN_ONLY
 from ntcg.solver import FIXED_STEP, run
 
@@ -553,6 +554,24 @@ class TestConditionMachinery:
         assert rep.termination == solver.TERM_MAX_ITERS
         assert [r.k for r in rep.records] == list(range(15))
         assert [c["k"] for c in rep.audit["condition_results"]] == list(range(15))
+
+    @pytest.mark.parametrize("policy, expected", [
+        (SamplingPolicy(mode=SUB_HESSIAN_ONLY, hess_batch=20), None),
+        (SamplingPolicy(mode=SUB_BOTH, grad_batch=100, hess_batch=20), False),
+    ], ids=["subh", "sub-both"])
+    def test_unmeasured_hessian_error_is_not_met(self, policy, expected):
+        # Above dimension 64 the audit does not measure ||H_S - H||, which
+        # here breaks its bound: a 20-row batch at x0 is off by about 0.11
+        # against (1 - zeta)/4 * eps_H = 6.25e-4.  The condition is then
+        # unchecked, or failed when a 100-row gradient batch breaks it.
+        problem = synthetic_nls(2000, 100, link=TANH, seed=0)
+        idx = np.random.default_rng(0).choice(problem.n, 20, replace=False)
+        x0 = np.zeros(problem.dim)
+        H_err = problem.dense_hessian(x0, idx) - problem.dense_hessian(x0)
+        assert np.linalg.norm(H_err, 2) > 100 * (1 - 0.5) / 4 * 5e-3
+        cfg = SolverConfig(eps_g=1e-3, eps_H=5e-3, seed=0, max_outer_iters=10)
+        rep = run(problem, cfg, policy=policy, x0=x0, audit=True)
+        assert [c["ok"] for c in rep.audit["condition_results"]] == [expected] * 10
 
     def test_trace_sees_exactly_the_final_records(self):
         # trace gets each record once, in order, with its final K2/K3 class.
