@@ -27,8 +27,6 @@ from .sampling import (
     SamplingPolicy,
     adapt_grad_batch,
     floor_targets,
-    grad_sample_size,
-    hess_sample_size,
     sample_indices,
     verify_condition,
 )
@@ -84,8 +82,6 @@ __all__ = [
     "fixed_step_nc",
     "fixed_step_sol",
     "floor_targets",
-    "grad_sample_size",
-    "hess_sample_size",
     "iteration_bound",
     "j_cap",
     "line_search_nc",

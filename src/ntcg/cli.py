@@ -137,8 +137,6 @@ def run_experiment(spec):
     csv_paths = []
     for r in range(spec.repeats):
         seed = spec.seed + r
-        problem.ledger.reset()
-        problem.audit_ledger.reset()
         policy = preset_policy(spec.variant, problem.n)
         config, variant_kind = build_config(spec, seed)
         try:

@@ -78,7 +78,7 @@ class ObjectiveOracle:
 
     The objective is the mean F = (1/n) * sum_i f_i, and every estimate is
     a mean over its batch, so batch estimates are unbiased for F and the
-    problem constants (K_g, K_H, U_H, L_H) bound F and its estimates alike.
+    problem constants (U_g, U_H, L_H) bound F and its estimates alike.
 
     Subclasses implement the uncounted batch primitives `_value`, `_grad`
     and `_hvp`, each taking an explicit index array and returning the MEAN
@@ -114,7 +114,7 @@ class ObjectiveOracle:
         raise NotImplementedError
 
     def constants(self):
-        """ProblemConstants (L_H, K_g, K_H, U_H, U_g, f_low) of the
+        """ProblemConstants (L_H, U_H, U_g, f_low) of the
         objective; the solver reads its defaults from here."""
         raise ValueError("problem constants are required")
 

@@ -11,15 +11,16 @@ closed forms, so the oracle-call accounting is exact; there is no autodiff
 anywhere.
 
 Each problem exposes smoothness/boundedness constants computed from its
-data: per-component gradient and Hessian bounds K_g / K_H, a Hessian-norm
-bound U_H (= K_H), and a Hessian-Lipschitz bound L_H.  For the NLS rows
-these are the standard per-row formulas maximized over the data:
+data: gradient and Hessian-norm bounds U_g / U_H, which hold for every
+component and so for every batch mean, and a Hessian-Lipschitz bound L_H.
+For the NLS rows these are the standard per-row formulas maximized over
+the data:
 
-  sigmoid: L_H = max 2(|b|+4)||a||^3, K_g = max (|b|+1)||a||/2,
-           K_H = max (|b|+2)||a||^2
-  tanh:    L_H as sigmoid, K_g = max 2(|b|+1)||a||, K_H = max (|b|+2)||a||^2
-  welsch:  L_H = 9 a^{3/2} max ||a_i||^3, K_g = sqrt(2/a) max ||a_i||,
-           K_H = 2 max ||a_i||^2
+  sigmoid: L_H = max 2(|b|+4)||a||^3, U_g = max (|b|+1)||a||/2,
+           U_H = max (|b|+2)||a||^2
+  tanh:    L_H as sigmoid, U_g = max 2(|b|+1)||a||, U_H = max (|b|+2)||a||^2
+  welsch:  L_H = 9 a^{3/2} max ||a_i||^3, U_g = sqrt(2/a) max ||a_i||,
+           U_H = 2 max ||a_i||^2
 
 The row norms behind these constants, and the row normalisation of
 `synthetic_nls`, are reduced over row blocks of about 1 MiB of float64
@@ -65,8 +66,6 @@ MEMO_SIZE = 2
 @dataclass
 class ProblemConstants:
     L_H: float
-    K_g: float
-    K_H: float
     U_H: float
     U_g: float
     f_low: float = 0.0
@@ -290,19 +289,19 @@ class NLSProblem(ObjectiveOracle):
         absb = np.abs(self.b)
         if self.link in (SIGMOID, TANH):
             L_H = float(np.max(2.0 * (absb + 4.0) * norms**3))
-            K_H = float(np.max((absb + 2.0) * norms**2))
+            U_H = float(np.max((absb + 2.0) * norms**2))
             if self.link == SIGMOID:
-                K_g = float(np.max((absb + 1.0) * norms / 2.0))
+                U_g = float(np.max((absb + 1.0) * norms / 2.0))
             else:
-                K_g = float(np.max(2.0 * (absb + 1.0) * norms))
+                U_g = float(np.max(2.0 * (absb + 1.0) * norms))
         else:
             a = self.alpha
             max_norm = float(np.max(norms))
             L_H = 9.0 * a**1.5 * max_norm**3
-            K_g = math.sqrt(2.0 / a) * max_norm
-            K_H = 2.0 * max_norm**2
+            U_g = math.sqrt(2.0 / a) * max_norm
+            U_H = 2.0 * max_norm**2
         # Squared residuals and the welsch loss are both nonnegative.
-        return ProblemConstants(L_H=L_H, K_g=K_g, K_H=K_H, U_H=K_H, U_g=K_g, f_low=0.0)
+        return ProblemConstants(L_H=L_H, U_H=U_H, U_g=U_g, f_low=0.0)
 
 
 def constants_for(problem):
@@ -338,10 +337,7 @@ class QuadraticProblem(ObjectiveOracle):
         """Constants whose gradient bounds hold on the ball ||x|| <= 10."""
         top = float(np.max(np.abs(self.diag)))
         f_low = 0.0 if np.all(self.diag >= 0) else -math.inf
-        return ProblemConstants(
-            L_H=0.0, K_g=top * 10.0, K_H=top, U_H=top, U_g=top * 10.0,
-            f_low=f_low,
-        )
+        return ProblemConstants(L_H=0.0, U_H=top, U_g=top * 10.0, f_low=f_low)
 
 
 class SaddleProblem(ObjectiveOracle):
@@ -388,8 +384,6 @@ class SaddleProblem(ObjectiveOracle):
         mu, gamma, R = self.mu, self.gamma, self.default_radius()
         return ProblemConstants(
             L_H=6.0 * gamma * R,
-            K_g=max(self.mu, 1.0) * R + gamma * R**3,
-            K_H=max(self.mu, 1.0) + 3.0 * gamma * R**2,
             U_H=max(self.mu, 1.0) + 3.0 * gamma * R**2,
             U_g=max(self.mu, 1.0) * R + gamma * R**3,
             f_low=-(mu**2) / (4.0 * gamma),

@@ -1,11 +1,8 @@
-"""Finite-sum subsampling: batch estimators, sample-size formulas, accuracy
-targets, the adaptive batch rule, and the sampling policies of the
-benchmark presets.
+"""Finite-sum subsampling: batch estimators, accuracy targets, the adaptive
+batch rule, and the sampling policies of the benchmark presets.
 
 Sampling is uniform without replacement and resampled fresh every iteration
-(per-iteration probability statements need fresh randomness even where a
-single size formula covers all iterations).  All logarithms in the size
-formulas are natural logs.
+(per-iteration probability statements need fresh randomness).
 """
 
 import logging
@@ -56,20 +53,6 @@ def floor_targets(eps, L_H, zeta, eta):
     delta_g = (1.0 - zeta) / 8.0 * min(3.0 * L_H * eps / (65.0 * (L_H + eta)), eps)
     delta_H = (1.0 - zeta) / 4.0 * math.sqrt(L_H * eps)
     return AccuracyTargets(delta_g=delta_g, delta_H=delta_H)
-
-
-def grad_sample_size(K_g, delta_g, delta_bar):
-    """ceil(16 K_g^2 / delta_g^2 * ln(1/delta_bar))."""
-    if min(K_g, delta_g) <= 0 or not (0 < delta_bar < 1):
-        raise ValueError("need K_g, delta_g > 0 and delta_bar in (0, 1)")
-    return math.ceil(16.0 * K_g**2 / delta_g**2 * math.log(1.0 / delta_bar))
-
-
-def hess_sample_size(K_H, delta_H, dim, delta_bar):
-    """ceil(16 K_H^2 / delta_H^2 * ln(2 d / delta_bar))."""
-    if min(K_H, delta_H) <= 0 or dim < 1 or not (0 < delta_bar < 1):
-        raise ValueError("need K_H, delta_H > 0, dim >= 1, delta_bar in (0, 1)")
-    return math.ceil(16.0 * K_H**2 / delta_H**2 * math.log(2.0 * dim / delta_bar))
 
 
 def sample_indices(n, batch, rng):
@@ -153,12 +136,13 @@ class SamplingPolicy:
     """How each iteration's gradient/Hessian/function batches are drawn.
 
     mode : EXACT, SUB_HESSIAN_ONLY, or SUB_BOTH.
-    grad_batch / hess_batch : current sizes, at least 1 where the mode
-        samples (ignored where it says exact).  grad_batch adapts by the
-        1.2 rule when `adaptive` is set.
+    grad_batch / hess_batch : starting sizes, at least 1 where the mode
+        samples (ignored where it says exact).  When `adaptive` is set, a
+        run adapts grad_batch by the 1.2 rule on its private copy of the
+        policy.
     line_search_eval : "full" evaluates the line-search objective exactly;
         "batch" reuses the gradient sample (the heuristic sub-eval mode,
-        outside the drivers' guarantees).
+        outside the drivers' guarantees) and needs SUB_BOTH.
 
     Adaptive gradient batches never drop below MIN_BATCH.
     """
@@ -174,6 +158,10 @@ class SamplingPolicy:
             raise ValueError("unknown sampling mode %r" % (self.mode,))
         if self.line_search_eval not in ("full", "batch"):
             raise ValueError("line_search_eval must be 'full' or 'batch'")
+        if self.line_search_eval == "batch" and not self.subsamples_gradient():
+            # The batch would be the full set, and f(x) would no longer be
+            # carried from the last accepted trial.
+            raise ValueError("line_search_eval='batch' needs mode %s" % SUB_BOTH)
         if self.subsamples_gradient() and self.grad_batch < 1:
             raise ValueError("mode %s needs grad_batch >= 1" % self.mode)
         if self.subsamples_hessian() and self.hess_batch < 1:
@@ -186,13 +174,9 @@ class SamplingPolicy:
         return self.mode in (SUB_HESSIAN_ONLY, SUB_BOTH)
 
     def draw_grad_indices(self, n, rng):
-        if not self.subsamples_gradient():
-            return np.arange(n, dtype=np.int64)
         return sample_indices(n, min(self.grad_batch, n), rng)
 
     def draw_hess_indices(self, n, rng):
-        if not self.subsamples_hessian():
-            return np.arange(n, dtype=np.int64)
         return sample_indices(n, min(self.hess_batch, n), rng)
 
     def adapt(self, g_norm_now, g_norm_prev, n):

@@ -377,7 +377,8 @@ class _Audit:
     wait in `pending` until `resolve`.  `n_checks` counts the per-iteration
     checks; the iteration bound is reported on its own.  The Hessian error
     is measured up to dimension 64; above it a condition that the gradient
-    error does not break is recorded as unchecked (`ok` None).
+    error does not break is recorded as unchecked (`ok` None), as is a
+    Cond3 that Cond2 does not break when L_H is unknown.
     """
 
     def __init__(self, problem, cfg, constants, variant, policy, guaranteed_step):
@@ -386,7 +387,6 @@ class _Audit:
         self.constants = constants
         self.variant = variant
         self.exact_policy = policy.mode == EXACT
-        self.exact_line_f = policy.line_search_eval == "full"
         self.guaranteed_step = self.exact_policy and guaranteed_step
         self.which = COND3 if variant == FIXED_STEP else COND2
         self.n_checks = 0
@@ -428,7 +428,7 @@ class _Audit:
         f_next = self.problem.audit_f(x_next)
         decrease = f_here - f_next
         record.decrease = decrease
-        if self.guaranteed_step and (not line_search or self.exact_line_f):
+        if self.guaranteed_step:
             self.check(k, "monotone_decrease", decrease > 0.0, f_next, f_here)
         if self.guaranteed_step and L_H is not None:
             if d_type == NC:
@@ -466,8 +466,8 @@ class _Audit:
                              norm_d=norm_d, norm_g=record.grad_est_norm)
         sol_floor = None
         if (
-            self.exact_policy and line_search and self.exact_line_f
-            and d_type == SOL and norm_d > eps_g / eps_H and L_H is not None
+            self.exact_policy and line_search and d_type == SOL
+            and norm_d > eps_g / eps_H and L_H is not None
         ):
             sol_floor = self.decrease_constant(SOL)
         self.pending = {"k": k, "condition": condition, "sol_floor": sol_floor,
@@ -481,11 +481,15 @@ class _Audit:
             return
         k, ctx = pending["k"], pending["condition"]
         if ctx is not None:
+            # Cond3 only tightens Cond2's gradient bound by a cap that needs
+            # L_H; without it Cond2 can show a failure but not a pass.
+            which = self.which if ctx["L_H"] is not None else COND2
             delta_H = ctx["delta_H_used"]
             ok = verify_condition(ctx["delta_g_used"], delta_H or 0.0,
-                                  dict(ctx, norm_g_next=norm_g_next), which=self.which)
+                                  dict(ctx, norm_g_next=norm_g_next), which=which)
+            decided = delta_H is not None and which == self.which
             self.condition_results.append(
-                {"k": k, "ok": None if ok and delta_H is None else bool(ok)})
+                {"k": k, "ok": None if ok and not decided else bool(ok)})
         if pending["sol_floor"] is not None:
             eps_H, decrease = self.cfg.eps_H, pending["decrease"]
             floor = pending["sol_floor"] * max(0.0, min(

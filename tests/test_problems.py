@@ -111,21 +111,20 @@ class TestConstants:
         problem = NLSProblem(np.array([[1.0]]), np.array([1.0]), link=SIGMOID)
         c = constants_for(problem)
         assert c.L_H == 10.0  # 2 (|b| + 4) ||a||^3
-        assert c.K_g == 1.0  # (|b| + 1) ||a|| / 2
-        assert c.K_H == 3.0  # (|b| + 2) ||a||^2
-        assert c.U_H == c.K_H
+        assert c.U_g == 1.0  # (|b| + 1) ||a|| / 2
+        assert c.U_H == 3.0  # (|b| + 2) ||a||^2
 
     def test_welsch_single_row_values(self):
         problem = NLSProblem(np.array([[1.0]]), np.array([0.0]), link=WELSCH, alpha=1.0)
         c = constants_for(problem)
         assert c.L_H == 9.0
-        assert abs(c.K_g - np.sqrt(2.0)) < 1e-15
-        assert c.K_H == 2.0
+        assert abs(c.U_g - np.sqrt(2.0)) < 1e-15
+        assert c.U_H == 2.0
 
     def test_tanh_k_g_row(self):
         problem = NLSProblem(np.array([[2.0]]), np.array([-1.0]), link=TANH)
         c = constants_for(problem)
-        assert c.K_g == 2.0 * 2.0 * 2.0  # 2 (|b| + 1) ||a||
+        assert c.U_g == 2.0 * 2.0 * 2.0  # 2 (|b| + 1) ||a||
         assert c.L_H == 2.0 * 5.0 * 8.0
 
     @pytest.mark.parametrize("link", [SIGMOID, TANH, WELSCH])
@@ -137,9 +136,9 @@ class TestConstants:
             x = rng.standard_normal(6) * rng.uniform(0.1, 5.0)
             i = int(rng.integers(20))
             gi = problem._grad(x, np.array([i]))
-            assert np.linalg.norm(gi) <= c.K_g + 1e-12
+            assert np.linalg.norm(gi) <= c.U_g + 1e-12
             Hi = problem.dense_hessian(x, np.array([i]))
-            assert np.linalg.norm(Hi, 2) <= c.K_H + 1e-12
+            assert np.linalg.norm(Hi, 2) <= c.U_H + 1e-12
 
     @pytest.mark.parametrize("link", [SIGMOID, TANH, WELSCH])
     def test_empirical_hessian_lipschitz(self, link):

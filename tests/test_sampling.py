@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -8,8 +6,6 @@ from ntcg import (
     SamplingPolicy,
     adapt_grad_batch,
     floor_targets,
-    grad_sample_size,
-    hess_sample_size,
     sample_indices,
     synthetic_nls,
     verify_condition,
@@ -23,45 +19,6 @@ from ntcg.sampling import (
     SUB_HESSIAN_ONLY,
     preset_policy,
 )
-
-
-class TestSampleSizes:
-    def test_grad_size_arithmetic(self):
-        assert grad_sample_size(1.0, 0.1, 0.1) == 3685  # ceil(1600 ln 10)
-
-    def test_grad_size_inverse_square_scaling(self):
-        big = grad_sample_size(1.0, 0.05, 0.1)
-        small = grad_sample_size(1.0, 0.1, 0.1)
-        assert abs(big - 4 * small) <= 4  # ceiling slack
-
-    def test_hess_size_arithmetic(self):
-        assert hess_sample_size(1.0, 0.1, 10, 0.1) == 8478  # ceil(1600 ln 200)
-
-    def test_hess_size_dimension_term(self):
-        a = hess_sample_size(1.0, 0.1, 10, 0.1)
-        b = hess_sample_size(1.0, 0.1, 20, 0.1)
-        assert abs((b - a) - 1600 * math.log(2.0)) <= 2
-
-    def test_eps_scaling_of_sizes_at_floor_targets(self):
-        # Gradient batches scale like eps^-2 and Hessian batches like
-        # eps^-1 when sized for the uniform floors.
-        zeta, L_H, eta, d, delta_bar = 0.5, 1.0, 1.0, 10, 0.1
-        epss = [1e-1, 1e-2, 1e-3]
-        gs, hs = [], []
-        for eps in epss:
-            t = floor_targets(eps, L_H, zeta, eta)
-            gs.append(grad_sample_size(1.0, t.delta_g, delta_bar))
-            hs.append(hess_sample_size(1.0, t.delta_H, d, delta_bar))
-        slope_g = np.polyfit(np.log(epss), np.log(gs), 1)[0]
-        slope_h = np.polyfit(np.log(epss), np.log(hs), 1)[0]
-        assert abs(slope_g + 2.0) < 0.05
-        assert abs(slope_h + 1.0) < 0.05
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            grad_sample_size(1.0, 0.1, 1.0)  # delta_bar = 1 is a boundary
-        with pytest.raises(ValueError):
-            hess_sample_size(1.0, 0.0, 10, 0.1)
 
 
 class TestFloorTargets:
@@ -175,28 +132,6 @@ class TestVerifyCondition:
         assert verify_condition(bound * 0.999, 0.0, ctx, which=COND3)
         assert not verify_condition(bound * 1.001, 0.0, ctx, which=COND3)
 
-    def test_monte_carlo_pass_rate_at_prescribed_sizes(self):
-        # Subsampled gradients at the prescribed size should satisfy their
-        # target accuracy in at least 1 - delta_bar of draws (hugely
-        # conservative bound; observed rates are ~1).
-        problem = synthetic_nls(4000, 8, seed=13)
-        rng = np.random.default_rng(14)
-        x = rng.standard_normal(8) * 0.5
-        exact = problem._grad(x, problem.full_index_set())
-        delta_g, delta_bar = 0.05, 0.1
-        from ntcg.problems import constants_for
-
-        K_g = constants_for(problem).K_g
-        size = min(grad_sample_size(K_g, delta_g, delta_bar), problem.n)
-        hits = 0
-        trials = 200
-        for _ in range(trials):
-            idx = sample_indices(problem.n, size, rng)
-            est = problem._grad(x, idx)
-            hits += float(np.linalg.norm(est - exact) <= delta_g)
-        rate = hits / trials
-        assert rate >= 1.0 - delta_bar - 2 * math.sqrt(delta_bar * (1 - delta_bar) / trials)
-
     def test_unbiased_gradient_estimator(self):
         problem = synthetic_nls(500, 6, seed=15)
         rng = np.random.default_rng(16)
@@ -211,11 +146,6 @@ class TestVerifyCondition:
 
 
 class TestPolicy:
-    def test_exact_policy_draws_full_sets(self):
-        p = SamplingPolicy(mode=EXACT)
-        np.testing.assert_array_equal(p.draw_grad_indices(9, 0), np.arange(9))
-        np.testing.assert_array_equal(p.draw_hess_indices(9, 0), np.arange(9))
-
     def test_subboth_draws_batches(self):
         p = SamplingPolicy(mode=SUB_BOTH, grad_batch=5, hess_batch=3)
         assert len(p.draw_grad_indices(50, 1)) == 5
@@ -242,6 +172,15 @@ class TestPolicy:
         # A zero batch used to be drawn as one row per iteration.
         with pytest.raises(ValueError, match="batch >= 1"):
             SamplingPolicy(mode=mode, **batches)
+
+    @pytest.mark.parametrize("mode, batches", [
+        (EXACT, {}), (SUB_HESSIAN_ONLY, {"hess_batch": 5}),
+    ])
+    def test_batch_line_search_needs_a_sampled_gradient(self, mode, batches):
+        # With an exact gradient the batch is the full set, and the search
+        # would pay f(x_k) again instead of carrying it.
+        with pytest.raises(ValueError, match="needs mode SubBoth"):
+            SamplingPolicy(mode=mode, line_search_eval="batch", **batches)
 
     def test_preset_policies(self):
         assert preset_policy("full", 1050).mode == EXACT

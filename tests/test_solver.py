@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -572,6 +573,22 @@ class TestConditionMachinery:
         cfg = SolverConfig(eps_g=1e-3, eps_H=5e-3, seed=0, max_outer_iters=10)
         rep = run(problem, cfg, policy=policy, x0=x0, audit=True)
         assert [c["ok"] for c in rep.audit["condition_results"]] == [expected] * 10
+
+    @pytest.mark.parametrize("batches, expected", [
+        ((100, 30), False), ((300, 300), None),
+    ], ids=["cond2-fails", "full-batches"])
+    def test_cond3_without_l_h_is_unchecked_unless_cond2_fails(self, batches, expected):
+        # A FixedStep run with both step overrides needs no L_H, but Cond3
+        # caps Cond2's gradient bound by 3 eps_H^2 / (65 (L_H + eta)).
+        problem = synthetic_nls(300, 5, seed=31)
+        constants = dataclasses.replace(problem.constants(), L_H=None)
+        cfg = SolverConfig(eps_g=5e-3, eps_H=0.1, alpha_sol_fixed=0.2,
+                           alpha_nc_fixed=0.04, max_outer_iters=5)
+        policy = SamplingPolicy(mode=SUB_BOTH, grad_batch=batches[0],
+                                hess_batch=batches[1])
+        rep = run(problem, cfg, policy=policy, variant=FIXED_STEP,
+                  constants=constants, audit=True)
+        assert [c["ok"] for c in rep.audit["condition_results"]] == [expected] * 5
 
     def test_trace_sees_exactly_the_final_records(self):
         # trace gets each record once, in order, with its final K2/K3 class.
