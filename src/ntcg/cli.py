@@ -84,6 +84,15 @@ class ExperimentSpec:
             raise ValueError("repeats must be >= 1")
         if self.problem.startswith("nls-") and not self.data:
             raise ValueError("problem %r needs --data" % (self.problem,))
+        # A key that a spec field also sets would be applied but reported
+        # (aggregate.json) at the field's value; `seed` (set by spec.seed, so
+        # no config key) would be dropped.
+        for key in self.overrides:
+            if key in _FIELD_OF_KEY:
+                raise ValueError("config key %r is set by the spec field %r, not "
+                                 "by overrides" % (key, _FIELD_OF_KEY[key]))
+            if key not in _CONFIG_TYPES:
+                raise ValueError("unknown config key %r" % key)
 
 
 def build_problem(spec):
@@ -216,12 +225,12 @@ _FLAG_KEYS = {
     "skip_small_step_block": "skip_small_step_block",
     "alpha_sol": "alpha_sol_fixed", "alpha_nc": "alpha_nc_fixed",
 }
+_FIELD_OF_KEY = {key: name for name, key in _FLAG_KEYS.items()}
 
 
 def spec_fields_from_config(raw):
     """ExperimentSpec fields from raw config entries: keys that have a
     command-line flag set that flag's field, the rest go to `overrides`."""
-    flag_fields = {key: name for name, key in _FLAG_KEYS.items()}
     fields, overrides = {}, {}
     for key, val in raw.items():
         if key not in _CONFIG_TYPES:
@@ -230,8 +239,8 @@ def spec_fields_from_config(raw):
             value = _CONFIG_TYPES[key](val)
         except ValueError as exc:
             raise ValueError("config key %r: %s" % (key, exc)) from None
-        if key in flag_fields:
-            fields[flag_fields[key]] = value
+        if key in _FIELD_OF_KEY:
+            fields[_FIELD_OF_KEY[key]] = value
         else:
             overrides[key] = value
     fields["overrides"] = overrides

@@ -72,13 +72,12 @@ def sample_indices(n, batch, rng):
     return rng.choice(n, size=batch, replace=False).astype(np.int64, copy=False)
 
 
-def adapt_grad_batch(prev_batch, g_norm_now, g_norm_prev, n_total=None,
-                     floor=MIN_BATCH):
+def adapt_grad_batch(prev_batch, g_norm_now, g_norm_prev, n_total):
     """Adaptive gradient batch: shrink when the gradient norm grew by the
     factor 1.2, grow when it shrank by the same factor, else keep.
 
     Ceiling rounding on both moves keeps sizes integral; the result is
-    clamped to [min(floor, n_total), n_total].
+    clamped to [min(MIN_BATCH, n_total), n_total].
     """
     if prev_batch < 1:
         raise ValueError("prev_batch must be >= 1")
@@ -91,12 +90,7 @@ def adapt_grad_batch(prev_batch, g_norm_now, g_norm_prev, n_total=None,
         batch = math.ceil(prev_batch * 1.2)
     else:
         batch = prev_batch
-    if n_total is not None:
-        batch = min(batch, n_total)
-        batch = max(batch, min(floor, n_total))
-    else:
-        batch = max(batch, floor)
-    return batch
+    return max(min(batch, n_total), min(MIN_BATCH, n_total))
 
 
 def verify_condition(delta_g_used, delta_H_used, context, which=COND2):
@@ -131,20 +125,19 @@ def verify_condition(delta_g_used, delta_H_used, context, which=COND2):
     return delta_g_used <= g_bound and delta_H_used <= H_bound
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplingPolicy:
     """How each iteration's gradient/Hessian/function batches are drawn.
 
     mode : EXACT, SUB_HESSIAN_ONLY, or SUB_BOTH.
     grad_batch / hess_batch : starting sizes, at least 1 where the mode
-        samples (ignored where it says exact).  When `adaptive` is set, a
-        run adapts grad_batch by the 1.2 rule on its private copy of the
-        policy.
+        samples (ignored where it says exact).
+    adaptive : a run moves its gradient batch from grad_batch by the 1.2
+        rule (`adapt_grad_batch`); needs SUB_BOTH.  The batch in effect is
+        state of the run, so the policy itself never changes.
     line_search_eval : "full" evaluates the line-search objective exactly;
         "batch" reuses the gradient sample (the heuristic sub-eval mode,
         outside the drivers' guarantees) and needs SUB_BOTH.
-
-    Adaptive gradient batches never drop below MIN_BATCH.
     """
 
     mode: str = EXACT
@@ -162,6 +155,9 @@ class SamplingPolicy:
             # The batch would be the full set, and f(x) would no longer be
             # carried from the last accepted trial.
             raise ValueError("line_search_eval='batch' needs mode %s" % SUB_BOTH)
+        if self.adaptive and not self.subsamples_gradient():
+            # There is no gradient batch to adapt; the flag would do nothing.
+            raise ValueError("adaptive=True needs mode %s" % SUB_BOTH)
         if self.subsamples_gradient() and self.grad_batch < 1:
             raise ValueError("mode %s needs grad_batch >= 1" % self.mode)
         if self.subsamples_hessian() and self.hess_batch < 1:
@@ -172,20 +168,6 @@ class SamplingPolicy:
 
     def subsamples_hessian(self):
         return self.mode in (SUB_HESSIAN_ONLY, SUB_BOTH)
-
-    def draw_grad_indices(self, n, rng):
-        return sample_indices(n, min(self.grad_batch, n), rng)
-
-    def draw_hess_indices(self, n, rng):
-        return sample_indices(n, min(self.hess_batch, n), rng)
-
-    def adapt(self, g_norm_now, g_norm_prev, n):
-        if not (self.adaptive and self.subsamples_gradient()):
-            return self.grad_batch
-        self.grad_batch = adapt_grad_batch(
-            self.grad_batch, g_norm_now, g_norm_prev, n_total=n
-        )
-        return self.grad_batch
 
 
 PRESETS = ("full", "subh", "inexact-full-eval", "inexact-fixed", "inexact-sub-eval")

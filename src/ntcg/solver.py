@@ -36,14 +36,14 @@ fixed-step discriminant) is logged and ends the run with a
 ContractViolation status.
 
 The driver is a single logical thread: all randomness (batch draws and
-oracle start vectors) flows from one seeded generator, and the run adapts
-a private copy of the sampling policy, so a (config, policy, problem)
-triple determines the run exactly.  Record and report props count the
-problem's oracle calls since the run started, so back-to-back runs on one
-problem report the same counts whether or not its ledgers are reset.
+oracle start vectors) flows from one seeded generator, and the adaptive
+gradient batch is a variable of the run, not of the (frozen) sampling
+policy, so a (config, policy, problem) triple determines the run exactly.
+Record and report props count the problem's oracle calls since the run
+started, so back-to-back runs on one problem report the same counts
+whether or not its ledgers are reset.
 """
 
-import copy
 import itertools
 import logging
 import math
@@ -57,6 +57,7 @@ from .capped_cg import NC, SOL, CappedCGParams, capped_cg
 from .exceptions import ContractViolation
 from .meo import meo_lanczos
 from .oracle import HessianOperator
+from . import sampling  # called through the module, where bench/tracing.py wraps it
 from .sampling import (
     COND2,
     COND3,
@@ -114,6 +115,11 @@ class SolverConfig:
         check_interval(self.eta, "eta", 0.0, math.inf)
         check_interval(self.delta, "delta", 0.0, 1.0)
         check_interval(self.theta_tilde, "theta_tilde", THETA_TILDE_LOW, 1.0)
+        if self.L_H is not None and not (math.isfinite(self.L_H) and self.L_H >= 0):
+            raise ValueError("L_H must be finite and >= 0, got %r" % (self.L_H,))
+        for name in ("alpha_sol_fixed", "alpha_nc_fixed"):
+            if getattr(self, name) is not None:
+                check_interval(getattr(self, name), name, 0.0, math.inf)
         if self.max_outer_iters < 1 or self.max_ls_trials < 1:
             raise ValueError("iteration budgets must be positive")
 
@@ -381,12 +387,12 @@ class _Audit:
     Cond3 that Cond2 does not break when L_H is unknown.
     """
 
-    def __init__(self, problem, cfg, constants, variant, policy, guaranteed_step):
+    def __init__(self, problem, cfg, constants, variant, exact_policy, guaranteed_step):
         self.problem = problem
         self.cfg = cfg
         self.constants = constants
         self.variant = variant
-        self.exact_policy = policy.mode == EXACT
+        self.exact_policy = exact_policy
         self.guaranteed_step = self.exact_policy and guaranteed_step
         self.which = COND3 if variant == FIXED_STEP else COND2
         self.n_checks = 0
@@ -580,8 +586,9 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
     problem : ObjectiveOracle (carries the call ledgers; the report counts
         only this run's calls).
     config : SolverConfig.
-    policy : SamplingPolicy; defaults to exact evaluation.  The run adapts
-        a private copy, so the caller's policy is left unchanged.
+    policy : SamplingPolicy; defaults to exact evaluation.  An adaptive
+        policy's gradient batch starts at policy.grad_batch and moves
+        within the run; the policy is frozen and never changes.
     variant : LINE_SEARCH or FIXED_STEP; LINE_SEARCH raises ValueError if
         config sets a step-size override.
     constants : ProblemConstants; defaults to problem.constants().
@@ -599,7 +606,7 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
     if variant == LINE_SEARCH and not no_overrides:
         raise ValueError("step-size overrides (alpha_sol_fixed, alpha_nc_fixed) "
                          "apply to FixedStep only; LineSearch would ignore them")
-    policy = copy.deepcopy(policy) if policy is not None else SamplingPolicy(mode=EXACT)
+    policy = SamplingPolicy(mode=EXACT) if policy is None else policy
     if constants is None:
         constants = problem.constants()
     cfg = _resolve(config, constants)
@@ -613,7 +620,7 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
     rng = as_generator(cfg.seed)
     auditor = None
     if audit:
-        auditor = _Audit(problem, cfg, constants, variant, policy,
+        auditor = _Audit(problem, cfg, constants, variant, policy.mode == EXACT,
                          guaranteed_step=variant == LINE_SEARCH or no_overrides)
     exact_line_f = policy.line_search_eval == "full"
 
@@ -625,7 +632,8 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
 
     records = []
     termination = TERM_MAX_ITERS
-    prev_g_norm = None
+    grad_batch = policy.grad_batch
+    prev_g_norm = 0.0  # the first iteration has none to adapt against
     # f(x) on the line-search set when already paid for: the accepted trial
     # of the last line search under full evaluation, the same expression
     # x + alpha d on the same set.  A batch line search draws a new set each
@@ -648,8 +656,8 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
     for k in range(cfg.max_outer_iters):
         # Full batches are the oracle's shared read-only index set, which
         # `_PointState` and `HessianOperator.from_oracle` recognise by identity.
-        grad_idx = (policy.draw_grad_indices(n, rng) if policy.subsamples_gradient()
-                    else full_idx)
+        grad_idx = (sampling.sample_indices(n, min(grad_batch, n), rng)
+                    if policy.subsamples_gradient() else full_idx)
         g = problem.eval_grad(x, grad_idx)
         g_norm = float(np.linalg.norm(g))
 
@@ -657,8 +665,8 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
         if open_record is not None:
             commit(open_record, g_norm, exact_g_norm)
 
-        hess_idx = (policy.draw_hess_indices(n, rng) if policy.subsamples_hessian()
-                    else full_idx)
+        hess_idx = (sampling.sample_indices(n, min(policy.hess_batch, n), rng)
+                    if policy.subsamples_hessian() else full_idx)
         H = HessianOperator.from_oracle(problem, x, hess_idx)
         d, d_type, nc_origin, cg_iters, meo_iters, terminate = _direction(
             H, g, g_norm, cfg, rng
@@ -711,8 +719,8 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
         if audit:
             auditor.step(open_record, x, x_next, d, g, hess_idx, f_here)
 
-        if prev_g_norm is not None and prev_g_norm > 0 and g_norm > 0:
-            policy.adapt(g_norm, prev_g_norm, n)
+        if policy.adaptive and prev_g_norm > 0 and g_norm > 0:
+            grad_batch = sampling.adapt_grad_batch(grad_batch, g_norm, prev_g_norm, n)
         prev_g_norm = g_norm
         x, f_x = x_next, (f_next if exact_line_f else None)
 

@@ -211,6 +211,30 @@ class TestSolveCommand:
         assert err.startswith("error: step-size overrides") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, text, message", [
+        (["--alpha-sol", "0"], None, "alpha_sol_fixed must lie in (0, inf)"),
+        (["--alpha-sol", "-0.2"], None, "alpha_sol_fixed must lie in (0, inf)"),
+        (["--alpha-nc", "nan"], None, "alpha_nc_fixed must be a finite"),
+        (["--alpha-nc", "inf"], None, "alpha_nc_fixed must be a finite"),
+        ([], "L_H = -1\n", "L_H must be finite and >= 0"),
+    ], ids=["zero-step", "negative-step", "nan-step", "inf-step", "negative-l-h"])
+    def test_invalid_solver_settings_exit_cleanly(self, tmp_path, capsys, argv,
+                                                  text, message):
+        # These used to run: a zero step stalled, a negative one climbed, a
+        # non-finite one failed on the first iterate.
+        if text is not None:
+            cfgfile = tmp_path / "cfg.txt"
+            cfgfile.write_text(text)
+            argv = argv + ["--config", str(cfgfile)]
+        code = main(["solve", "--problem", "saddle", "--dim", "3",
+                     "--variant", "inexact-fixed", "--out", str(tmp_path / "out")]
+                    + argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text, message", [
         (None, "No such file"),
         ("theta = abc\n", "config key 'theta': could not convert"),
@@ -261,6 +285,22 @@ class TestAggregation:
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize("key", ["eps_g", "eps_H", "max_outer_iters",
+                                     "skip_small_step_block", "alpha_sol_fixed",
+                                     "alpha_nc_fixed"])
+    def test_overrides_reject_keys_a_field_sets(self, key):
+        # The field's value is the one aggregate.json reports.
+        with pytest.raises(ValueError, match="set by the spec field"):
+            ExperimentSpec(problem="saddle", variant="full", dim=3,
+                           overrides={key: 1e-2})
+
+    @pytest.mark.parametrize("key", ["tolerance", "seed"])
+    def test_overrides_reject_unknown_keys(self, key):
+        # build_config's own seed used to replace an overridden one.
+        with pytest.raises(ValueError, match="unknown config key %r" % key):
+            ExperimentSpec(problem="saddle", variant="full", dim=3,
+                           overrides={key: 1})
+
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             ExperimentSpec(problem="quadratic", variant="warp")

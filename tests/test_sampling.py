@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -73,25 +75,25 @@ class TestSampleIndices:
 
 class TestAdaptGradBatch:
     def test_shrinks_on_gradient_growth(self):
-        assert adapt_grad_batch(1000, 1.3, 1.0) == 834
+        assert adapt_grad_batch(1000, 1.3, 1.0, n_total=5000) == 834
 
     def test_grows_on_gradient_decay(self):
-        assert adapt_grad_batch(1000, 0.5, 1.0) == 1200
+        assert adapt_grad_batch(1000, 0.5, 1.0, n_total=5000) == 1200
 
     def test_dead_zone(self):
-        assert adapt_grad_batch(1000, 1.0, 1.0) == 1000
-        assert adapt_grad_batch(1000, 1.19, 1.0) == 1000
+        assert adapt_grad_batch(1000, 1.0, 1.0, n_total=5000) == 1000
+        assert adapt_grad_batch(1000, 1.19, 1.0, n_total=5000) == 1000
 
     def test_clamped_to_n_and_floor(self):
         assert adapt_grad_batch(1000, 0.1, 1.0, n_total=1100) == 1100
-        assert adapt_grad_batch(33, 5.0, 1.0, n_total=1000, floor=32) == 32
-        assert adapt_grad_batch(33, 5.0, 1.0, n_total=10, floor=32) == 10
+        assert adapt_grad_batch(33, 5.0, 1.0, n_total=1000) == MIN_BATCH == 32
+        assert adapt_grad_batch(33, 5.0, 1.0, n_total=10) == 10
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            adapt_grad_batch(0, 1.0, 1.0)
+            adapt_grad_batch(0, 1.0, 1.0, n_total=100)
         with pytest.raises(ValueError):
-            adapt_grad_batch(10, 0.0, 1.0)
+            adapt_grad_batch(10, 0.0, 1.0, n_total=100)
 
 
 class TestVerifyCondition:
@@ -146,19 +148,12 @@ class TestVerifyCondition:
 
 
 class TestPolicy:
-    def test_subboth_draws_batches(self):
-        p = SamplingPolicy(mode=SUB_BOTH, grad_batch=5, hess_batch=3)
-        assert len(p.draw_grad_indices(50, 1)) == 5
-        assert len(p.draw_hess_indices(50, 1)) == 3
-
-    def test_adapt_respects_floor(self):
-        p = SamplingPolicy(mode=SUB_BOTH, grad_batch=40, hess_batch=3,
-                           adaptive=True)
-        p.adapt(10.0, 1.0, 1000)
-        assert p.grad_batch == 34  # ceil(40 / 1.2)
-        for _ in range(10):
-            p.adapt(10.0, 1.0, 1000)
-        assert p.grad_batch == MIN_BATCH == 32
+    def test_policy_is_frozen(self):
+        # A run keeps its adaptive batch to itself, so the policy a caller
+        # passes in describes every run it is passed to.
+        p = SamplingPolicy(mode=SUB_BOTH, grad_batch=5, hess_batch=3, adaptive=True)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.grad_batch = 6
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -181,6 +176,15 @@ class TestPolicy:
         # would pay f(x_k) again instead of carrying it.
         with pytest.raises(ValueError, match="needs mode SubBoth"):
             SamplingPolicy(mode=mode, line_search_eval="batch", **batches)
+
+    @pytest.mark.parametrize("mode, batches", [
+        (EXACT, {}), (SUB_HESSIAN_ONLY, {"hess_batch": 5}),
+    ])
+    def test_adaptive_needs_a_sampled_gradient(self, mode, batches):
+        # Only a sampled gradient has a batch to adapt; elsewhere the flag
+        # used to be accepted and do nothing.
+        with pytest.raises(ValueError, match="needs mode SubBoth"):
+            SamplingPolicy(mode=mode, adaptive=True, **batches)
 
     def test_preset_policies(self):
         assert preset_policy("full", 1050).mode == EXACT

@@ -11,6 +11,7 @@ from ntcg import (
     QuadraticProblem,
     SamplingPolicy,
     SolverConfig,
+    adapt_grad_batch,
     fixed_step_nc,
     fixed_step_sol,
     iteration_bound,
@@ -386,6 +387,27 @@ class TestRunLineSearch:
         np.testing.assert_array_equal(first.x_final, second.x_final)
         assert policy.grad_batch == 250
 
+    def test_adaptive_gradient_batches_follow_the_rule(self):
+        # The batch a run draws is its own variable: rebuilt from the
+        # per-iteration gradient calls, it must follow the 1.2 rule on the
+        # recorded gradient-estimate norms, starting from the policy's size.
+        problem = synthetic_nls(5000, 20, seed=0)
+        policy = SamplingPolicy(mode=SUB_BOTH, grad_batch=250, hess_batch=50,
+                                adaptive=True)
+        cfg = SolverConfig(eps_g=1e-3, seed=0, max_outer_iters=200,
+                           skip_small_step_block=True)
+        rep = run(problem, cfg, policy=policy, x0=np.zeros(20))
+        assert rep.iterations == 200
+        calls = [r.grad_calls for r in rep.records]
+        drawn = [calls[0]] + [b - a for a, b in zip(calls, calls[1:])]
+        norms = [r.grad_est_norm for r in rep.records]
+        expected = [250, 250]
+        for k in range(1, len(norms) - 1):
+            expected.append(adapt_grad_batch(expected[-1], norms[k], norms[k - 1],
+                                             n_total=problem.n))
+        assert drawn == expected
+        assert len(set(drawn)) > 5
+
     def test_back_to_back_runs_report_their_own_calls(self):
         # The problem's ledgers keep counting across runs; records and
         # report count from the start of each run.
@@ -511,6 +533,21 @@ class TestConfigValidation:
         cfg = SolverConfig(eps_g=0.5, U_H=1.0, L_H=400.0)
         with pytest.raises(ValueError):
             run(q, cfg, x0=np.ones(2), constants=None)
+
+    @pytest.mark.parametrize("value", [0.0, -0.2, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["alpha_sol_fixed", "alpha_nc_fixed"])
+    def test_step_overrides_must_be_finite_and_positive(self, name, value):
+        # A zero step stalls, a negative one climbs, and a non-finite one
+        # failed only after the first step, on the iterate.
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_l_h_must_be_finite_and_nonnegative(self, value):
+        # A negative L_H used to run with eps_H = sqrt(eps_g), and fail in
+        # the audit's decrease constants with a math domain error.
+        with pytest.raises(ValueError, match="L_H must be finite"):
+            SolverConfig(L_H=value)
 
     def test_theta_tilde_range(self):
         with pytest.raises(ValueError):

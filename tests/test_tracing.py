@@ -56,3 +56,24 @@ def test_traced_cli_solve_hooks_loader_constants_and_writers(tmp_path):
             "solver.run"} <= names
     rows = read_run_csv(tmp_path / "out" / "run_seed0.csv")
     assert tracer.counted_props() == rows[-1]["props"]
+
+
+def test_traced_adaptive_solve_hooks_draws_and_adaptation():
+    # run keeps the adaptive gradient batch itself and must call
+    # sample_indices and adapt_grad_batch through ntcg.sampling, where the
+    # tracer replaces them.
+    problem = synthetic_nls(300, 10, seed=0)
+    config = SolverConfig(eps_g=1e-3, seed=0, max_outer_iters=20,
+                          skip_small_step_block=True)
+    tracer = Tracer()
+    with instrument(tracer):
+        report = ntcg.solver.run(problem, config,
+                                 policy=preset_policy("inexact-full-eval", problem.n),
+                                 constants=constants_for(problem),
+                                 x0=np.zeros(problem.dim))
+    assert report.termination == ntcg.solver.TERM_MAX_ITERS
+    names = [span[0] for span in tracer.spans]
+    # A gradient and a Hessian batch per iteration; an adaptation after
+    # every iteration but the first.
+    assert names.count("sampling.draw") == 2 * report.iterations
+    assert names.count("sampling.adapt") == report.iterations - 1
