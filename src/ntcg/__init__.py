@@ -12,7 +12,7 @@ from .estimator import SquaredLossClassifier, WelschRegressor
 from .exceptions import ContractViolation, LibSVMFormatError
 from .libsvm import dump_libsvm, load_libsvm
 from .meo import CERTIFICATE, NEGATIVE_CURVATURE, MEOResult, meo_lanczos
-from .oracle import CallableOracle, HessianOperator, ObjectiveOracle, OracleLedger
+from .oracle import HessianOperator, ObjectiveOracle, OracleLedger
 from .problems import (
     NLSProblem,
     ProblemConstants,
@@ -20,10 +20,8 @@ from .problems import (
     SaddleProblem,
     constants_for,
     synthetic_nls,
-    synthetic_saddle,
 )
 from .sampling import (
-    AccuracyTargets,
     SamplingPolicy,
     adapt_grad_batch,
     floor_targets,
@@ -49,8 +47,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyTargets",
-    "CallableOracle",
     "CappedCGParams",
     "CappedCGResult",
     "CERTIFICATE",
@@ -93,6 +89,5 @@ __all__ = [
     "scale_meo_direction",
     "scale_nc_direction",
     "synthetic_nls",
-    "synthetic_saddle",
     "verify_condition",
 ]

@@ -67,7 +67,6 @@ class CappedCGResult:
     M_final: float
     residual_norm: Optional[float] = None  # SOL only
     nc_source: Optional[str] = None  # "p0", "y", "p", "slow_decay"
-    extraction_index: Optional[int] = None  # slow-decay branch only
     curvature: Optional[float] = None  # "p0" and "p" exits only
 
 
@@ -145,13 +144,11 @@ def extract_accumulated_nc(ys, rs, y_next, r_next, epsilon):
     return None
 
 
-def capped_cg(H, g, params, trace=None):
+def capped_cg(H, g, params):
     """Run capped CG; returns a :class:`CappedCGResult`.
 
     H : HessianOperator-like object with `dim` and `apply(v)`.
     g : right-hand-side gradient, nonzero.
-    trace : optional callable receiving one dict per event (per-iteration
-        residual norms, termination branch); used for diagnostics only.
 
     Raises ValueError for g = 0 and ContractViolation if no termination
     branch fires within the proven cap (inconsistent operator) or the
@@ -167,11 +164,6 @@ def capped_cg(H, g, params, trace=None):
     _, zeta_hat, tau, T = _derived(M, eps, params.zeta)
     dim = H.dim
 
-    def emit(event, **kw):
-        if trace is not None:
-            kw["event"] = event
-            trace(kw)
-
     # Every dot product below is taken once per vector and reused (r @ r
     # as rr, p @ p as pp, y @ y as yy); the norms are their square roots.
     y = np.zeros(dim)
@@ -185,7 +177,6 @@ def capped_cg(H, g, params, trace=None):
     pp = p @ p
     p_bar_p = p @ Hp + 2.0 * eps * pp
     if p_bar_p < eps * pp:
-        emit("terminate", j=0, branch="nc_p0")
         return CappedCGResult(NC, p, iterations=0, M_final=M, nc_source="p0",
                               curvature=float(p @ Hp))
     ratio0 = _safe_ratio(Hp, pp)
@@ -230,22 +221,16 @@ def capped_cg(H, g, params, trace=None):
             cap = None
 
         norm_r = math.sqrt(rr)
-        if trace is not None:
-            emit("iter", j=j, r_norm=norm_r, y=y.copy(), r=r.copy(), M=M)
-
         y_bar_y = y @ Hy + 2.0 * eps * yy
         p_bar_p = p @ Hp + 2.0 * eps * pp
 
         if y_bar_y <= eps * yy:
-            emit("terminate", j=j, branch="nc_y")
             return CappedCGResult(NC, y, iterations=j, M_final=M, nc_source="y")
         if norm_r <= zeta_hat * norm_r0:
-            emit("terminate", j=j, branch="sol")
             return CappedCGResult(
                 SOL, y, iterations=j, M_final=M, residual_norm=norm_r
             )
         if p_bar_p <= eps * pp:
-            emit("terminate", j=j, branch="nc_p")
             return CappedCGResult(NC, p, iterations=j, M_final=M, nc_source="p",
                                   curvature=float(p @ Hp))
         if norm_r >= math.sqrt(T) * (1.0 - tau) ** (j / 2.0) * norm_r0:
@@ -263,13 +248,8 @@ def capped_cg(H, g, params, trace=None):
                     "inconsistent",
                     detail={"j": j, "M": M},
                 )
-            idx_found, d, quotient = found
-            emit("terminate", j=j, branch="nc_slow_decay", i=idx_found,
-                 quotient=quotient)
-            return CappedCGResult(
-                NC, d, iterations=j, M_final=M, nc_source="slow_decay",
-                extraction_index=idx_found,
-            )
+            return CappedCGResult(NC, found[1], iterations=j, M_final=M,
+                                  nc_source="slow_decay")
 
         if cap is None:
             cap = min(dim, j_cap(M, eps, params.zeta))

@@ -80,10 +80,11 @@ class ObjectiveOracle:
     a mean over its batch, so batch estimates are unbiased for F and the
     problem constants (U_g, U_H, L_H) bound F and its estimates alike.
 
-    Subclasses implement the uncounted batch primitives `_value`, `_grad`
-    and `_hvp`, each taking an explicit index array and returning the MEAN
-    over those components.  The public ``eval_*`` methods validate and
-    count into the ledger.
+    Subclasses implement the uncounted batch primitives `_value`, `_grad`,
+    `_hvp` and `_dense_hessian`, each taking an explicit index array and
+    returning the MEAN over those components.  The public ``eval_*``
+    methods validate and count into the ledger; ``dense_hessian`` validates
+    and counts nothing.
 
     Parameters
     ----------
@@ -111,6 +112,9 @@ class ObjectiveOracle:
         raise NotImplementedError
 
     def _hvp(self, x, v, idx):
+        raise NotImplementedError
+
+    def _dense_hessian(self, x, idx):
         raise NotImplementedError
 
     def constants(self):
@@ -167,78 +171,29 @@ class ObjectiveOracle:
         idx = self._full_index if index_set is None else self._index_set(index_set)
         return self._dense_hessian(x, idx)
 
-    def _dense_hessian(self, x, idx):
-        # Column by column from `_hvp`; problem classes override with
-        # closed forms where cheap.
-        H = np.empty((self.dim, self.dim))
-        eye = np.eye(self.dim)
-        for j in range(self.dim):
-            H[:, j] = self._hvp(x, eye[j], idx)
-        return H
-
-
-class CallableOracle(ObjectiveOracle):
-    """Oracle built from per-component callables.
-
-    `value_fn(x, i)`, `grad_fn(x, i)`, `hvp_fn(x, v, i)` evaluate a single
-    component; batches loop.  Convenient for synthetic diagnostics where n
-    is small; the NLS problems use vectorized subclasses instead.
-    """
-
-    def __init__(self, n, dim, value_fn, grad_fn, hvp_fn):
-        super().__init__(n, dim)
-        self._value_fn = value_fn
-        self._grad_fn = grad_fn
-        self._hvp_fn = hvp_fn
-
-    def _value(self, x, idx):
-        return sum(self._value_fn(x, int(i)) for i in idx) / idx.size
-
-    def _grad(self, x, idx):
-        g = np.zeros(self.dim)
-        for i in idx:
-            g += self._grad_fn(x, int(i))
-        return g / idx.size
-
-    def _hvp(self, x, v, idx):
-        out = np.zeros(self.dim)
-        for i in idx:
-            out += self._hvp_fn(x, v, int(i))
-        return out / idx.size
-
 
 class HessianOperator:
     """Implicit symmetric linear map v -> Hv.
 
     Symmetry and determinism (for fixed state) are contracts on the wrapped
     callable, not enforced per call; the test suite checks them on every
-    problem Hessian.  `n_applies` counts operator applications, which is
-    what the iteration caps of the iterative kernels are stated in.
+    problem Hessian.
     """
 
-    __slots__ = ("dim", "_apply", "n_applies")
+    __slots__ = ("dim", "_apply")
 
     def __init__(self, dim, apply_fn):
         self.dim = int(dim)
         self._apply = apply_fn
-        self.n_applies = 0
 
     def apply(self, v):
         v = np.asarray(v, dtype=np.float64)
-        self.n_applies += 1
         out = np.asarray(self._apply(v), dtype=np.float64)
         if out.shape != (self.dim,):
             raise ValueError(
                 "operator returned shape %s, expected (%d,)" % ((out.shape,), self.dim)
             )
         return out
-
-    @classmethod
-    def from_matrix(cls, A):
-        A = np.asarray(A, dtype=np.float64)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("need a square matrix")
-        return cls(A.shape[0], lambda v: A @ v)
 
     @classmethod
     def from_oracle(cls, oracle, x, index_set):

@@ -399,12 +399,6 @@ class SaddleProblem(ObjectiveOracle):
         return 2.0 * math.sqrt(r2)
 
 
-def synthetic_saddle(dim, mu=1.0, gamma=1.0):
-    """Saddle fixture: returns (problem, constants) with documented bounds."""
-    problem = SaddleProblem(dim, mu=mu, gamma=gamma)
-    return problem, problem.constants()
-
-
 def synthetic_nls(n, dim, link=SIGMOID, seed=0):
     """Random NLS instance with controlled row norms and binary labels.
 

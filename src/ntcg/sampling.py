@@ -26,33 +26,22 @@ COND3 = "Cond3"
 MIN_BATCH = 32
 
 
-@dataclass
-class AccuracyTargets:
-    """Per-iteration accuracy levels for gradient and Hessian estimates.
-
-    delta_H must satisfy delta_H <= (1-zeta)*eps_H/4 for the drivers'
-    guarantees to apply; validated by the solver config, not here.
-    """
-
-    delta_g: float
-    delta_H: float
-
-
 def floor_targets(eps, L_H, zeta, eta):
-    """Uniform (iteration-independent) accuracy floors for batch sizing.
+    """The pair (delta_g, delta_H) of uniform accuracy floors for batch sizing:
 
     delta_g = (1-zeta)/8 * min(3*L_H*eps / (65*(L_H+eta)), eps)
     delta_H = (1-zeta)/4 * sqrt(L_H*eps)
 
     These are the worst-case levels the adaptive conditions can demand
     under the coupling eps_H = sqrt(L_H*eps); sizing batches for them once
-    is sufficient for every iteration.
+    is sufficient for every iteration.  delta_H meets the drivers' bound
+    delta_H <= (1-zeta)*eps_H/4 with equality under that coupling.
     """
     if min(eps, L_H, eta) <= 0 or not (0 < zeta < 1):
         raise ValueError("need eps, L_H, eta > 0 and zeta in (0, 1)")
     delta_g = (1.0 - zeta) / 8.0 * min(3.0 * L_H * eps / (65.0 * (L_H + eta)), eps)
     delta_H = (1.0 - zeta) / 4.0 * math.sqrt(L_H * eps)
-    return AccuracyTargets(delta_g=delta_g, delta_H=delta_H)
+    return delta_g, delta_H
 
 
 def sample_indices(n, batch, rng):

@@ -47,6 +47,7 @@ whether or not its ledgers are reset.
 import itertools
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -113,15 +114,19 @@ class SolverConfig:
             check_interval(self.eps_H, "eps_H", 0.0, 1.0)
         check_interval(self.theta, "theta", 0.0, 1.0)
         check_interval(self.eta, "eta", 0.0, math.inf)
+        check_interval(self.zeta, "zeta", 0.0, 1.0)
         check_interval(self.delta, "delta", 0.0, 1.0)
         check_interval(self.theta_tilde, "theta_tilde", THETA_TILDE_LOW, 1.0)
         if self.L_H is not None and not (math.isfinite(self.L_H) and self.L_H >= 0):
             raise ValueError("L_H must be finite and >= 0, got %r" % (self.L_H,))
-        for name in ("alpha_sol_fixed", "alpha_nc_fixed"):
+        for name in ("U_H", "alpha_sol_fixed", "alpha_nc_fixed"):
             if getattr(self, name) is not None:
                 check_interval(getattr(self, name), name, 0.0, math.inf)
-        if self.max_outer_iters < 1 or self.max_ls_trials < 1:
-            raise ValueError("iteration budgets must be positive")
+        for name in ("max_outer_iters", "max_ls_trials"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < 1):
+                raise ValueError("%s must be a positive integer, got %r" % (name, value))
 
 
 @dataclass
@@ -157,7 +162,6 @@ class IterationRecord:
     props: int
     grad_true_norm: Optional[float] = None
     nc_origin: Optional[str] = None  # "cg" or "meo"
-    decrease: Optional[float] = None  # exact f drop, audit runs only
 
 
 @dataclass
@@ -433,7 +437,6 @@ class _Audit:
         norm_d = float(np.linalg.norm(d))
         f_next = self.problem.audit_f(x_next)
         decrease = f_here - f_next
-        record.decrease = decrease
         if self.guaranteed_step:
             self.check(k, "monotone_decrease", decrease > 0.0, f_next, f_here)
         if self.guaranteed_step and L_H is not None:

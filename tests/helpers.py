@@ -9,7 +9,24 @@ import tracemalloc
 
 import numpy as np
 
+from ntcg import HessianOperator
 from ntcg.libsvm import _parse_lines, _Rows
+
+
+class MatrixOperator(HessianOperator):
+    """v -> A v for a dense square A, counting its products in `n_applies`."""
+
+    def __init__(self, A):
+        A = np.asarray(A, dtype=np.float64)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError("need a square matrix")
+        self.n_applies = 0
+        super().__init__(A.shape[0], self._count_and_apply)
+        self.matrix = A
+
+    def _count_and_apply(self, v):
+        self.n_applies += 1
+        return self.matrix @ v
 
 
 def central_diff_grad(f, x, h=1e-5):

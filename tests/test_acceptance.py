@@ -10,13 +10,19 @@ import time
 
 import numpy as np
 import pytest
-from helpers import central_diff_grad, central_diff_hvp, rel_err, symmetric_with_spectrum
+from helpers import (
+    MatrixOperator,
+    central_diff_grad,
+    central_diff_hvp,
+    rel_err,
+    symmetric_with_spectrum,
+)
 
 import ntcg.solver as solver
 from ntcg import (
     CERTIFICATE,
     CappedCGParams,
-    HessianOperator,
+    SaddleProblem,
     SolverConfig,
     capped_cg,
     constants_for,
@@ -26,7 +32,6 @@ from ntcg import (
     meo_lanczos,
     sample_indices,
     synthetic_nls,
-    synthetic_saddle,
 )
 from ntcg.cli import ExperimentSpec, run_experiment
 from ntcg.meo import meo_iteration_cap
@@ -63,7 +68,7 @@ def test_criterion_01_capped_cg_sol_contract():
         H = symmetric_with_spectrum(rng, rng.uniform(eps, eps + spread, size=dim))
         g = rng.standard_normal(dim)
         res = capped_cg(
-            HessianOperator.from_matrix(H), g,
+            MatrixOperator(H), g,
             CappedCGParams(epsilon=eps, zeta=zeta),
         )
         if res.d_type != "SOL":
@@ -105,7 +110,7 @@ def test_criterion_02_capped_cg_nc_contract():
         H = symmetric_with_spectrum(rng, vals)
         g = rng.standard_normal(dim)
         res = capped_cg(
-            HessianOperator.from_matrix(H), g,
+            MatrixOperator(H), g,
             CappedCGParams(epsilon=eps, zeta=0.5),
         )
         if res.iterations > min(dim, j_cap(res.M_final, eps, 0.5)):
@@ -128,7 +133,7 @@ def test_criterion_03_meo_statistical_contract():
     dim = 50
     vals = np.concatenate([[-3.0], rng.uniform(-1.0, 2.0, size=dim - 1)])
     H_mat = symmetric_with_spectrum(rng, vals)
-    H = HessianOperator.from_matrix(H_mat)
+    H = MatrixOperator(H_mat)
     M = float(np.linalg.norm(H_mat, 2))
     eps, delta = 1.0, 0.05
     cap = meo_iteration_cap(dim, M, eps, delta)
@@ -207,7 +212,8 @@ def test_criterion_05_line_search_monotonicity_and_floors():
     eps = 1e-3
     issues = []
 
-    saddle, s_consts = synthetic_saddle(6, mu=1.0, gamma=1.0)
+    saddle = SaddleProblem(6, mu=1.0, gamma=1.0)
+    s_consts = saddle.constants()
     x0 = np.zeros(6)
     x0[0] = 0.05
     rep_s = _audited_run(saddle, s_consts, x0, solver.LINE_SEARCH, eps)
@@ -244,7 +250,8 @@ def test_criterion_05_line_search_monotonicity_and_floors():
 def test_criterion_06_fixed_step_variant():
     eps = 1e-3
     issues = []
-    saddle, s_consts = synthetic_saddle(6, mu=1.0, gamma=1.0)
+    saddle = SaddleProblem(6, mu=1.0, gamma=1.0)
+    s_consts = saddle.constants()
     x0 = np.zeros(6)
     x0[0] = 0.05
     rep_s = _audited_run(saddle, s_consts, x0, FIXED_STEP, eps)
@@ -279,7 +286,7 @@ def test_criterion_07_sampling_concentration():
     # Hessian rows.  They scale as eps^-2 and eps^-1 while the accuracy
     # statement is eps-free, so eps = 50 lands both strictly inside (0, n).
     eps = 50.0
-    targets = floor_targets(eps, consts.L_H, zeta, eta)
+    delta_g, delta_H = floor_targets(eps, consts.L_H, zeta, eta)
     g_size, h_size = 1807, 111
 
     rng = np.random.default_rng(7700)
@@ -293,8 +300,8 @@ def test_criterion_07_sampling_concentration():
         hi = sample_indices(problem.n, h_size, rng)
         est_g = problem._grad(x, gi)
         est_H = problem.dense_hessian(x, hi)
-        hits_g += float(np.linalg.norm(est_g - exact_g) <= targets.delta_g)
-        hits_h += float(np.linalg.norm(est_H - exact_H, 2) <= targets.delta_H)
+        hits_g += float(np.linalg.norm(est_g - exact_g) <= delta_g)
+        hits_h += float(np.linalg.norm(est_H - exact_H, 2) <= delta_H)
     rate_g, rate_h = hits_g / trials, hits_h / trials
     verdict(
         7, "sampling concentration at prescribed sizes",

@@ -23,12 +23,12 @@ import pytest
 from ntcg import (
     FIXED_STEP,
     LINE_SEARCH,
+    SaddleProblem,
     SamplingPolicy,
     SolverConfig,
     dump_libsvm,
     run,
     synthetic_nls,
-    synthetic_saddle,
 )
 from ntcg.cli import ExperimentSpec, run_experiment
 from ntcg.problems import TANH
@@ -219,7 +219,8 @@ SADDLE_STARTS = {"origin": (0, 0.0), "negative-axis": (0, 0.05),
 
 def saddle_case(tmp_path, variant, start):
     dim, seed = (4, 5) if variant == LINE_SEARCH else (3, 21)
-    problem, consts = synthetic_saddle(dim, mu=1.0, gamma=1.0)
+    problem = SaddleProblem(dim, mu=1.0, gamma=1.0)
+    consts = problem.constants()
     config = SolverConfig(eps_g=1e-3, U_H=consts.U_H, L_H=consts.L_H, seed=seed,
                           max_outer_iters=5000)
     x0 = np.zeros(dim)

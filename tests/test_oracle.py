@@ -4,16 +4,7 @@ from helpers import central_diff_grad, central_diff_hvp, rel_err
 from numpy.testing import assert_array_equal
 
 import ntcg.oracle
-from ntcg import CallableOracle, HessianOperator, OracleLedger, synthetic_nls
-
-
-def quadratic_oracle(dim=4, n=1):
-    return CallableOracle(
-        n, dim,
-        value_fn=lambda x, i: 0.5 * float(x @ x),
-        grad_fn=lambda x, i: x.copy(),
-        hvp_fn=lambda x, v, i: v.copy(),
-    )
+from ntcg import HessianOperator, ObjectiveOracle, OracleLedger, QuadraticProblem, synthetic_nls
 
 
 class TestLedger:
@@ -74,21 +65,6 @@ class TestLedger:
 
 
 class TestEvaluation:
-    def test_quadratic_zero(self):
-        oracle = quadratic_oracle()
-        assert oracle.eval_f(np.zeros(4), [0]) == 0.0
-
-    def test_quadratic_grad_identity_hessian(self):
-        oracle = quadratic_oracle()
-        e1 = np.zeros(4)
-        e1[0] = 1.0
-        np.testing.assert_allclose(oracle.eval_grad(e1, [0]), e1)
-
-    def test_quadratic_hvp_identity(self):
-        oracle = quadratic_oracle()
-        v = np.array([1.0, -2.0, 0.5, 3.0])
-        np.testing.assert_allclose(oracle.eval_hvp(np.ones(4), v, [0]), v)
-
     def test_batch_mean_equals_per_component_mean(self):
         problem = synthetic_nls(40, 6, seed=2)
         x = np.random.default_rng(3).standard_normal(6)
@@ -120,7 +96,7 @@ class TestEvaluation:
         assert rel_err(hv, hv_fd) < 1e-5
 
     def test_empty_index_set_rejected(self):
-        oracle = quadratic_oracle()
+        oracle = QuadraticProblem(np.ones(4))
         with pytest.raises(ValueError):
             oracle.eval_f(np.zeros(4), [])
         with pytest.raises(ValueError):
@@ -134,9 +110,22 @@ class TestEvaluation:
             problem.eval_f(np.zeros(3), [10])
 
     def test_nonfinite_x_rejected(self):
-        oracle = quadratic_oracle()
+        oracle = QuadraticProblem(np.ones(4))
         with pytest.raises(ValueError):
             oracle.eval_f(np.array([np.nan, 0, 0, 0]), [0])
+
+    def test_dense_hessian_is_a_subclass_primitive(self):
+        # No generic dense Hessian is built from products: a problem
+        # without its own _dense_hessian refuses, as it does for _value.
+        class ProductsOnly(ObjectiveOracle):
+            def _hvp(self, x, v, idx):
+                return v
+
+        problem = ProductsOnly(2, 3)
+        with pytest.raises(NotImplementedError):
+            problem.dense_hessian(np.zeros(3))
+        with pytest.raises(NotImplementedError):
+            problem.dense_hessian(np.zeros(3), [1])
 
 
 class TestHessianOperator:
@@ -166,12 +155,6 @@ class TestHessianOperator:
             H.apply(a * u + b * v), a * H.apply(u) + b * H.apply(v),
             rtol=1e-10, atol=1e-12,
         )
-
-    def test_apply_counts(self):
-        H = HessianOperator.from_matrix(np.eye(3))
-        H.apply(np.ones(3))
-        H.apply(np.ones(3))
-        assert H.n_applies == 2
 
     def test_hv_call_accounting_through_operator(self):
         problem = synthetic_nls(40, 5, seed=11)

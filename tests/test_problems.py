@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from helpers import central_diff_grad, central_diff_hvp, rel_err
 
-from ntcg import NLSProblem, QuadraticProblem, constants_for, synthetic_saddle
+from ntcg import NLSProblem, QuadraticProblem, SaddleProblem, constants_for
 from ntcg.problems import SIGMOID, TANH, WELSCH
 
 
@@ -73,7 +73,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("make", [
         lambda: random_instance(SIGMOID, 10, 4, 7),
         lambda: QuadraticProblem(np.ones(4)),
-        lambda: synthetic_saddle(4)[0],
+        lambda: SaddleProblem(4),
     ], ids=["nls", "quadratic", "saddle"])
     @pytest.mark.parametrize("bad", ([-1], [10], [0, 10]))
     def test_dense_hessian_rejects_out_of_range_rows_as_hvp_does(self, make, bad):
@@ -164,7 +164,8 @@ class TestSynthetic:
         np.testing.assert_allclose(q.eval_hvp(x, np.ones(2), [0]), [2.0, 1.0])
 
     def test_saddle_stationary_origin_with_planted_eigenvalue(self):
-        problem, consts = synthetic_saddle(4, mu=1.0, gamma=1.0)
+        problem = SaddleProblem(4, mu=1.0, gamma=1.0)
+        consts = problem.constants()
         g0 = problem.eval_grad(np.zeros(4), [0])
         np.testing.assert_allclose(g0, 0.0)
         H0 = problem.dense_hessian(np.zeros(4))
@@ -173,7 +174,8 @@ class TestSynthetic:
         assert abs(abs(vecs[0, 0]) - 1.0) < 1e-12
 
     def test_saddle_bounded_below(self):
-        problem, consts = synthetic_saddle(3, mu=2.0, gamma=0.5)
+        problem = SaddleProblem(3, mu=2.0, gamma=0.5)
+        consts = problem.constants()
         assert consts.f_low == -(2.0**2) / (4.0 * 0.5)
         rng = np.random.default_rng(30)
         for _ in range(200):
@@ -185,7 +187,7 @@ class TestSynthetic:
         assert abs(problem.eval_f(x_star, [0]) - consts.f_low) < 1e-12
 
     def test_saddle_derivatives_consistent(self):
-        problem, _ = synthetic_saddle(5)
+        problem = SaddleProblem(5)
         rng = np.random.default_rng(31)
         x = rng.standard_normal(5)
         v = rng.standard_normal(5)
@@ -196,7 +198,8 @@ class TestSynthetic:
         assert rel_err(problem._hvp(x, v, np.array(idx)), hv_fd) < 1e-6
 
     def test_saddle_constants_dominate_on_radius(self):
-        problem, consts = synthetic_saddle(4, mu=1.0, gamma=1.0)
+        problem = SaddleProblem(4, mu=1.0, gamma=1.0)
+        consts = problem.constants()
         R = problem.default_radius()
         rng = np.random.default_rng(32)
         for _ in range(60):

@@ -25,20 +25,20 @@ from ntcg.sampling import (
 
 class TestFloorTargets:
     def test_arithmetic_example(self):
-        t = floor_targets(1e-2, 1.0, 0.5, 1.0)
-        assert abs(t.delta_g - (1.0 / 16.0) * (3.0 / 13000.0)) < 1e-12
-        assert abs(t.delta_H - 0.0125) < 1e-15
+        delta_g, delta_H = floor_targets(1e-2, 1.0, 0.5, 1.0)
+        assert abs(delta_g - (1.0 / 16.0) * (3.0 / 13000.0)) < 1e-12
+        assert abs(delta_H - 0.0125) < 1e-15
 
     def test_delta_h_scales_as_sqrt_eps(self):
-        a = floor_targets(1e-2, 2.0, 0.5, 0.1).delta_H
-        b = floor_targets(4e-2, 2.0, 0.5, 0.1).delta_H
+        _, a = floor_targets(1e-2, 2.0, 0.5, 0.1)
+        _, b = floor_targets(4e-2, 2.0, 0.5, 0.1)
         assert abs(b - 2.0 * a) < 1e-12
 
     def test_delta_g_never_exceeds_min_bound(self):
         for eps in (1e-1, 1e-3):
             for zeta in (0.1, 0.9):
-                t = floor_targets(eps, 5.0, zeta, 0.1)
-                assert t.delta_g <= (1.0 - zeta) * eps / 8.0 + 1e-18
+                delta_g, _ = floor_targets(eps, 5.0, zeta, 0.1)
+                assert delta_g <= (1.0 - zeta) * eps / 8.0 + 1e-18
 
 
 class TestSampleIndices:

@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from helpers import MatrixOperator
 
 import ntcg.solver as solver
 from ntcg import (
     ContractViolation,
-    HessianOperator,
     QuadraticProblem,
+    SaddleProblem,
     SamplingPolicy,
     SolverConfig,
     adapt_grad_batch,
@@ -20,7 +21,6 @@ from ntcg import (
     scale_meo_direction,
     scale_nc_direction,
     synthetic_nls,
-    synthetic_saddle,
 )
 from ntcg.problems import TANH
 from ntcg.sampling import EXACT, SUB_BOTH, SUB_HESSIAN_ONLY
@@ -31,7 +31,7 @@ class TestScaleOps:
     def test_nc_scaling_direct_substitution(self):
         # ||d|| = 2, d^T H d = -8, d^T g > 0: result is exactly -d.
         d = np.array([2.0, 0.0])
-        H = HessianOperator.from_matrix(np.diag([-2.0, 1.0]))
+        H = MatrixOperator(np.diag([-2.0, 1.0]))
         g = np.array([2.5, 0.0])
         out = scale_nc_direction(d, H, g)
         np.testing.assert_allclose(out, -d)
@@ -42,7 +42,7 @@ class TestScaleOps:
     def test_nc_scaling_sign_tie_break(self):
         # sgn(0) := +1, so the direction flips to -d side.
         d = np.array([1.0, 0.0])
-        H = HessianOperator.from_matrix(np.diag([-3.0, 1.0]))
+        H = MatrixOperator(np.diag([-3.0, 1.0]))
         g = np.array([0.0, 5.0])  # d^T g = 0
         out = scale_nc_direction(d, H, g)
         np.testing.assert_allclose(out, [-3.0, 0.0])
@@ -50,7 +50,7 @@ class TestScaleOps:
     def test_nc_scaling_eigenvector_case(self):
         H_mat = np.diag([-3.0, 1.0])
         out = scale_nc_direction(
-            np.array([1.0, 0.0]), HessianOperator.from_matrix(H_mat),
+            np.array([1.0, 0.0]), MatrixOperator(H_mat),
             np.array([1.0, 1.0]),
         )
         np.testing.assert_allclose(out, [-3.0, 0.0])
@@ -65,19 +65,19 @@ class TestScaleOps:
             H_mat = (A + A.T) / 2 - 2.0 * np.eye(dim)
             d_raw = rng.standard_normal(dim)
             g = rng.standard_normal(dim)
-            out = scale_nc_direction(d_raw, HessianOperator.from_matrix(H_mat), g)
+            out = scale_nc_direction(d_raw, MatrixOperator(H_mat), g)
             assert out @ g <= 1e-12
             curv_ratio = out @ (H_mat @ out) / (out @ out)
             assert curv_ratio == pytest.approx(-np.linalg.norm(out), rel=1e-10)
 
     def test_meo_scaling_formula(self):
-        H = HessianOperator.from_matrix(np.diag([-2.0, 1.0]))
+        H = MatrixOperator(np.diag([-2.0, 1.0]))
         out = scale_meo_direction(np.array([1.0, 0.0]), H, np.array([1.0, 0.0]))
         np.testing.assert_allclose(out, [-2.0, 0.0])
         assert np.linalg.norm(out) == 2.0
 
     def test_meo_scaling_tie_break_and_curvature_reuse(self):
-        H = HessianOperator.from_matrix(np.diag([-2.0, 1.0]))
+        H = MatrixOperator(np.diag([-2.0, 1.0]))
         out = scale_meo_direction(
             np.array([1.0, 0.0]), H, np.array([0.0, 3.0]), curvature=-2.0
         )
@@ -85,12 +85,12 @@ class TestScaleOps:
         assert H.n_applies == 0  # reused the provided curvature
 
     def test_meo_scaling_rejects_non_unit(self):
-        H = HessianOperator.from_matrix(np.eye(2))
+        H = MatrixOperator(np.eye(2))
         with pytest.raises(ValueError):
             scale_meo_direction(np.array([2.0, 0.0]), H, np.ones(2))
 
     def test_nc_scaling_rejects_zero(self):
-        H = HessianOperator.from_matrix(np.eye(2))
+        H = MatrixOperator(np.eye(2))
         with pytest.raises(ValueError):
             scale_nc_direction(np.zeros(2), H, np.ones(2))
 
@@ -320,7 +320,8 @@ class TestRunLineSearch:
     def test_saddle_escape_from_origin(self):
         # Zero gradient at the start: the eigenvalue oracle must produce
         # the escape direction and the bidirectional search must accept.
-        problem, consts = synthetic_saddle(4, mu=1.0, gamma=1.0)
+        problem = SaddleProblem(4, mu=1.0, gamma=1.0)
+        consts = problem.constants()
         cfg = SolverConfig(eps_g=1e-3, U_H=consts.U_H, L_H=consts.L_H, seed=5)
         rep = run(problem, cfg, x0=np.zeros(4), constants=consts, audit=True)
         assert rep.records[0].d_type == "NC"
@@ -333,7 +334,8 @@ class TestRunLineSearch:
         assert not rep.audit["violations"]
 
     def test_saddle_cg_detects_curvature_off_origin(self):
-        problem, consts = synthetic_saddle(4, mu=1.0, gamma=1.0)
+        problem = SaddleProblem(4, mu=1.0, gamma=1.0)
+        consts = problem.constants()
         cfg = SolverConfig(eps_g=1e-3, U_H=consts.U_H, L_H=consts.L_H, seed=6)
         x0 = np.zeros(4)
         x0[0] = 0.05  # gradient nonzero, curvature -1 visible to CG
@@ -456,7 +458,8 @@ class TestRunLineSearch:
 
 class TestRunFixedStep:
     def test_saddle_fixed_step_audit(self):
-        problem, consts = synthetic_saddle(3, mu=1.0, gamma=1.0)
+        problem = SaddleProblem(3, mu=1.0, gamma=1.0)
+        consts = problem.constants()
         cfg = SolverConfig(eps_g=1e-3, U_H=consts.U_H, L_H=consts.L_H, seed=21,
                            max_outer_iters=5000)
         rep = run(problem, cfg, variant=FIXED_STEP, x0=np.zeros(3),
@@ -502,7 +505,8 @@ class TestRunFixedStep:
     @pytest.mark.parametrize("override", ["alpha_sol_fixed", "alpha_nc_fixed"])
     def test_one_override_still_needs_l_h(self, override):
         # The step without an override is derived, so L_H is needed.
-        problem, consts = synthetic_saddle(3, mu=1.0, gamma=1.0)
+        problem = SaddleProblem(3, mu=1.0, gamma=1.0)
+        consts = problem.constants()
         consts.L_H = None
         cfg = SolverConfig(eps_g=1e-3, eps_H=0.1, U_H=consts.U_H, seed=21,
                            max_outer_iters=200, **{override: 0.05})
@@ -549,6 +553,32 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="L_H must be finite"):
             SolverConfig(L_H=value)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_u_h_must_be_finite_and_positive(self, value):
+        # nan and inf used to pass here and fail at the first capped-CG
+        # call with a message naming M_init; 0 and -1 failed in the run.
+        with pytest.raises(ValueError, match="U_H"):
+            SolverConfig(U_H=value)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, 1.5, -0.5, math.nan])
+    def test_zeta_must_lie_in_the_unit_interval(self, value):
+        with pytest.raises(ValueError, match="zeta"):
+            SolverConfig(zeta=value)
+
+    @pytest.mark.parametrize("value", [0, -3, 2.5, True, None])
+    @pytest.mark.parametrize("name", ["max_outer_iters", "max_ls_trials"])
+    def test_budgets_must_be_positive_integers(self, name, value):
+        # 2.5 used to fail inside the run, in range() or islice().
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: value})
+
+    def test_integral_budgets_of_any_integer_type_pass(self):
+        cfg = SolverConfig(eps_g=1e-3, eps_H=0.1, U_H=1.0, L_H=0.0,
+                           max_outer_iters=np.int64(7), max_ls_trials=np.int32(5))
+        q = QuadraticProblem(np.ones(2))
+        rep = run(q, cfg, x0=np.ones(2), constants=q.constants())
+        assert 1 <= rep.iterations <= 7
+
     def test_theta_tilde_range(self):
         with pytest.raises(ValueError):
             SolverConfig(theta_tilde=0.05)  # below (2 - sqrt(3))^2
@@ -574,7 +604,7 @@ class TestConfigValidation:
         H_mat = A @ A.T + 0.5 * np.eye(20)
         with pytest.raises(ContractViolation, match="iteration cap"):
             capped_cg(
-                HessianOperator.from_matrix(H_mat),
+                MatrixOperator(H_mat),
                 rng.standard_normal(20),
                 CappedCGParams(epsilon=0.01, zeta=0.1),
             )

@@ -16,10 +16,10 @@ import pytest
 from ntcg import (
     FIXED_STEP,
     LINE_SEARCH,
+    SaddleProblem,
     SolverConfig,
     run,
     synthetic_nls,
-    synthetic_saddle,
 )
 from ntcg.problems import TANH, constants_for
 from ntcg.sampling import preset_policy
@@ -96,7 +96,8 @@ def test_subh_tanh_run_with_curvature_steps_pays_once():
 def test_saddle_run_off_the_origin_pays_once(variant):
     # Off the origin along the negative-curvature axis capped CG returns
     # the curvature direction itself.
-    problem, consts = synthetic_saddle(3, mu=1.0, gamma=1.0)
+    problem = SaddleProblem(3, mu=1.0, gamma=1.0)
+    consts = problem.constants()
     calls = count_calls(problem)
     x0 = np.array([0.05, 0.0, 0.0])
     report = run(problem, SolverConfig(eps_g=1e-3, U_H=consts.U_H, L_H=consts.L_H,
@@ -109,7 +110,8 @@ def test_saddle_run_off_the_origin_pays_once(variant):
 def test_audited_saddle_run_from_the_origin_reuses_the_last_record():
     # Certified at its last iterate, the run reads f and the exact gradient
     # norm there from the last record instead of asking the audit again.
-    problem, consts = synthetic_saddle(4, mu=1.0, gamma=1.0)
+    problem = SaddleProblem(4, mu=1.0, gamma=1.0)
+    consts = problem.constants()
     calls = count_calls(problem, audit=True)
     report = run(problem, SolverConfig(eps_g=1e-3, U_H=consts.U_H, L_H=consts.L_H,
                                        seed=5, max_outer_iters=5000),
