@@ -49,6 +49,7 @@ from .reporting import aggregate_runs, write_aggregate_json, write_run_csv
 from .sampling import PRESETS, preset_policy
 
 PROBLEMS = ("nls-sigmoid", "nls-tanh", "nls-welsch", "quadratic", "saddle")
+_NLS = tuple(p for p in PROBLEMS if p.startswith("nls-"))
 VARIANTS = PRESETS
 
 EXIT_OK = 0
@@ -284,10 +285,31 @@ def make_parser():
     return parser
 
 
+# The solve options that only some problems read, by ExperimentSpec field:
+# the flag and the problems that read it.  Another problem rejects the flag
+# rather than run without it.
+_PROBLEM_FLAGS = {
+    "data": ("--data", _NLS),
+    "sparse": ("--sparse", _NLS),
+    "welsch_alpha": ("--welsch-alpha", ("nls-welsch",)),
+    "dim": ("--dim", ("quadratic", "saddle")),
+}
+
+
+def _check_problem_flags(args):
+    """Raise ValueError for a flag in `args`, the options given on the
+    command line, that the chosen problem does not read."""
+    for name, (flag, problems) in _PROBLEM_FLAGS.items():
+        if name in args and args["problem"] not in problems:
+            raise ValueError("%s applies only to problems %s, not %r"
+                             % (flag, ", ".join(problems), args["problem"]))
+
+
 def main(argv=None):
     args = vars(make_parser().parse_args(argv))
     del args["command"]
     try:
+        _check_problem_flags(args)
         fields = {}
         if "config" in args:
             fields = spec_fields_from_config(load_config_file(args.pop("config")))

@@ -7,12 +7,13 @@ comment that runs to the end of the line.  Malformed lines are
 reported with their 1-based line number.  Values are written with Python's
 shortest round-trip float repr, so a write/read cycle is bit-exact.
 
-The loader reads the file in universal-newline mode, in chunks of whole
-lines sized from the file (1/32 of it, between 8 KiB and 256 KiB).  A chunk
-in the plain form that writers produce is tokenized and converted with
-numpy, a chunk at a time; any other chunk goes through the per-line parser,
-which is the reference for what the format accepts and reports every
-error, with line numbers counted across chunks.
+The loader counts the file's ``:`` and newlines in a first pass over its
+bytes, which sizes its buffers, then reads it in universal-newline mode, in
+chunks of whole lines sized from the file (1/32 of it, between 8 KiB and
+256 KiB).  A chunk in the plain form that writers produce is tokenized and
+converted with numpy, a chunk at a time; any other chunk goes through the
+per-line parser, which is the reference for what the format accepts and
+reports every error, with line numbers counted across chunks.
 """
 
 import os
@@ -24,7 +25,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import LibSVMFormatError
 
-# Feature indices are held as int64; a larger one cannot be stored.
+# Feature indices are held as int32 up to _MAX_INT32 and as int64 past it;
+# a larger one than _MAX_INDEX cannot be stored.
+_MAX_INT32 = np.iinfo(np.int32).max
 _MAX_INDEX = np.iinfo(np.int64).max
 
 _MIN_CHUNK, _MAX_CHUNK = 8 << 10, 256 << 10
@@ -46,13 +49,20 @@ def load_libsvm(path, sparse=False):
     A : (n, d) float64 ndarray, or CSR when sparse=True.
     b : (n,) float64 labels, used as loaded (no remapping).
 
-    The file is read in chunks of whole lines into buffers of int64
-    feature indices, float64 values and labels, and int64 row pointers.
-    Each buffer is sized from the share of the file read so far, with 1/16
-    to spare, and trimmed in place at the end, so it rarely moves.  While
-    parsing, the loader holds those buffers plus one chunk of text and its
-    temporaries.  Its peak is 21 to 24 bytes per stored value, of which
-    the returned CSR keeps 12 (the value and its int32 column index).
+    The file is read in chunks of whole lines into buffers of feature
+    indices, float64 values and labels, and int64 row pointers.  Indices
+    are int32 until a chunk holds one above 2**31 - 1, and int64 from
+    there on; the CSR keeps the index buffer as its column indices.  The
+    buffers are sized before parsing, from a count of the file's ``:``
+    (one per feature) and newlines, which is exact for a file without
+    comments, blank lines or lone-CR line ends; a larger count is trimmed
+    in place at the end, and a smaller one grows once (see _Rows.append).
+    So the buffers take what the result takes and leave holes of its size
+    in the heap, which the next load of a like file fills.  While parsing,
+    the loader holds those buffers plus one chunk of text and its
+    temporaries.  Its peak is 14 to 19 bytes per stored value, of which
+    the returned CSR keeps 12 (the value and its int32 column index); a
+    dense A is made from that CSR.
 
     A chunk takes the numpy path when it is ASCII made only of digits,
     ``. + - e E :``, spaces, tabs and newlines; no label holds a ``:``;
@@ -73,10 +83,10 @@ def load_libsvm(path, sparse=False):
     else the first bad line in file order: a label that is not a number, a
     feature without ``:``, a feature whose index or value does not parse,
     an index below 1, indices that do not strictly increase along the
-    line, or an index above 2**63 - 1 (it would not fit the int64 index
+    line, or an index above 2**63 - 1 (it would not fit an int64 index
     buffer).  A file without data lines raises it without a line number.
     """
-    rows = _Rows()
+    rows = _Rows(*_capacity(path))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             nbytes = os.fstat(fh.fileno()).st_size
@@ -109,6 +119,22 @@ def _undecodable_line(path):
                 line.encode("utf-8")
             except UnicodeEncodeError:  # a byte escaped as a lone surrogate
                 return lineno
+
+
+def _capacity(path):
+    """(values, rows) that the file at `path` holds at most when its lines
+    end in LF or CRLF: every feature has a ``:``, and every line but the
+    last ends in a newline."""
+    values = newlines = 0
+    last = b"\n"
+    with open(path, "rb") as fh:
+        size = _chunk_size(os.fstat(fh.fileno()).st_size)
+        for block in iter(lambda: fh.read(size), b""):
+            raw = np.frombuffer(block, dtype=np.uint8)
+            values += int(np.count_nonzero(raw == ord(":")))
+            newlines += int(np.count_nonzero(raw == ord("\n")))
+            last = block[-1:]
+    return values, newlines + (last != b"\n")
 
 
 def _chunk_size(nbytes):
@@ -267,14 +293,22 @@ _NO_ROWS = (np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64), np.empty(
 
 
 class _Rows:
-    """The loader's buffers, each with room to grow: labels, row pointers,
-    the file's 1-based feature indices and their values."""
+    """The loader's buffers, with room for `values` values in `rows` rows
+    and more when needed: labels, row pointers, the file's 1-based feature
+    indices and their values.
 
-    def __init__(self):
-        self.labels = np.empty(0)
-        self.indptr = np.zeros(1, dtype=np.int64)
-        self.indices = np.empty(0, dtype=np.int64)
-        self.data = np.empty(0)
+    Indices are staged as int32, the dtype scipy gives the CSR when every
+    index and the value count fit it, and scipy then keeps the buffer as
+    the CSR's column indices without a copy.  The first chunk with an
+    index above 2**31 - 1 turns the buffer into int64 for the rest of the
+    file, the dtype scipy then gives the CSR.
+    """
+
+    def __init__(self, values=0, rows=0):
+        self.labels = np.empty(rows)
+        self.indptr = np.zeros(rows + 1, dtype=np.int64)
+        self.indices = np.empty(values, dtype=np.int32)
+        self.data = np.empty(values)
         self.rows = self.nnz = self.max_index = 0
 
     def _buffers(self, rows, nnz):
@@ -283,11 +317,14 @@ class _Rows:
 
     def append(self, labels, ends, indices, data, max_index, share):
         """Add what a parser returned, `share` being the part of the file
-        read so far.  A buffer short of room is reallocated to what the
-        whole file needs if the rest is like that part, with 1/16 to spare;
-        a buffer grown often by small steps leaves holes in the heap."""
+        read so far.  A buffer short of room (the row count misses lone-CR
+        line ends) is reallocated to what the whole file needs if the rest
+        is like that part, with 1/16 to spare; a buffer grown often by
+        small steps leaves holes in the heap."""
         r, k = self.rows, self.nnz
         rows, nnz = r + len(labels), k + len(indices)
+        if max_index > _MAX_INT32 and self.indices.dtype == np.int32:
+            self.indices = self.indices.astype(np.int64)
         for buf, need in self._buffers(rows, nnz):
             if buf.size < need:
                 buf.resize(int(need / share * 17 / 16) + 1, refcheck=False)

@@ -211,6 +211,28 @@ class TestSolveCommand:
         assert err.startswith("error: step-size overrides") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("problem, argv, flag", [
+        ("quadratic", ["--dim", "4", "--welsch-alpha", "3"], "--welsch-alpha"),
+        ("nls-sigmoid", ["--data", "F", "--welsch-alpha", "-5"], "--welsch-alpha"),
+        ("nls-sigmoid", ["--data", "F", "--dim", "7"], "--dim"),
+        ("nls-welsch", ["--data", "F", "--dim", "7"], "--dim"),
+        ("quadratic", ["--dim", "4", "--data", "/nonexistent"], "--data"),
+        ("saddle", ["--dim", "3", "--sparse"], "--sparse"),
+        ("quadratic", ["--dim", "4", "--welsch-alpha", "3", "--sparse", "--data",
+                       "/nonexistent"], "--data"),
+    ], ids=["welsch-alpha-on-quadratic", "welsch-alpha-on-sigmoid", "dim-on-sigmoid",
+            "dim-on-welsch", "data-on-quadratic", "sparse-on-saddle", "several"])
+    def test_flag_the_problem_ignores_is_rejected(self, tmp_path, capsys, problem,
+                                                  argv, flag):
+        # These used to run, with the flag silently dropped.
+        code = main(["solve", "--problem", problem, "--variant", "full",
+                     "--out", str(tmp_path / "out")] + argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s applies only to problems " % flag)
+        assert err.endswith(", not %r\n" % problem) and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv, text, message", [
         (["--alpha-sol", "0"], None, "alpha_sol_fixed must lie in (0, inf)"),
         (["--alpha-sol", "-0.2"], None, "alpha_sol_fixed must lie in (0, inf)"),

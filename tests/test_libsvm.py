@@ -375,7 +375,7 @@ class TestMemory:
         load_libsvm(warm, sparse=True)  # imports made on first use stay out
         (A2, _), peak = traced_peak(lambda: load_libsvm(path, sparse=True))
         assert A2.nnz == A.nnz > 20000
-        assert peak <= 32 * A.nnz
+        assert peak <= 21 * A.nnz
 
 
 def written_lines(tmp_path, rows, seed):
@@ -460,6 +460,20 @@ class TestChunkBoundaries:
         A_ref, b_ref = load_libsvm_per_line(path)
         assert A.tobytes() == A_ref.tobytes() and b.tobytes() == b_ref.tobytes()
 
+    def test_index_past_int32_after_the_first_chunk(self, tmp_path):
+        # Indices are staged as int32 until a chunk holds a larger one.
+        lines = written_lines(tmp_path, self.ROWS, 5)
+        late = len(lines) - 3
+        lines[late] += b" %d:1" % (2**32 + 1)  # wraps to 1 as an int32
+        path = chunked_file(tmp_path, lines)
+        before = len(b"\n".join(lines[:late]))
+        assert before > libsvm._chunk_size(path.stat().st_size)
+        got = load_libsvm(path, sparse=True)
+        assert got[0].shape[1] == 2**32 + 1
+        assert got[0].indices.dtype == np.int64
+        assert got[0].indices.max() == 2**32
+        assert_same_csr(got, load_libsvm_per_line(path, sparse=True))
+
     def test_final_line_without_newline(self, tmp_path):
         lines = written_lines(tmp_path, self.ROWS, 3)
         want = load_libsvm(chunked_file(tmp_path, lines), sparse=True)
@@ -467,6 +481,28 @@ class TestChunkBoundaries:
         assert_same_csr(load_libsvm(path, sparse=True), want)
         assert_same_csr(load_libsvm_per_line(path, sparse=True), want)
         assert want[0].shape[0] == self.ROWS
+
+
+class TestCapacity:
+    """The buffers are sized from a count of ``:`` and newlines, so a
+    load allocates them once, at the size of the result."""
+
+    def test_exact_for_a_written_file(self, tmp_path):
+        path = chunked_file(tmp_path, written_lines(tmp_path, 1000, 6))
+        A, _ = load_libsvm(path, sparse=True)
+        assert libsvm._capacity(path) == (A.nnz, A.shape[0])
+
+    @pytest.mark.parametrize("text, bound", [
+        (b"1 1:2 # a:b\n\n-1 3:4", (3, 3)),
+        (b"1 1:2\r-1 3:4\r", (2, 1)),
+    ], ids=["comment-blank-line-no-final-newline", "lone-cr"])
+    def test_other_files_load_the_same(self, tmp_path, text, bound):
+        path = tmp_path / "f.txt"
+        path.write_bytes(text)
+        assert libsvm._capacity(path) == bound
+        A, b = load_libsvm(path, sparse=True)
+        assert A.toarray().tolist() == [[2, 0, 0], [0, 0, 4]]
+        assert b.tolist() == [1, -1]
 
 
 class TestChunkedMemory:
@@ -480,4 +516,4 @@ class TestChunkedMemory:
         load_libsvm(warm, sparse=True)  # imports made on first use stay out
         (A, _), peak = traced_peak(lambda: load_libsvm(path, sparse=True))
         assert A.nnz > 40000
-        assert peak <= 32 * A.nnz
+        assert peak <= 21 * A.nnz
