@@ -52,6 +52,17 @@ PROBLEMS = ("nls-sigmoid", "nls-tanh", "nls-welsch", "quadratic", "saddle")
 _NLS = tuple(p for p in PROBLEMS if p.startswith("nls-"))
 VARIANTS = PRESETS
 
+# The ExperimentSpec fields that only some problems read: the flag that sets
+# each and the problems that read it.  A spec for another problem that sets
+# one to anything but None or False is rejected rather than run without it,
+# so `ntcg solve` and the library refuse the same combinations.
+_PROBLEM_FLAGS = {
+    "data": ("--data", _NLS),
+    "sparse": ("--sparse", _NLS),
+    "welsch_alpha": ("--welsch-alpha", ("nls-welsch",)),
+    "dim": ("--dim", ("quadratic", "saddle")),
+}
+
 EXIT_OK = 0
 EXIT_CONTRACT_VIOLATION = 2
 
@@ -68,9 +79,9 @@ class ExperimentSpec:
     repeats: int = 1
     audit: bool = False
     skip_small_step_block: bool = True
-    dim: int = 10
+    dim: int = None  # quadratic and saddle only; build_problem's default 10
     max_iters: int = 10_000
-    welsch_alpha: float = 1.0
+    welsch_alpha: float = None  # nls-welsch only; build_problem's default 1.0
     alpha_sol: float = None
     alpha_nc: float = None
     sparse: bool = False
@@ -85,6 +96,12 @@ class ExperimentSpec:
             raise ValueError("repeats must be >= 1")
         if self.problem.startswith("nls-") and not self.data:
             raise ValueError("problem %r needs --data" % (self.problem,))
+        for name, (flag, problems) in _PROBLEM_FLAGS.items():
+            value = getattr(self, name)
+            given = value is not None and value is not False
+            if given and self.problem not in problems:
+                raise ValueError("%s applies only to problems %s, not %r"
+                                 % (flag, ", ".join(problems), self.problem))
         # A key that a spec field also sets would be applied but reported
         # (aggregate.json) at the field's value; `seed` (set by spec.seed, so
         # no config key) would be dropped.
@@ -103,7 +120,8 @@ def build_problem(spec):
             spec.problem
         ]
         A, b = load_libsvm(spec.data, sparse=spec.sparse)
-        problem = NLSProblem(A, b, link=link, alpha=spec.welsch_alpha)
+        alpha = 1.0 if spec.welsch_alpha is None else spec.welsch_alpha
+        problem = NLSProblem(A, b, link=link, alpha=alpha)
         try:
             x0 = np.zeros(problem.dim)
         except (ValueError, MemoryError):
@@ -112,10 +130,10 @@ def build_problem(spec):
                 "dimension %d, the largest feature index in %s, is too large "
                 "for a dense iterate" % (problem.dim, spec.data)) from None
     elif spec.problem == "quadratic":
-        problem = QuadraticProblem(np.ones(spec.dim))
+        problem = QuadraticProblem(np.ones(10 if spec.dim is None else spec.dim))
         x0 = np.ones(problem.dim)
     else:
-        problem = SaddleProblem(spec.dim)
+        problem = SaddleProblem(10 if spec.dim is None else spec.dim)
         x0 = np.zeros(problem.dim)
     return problem, constants_for(problem), x0
 
@@ -285,31 +303,10 @@ def make_parser():
     return parser
 
 
-# The solve options that only some problems read, by ExperimentSpec field:
-# the flag and the problems that read it.  Another problem rejects the flag
-# rather than run without it.
-_PROBLEM_FLAGS = {
-    "data": ("--data", _NLS),
-    "sparse": ("--sparse", _NLS),
-    "welsch_alpha": ("--welsch-alpha", ("nls-welsch",)),
-    "dim": ("--dim", ("quadratic", "saddle")),
-}
-
-
-def _check_problem_flags(args):
-    """Raise ValueError for a flag in `args`, the options given on the
-    command line, that the chosen problem does not read."""
-    for name, (flag, problems) in _PROBLEM_FLAGS.items():
-        if name in args and args["problem"] not in problems:
-            raise ValueError("%s applies only to problems %s, not %r"
-                             % (flag, ", ".join(problems), args["problem"]))
-
-
 def main(argv=None):
     args = vars(make_parser().parse_args(argv))
     del args["command"]
     try:
-        _check_problem_flags(args)
         fields = {}
         if "config" in args:
             fields = spec_fields_from_config(load_config_file(args.pop("config")))

@@ -160,6 +160,12 @@ class ObjectiveOracle:
     def audit_f(self, x):
         return self.eval_f(x, self.full_index_set(), ledger=self.audit_ledger)
 
+    def audit_f_many(self, points):
+        """[audit_f(x) for x in points]: n audit props per point.  A problem
+        that can value several points in one pass over its data overrides
+        this with the same values and count."""
+        return [self.audit_f(x) for x in points]
+
     def audit_grad(self, x):
         return self.eval_grad(x, self.full_index_set(), ledger=self.audit_ledger)
 

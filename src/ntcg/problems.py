@@ -37,10 +37,19 @@ state asked only for f (a line-search trial, an audit value) evaluates the
 link but not its derivatives.  The
 row block is A itself when idx is arange(n), so full-batch calls copy no
 rows; any other index set, a permuted or repeated full-size one included,
-takes the copy A[idx].  The problem memoizes the states of its last two
-(x, idx) keys, compared by value, so f, the gradient and every HVP at one
-point share z and the weights.  Every ``eval_*`` call still validates its
-input and charges the ledger, memo hit or not.
+takes the copy A[idx] once: a state whose index set a memoized state
+already holds shares that state's rows, so the trials of a batch line
+search read the gradient batch's block.  The problem memoizes the states of
+its last two (x, idx) keys, compared by value, so f, the gradient and every
+HVP at one point share z and the weights.  Every ``eval_*`` call still
+validates its input and charges the ledger, memo hit or not.
+
+``audit_f_many`` values several points on the full set.  On CSR data it
+takes one product A @ X per block of points (scipy's csr_matvecs, whose
+columns equal csr_matvec's bit for bit), capped so that the block's
+products take at most _AUDIT_BLOCK_BYTES; dense data keeps one product per
+point, since a BLAS matrix product's columns differ in the last bits from
+its matrix-vector products.
 """
 
 import math
@@ -61,6 +70,10 @@ WELSCH = "welsch"
 # Per-point states an NLSProblem keeps: capped CG interleaves products on
 # the Hessian batch with evaluations on the gradient batch at one point.
 MEMO_SIZE = 2
+
+# The most memory, in bytes, that the products of one CSR audit block take:
+# an n x points float64 array.
+_AUDIT_BLOCK_BYTES = 8 << 20
 
 
 @dataclass
@@ -143,32 +156,38 @@ class _PointState:
 
     The row block is A itself for the index set arange(n) and the copy
     A[idx] otherwise (a permuted or repeated full-size set keeps its own
-    row order, hence its summation order); z = A_idx x is computed once.
-    The link terms and the weights are built on first use, each from the
-    ones before it: the value (mean loss) needs phi(z) alone, w_i with
-    grad f_i = w_i a_i adds phi', and c_i with hess f_i = c_i a_i a_i^T
-    adds phi''.  The key (x, idx) is kept as private copies, so a caller
-    who later mutates x in place gets a miss, not a stale hit.
+    row order, hence its summation order); `rows`, a state whose key has
+    the index set idx, lends its block instead of a new copy.  z = A_idx x
+    is computed once, or given: column j of a block product A @ X, which
+    equals A @ X[:, j] bit for bit on CSR data.  The link terms and the
+    weights are built on first use, each from the ones before it: the
+    value (mean loss) needs phi(z) alone, w_i with grad f_i = w_i a_i adds
+    phi', and c_i with hess f_i = c_i a_i a_i^T adds phi''.  The key
+    (x, idx) is kept as private copies, so a caller who later mutates x in
+    place gets a miss, not a stale hit.
     """
 
-    def __init__(self, problem, x, idx):
+    def __init__(self, problem, x, idx, rows=None, z=None):
         self.x = x.copy()
-        full_idx = problem.full_index_set()
-        full = idx is full_idx or (idx.shape == full_idx.shape and (idx == full_idx).all())
-        # The shared full index set is read-only, so it serves as its own key.
-        self.idx = full_idx if full else idx.copy()
-        self.A = problem.A if full else problem.A[idx]
-        self._b = problem.b if full else problem.b[idx]
-        self._z = np.asarray(self.A @ x).ravel()
+        if rows is not None:
+            self.idx, self.A, self._b = rows.idx, rows.A, rows._b
+        else:
+            full_idx = problem.full_index_set()
+            full = idx is full_idx or (idx.shape == full_idx.shape
+                                       and (idx == full_idx).all())
+            # The shared full index set is read-only, so it serves as its
+            # own key.
+            self.idx = full_idx if full else idx.copy()
+            self.A = problem.A if full else problem.A[idx]
+            self._b = problem.b if full else problem.b[idx]
+        self._z = np.asarray(self.A @ x).ravel() if z is None else z
         self._link = problem.link
         self._alpha = problem.alpha
 
-    def matches(self, x, idx):
-        """Whether (x, idx) equals the key by value; x is validated, so it
-        has the key's shape."""
+    def has_index_set(self, idx):
+        """Whether idx equals the key's index set by value."""
         return (self.idx.shape == idx.shape
-                and (self.idx is idx or (self.idx == idx).all())
-                and (self.x == x).all())
+                and (self.idx is idx or (self.idx == idx).all()))
 
     @cached_property
     def _head(self):
@@ -247,16 +266,39 @@ class NLSProblem(ObjectiveOracle):
 
     def _state(self, x, idx):
         """The :class:`_PointState` of (x, idx), from the memo when one of
-        the last MEMO_SIZE keys matches by value."""
+        the last MEMO_SIZE keys matches by value; a new state borrows the
+        rows of a memoized one on the same index set."""
         memo = self._memo
+        rows = None
         for i, state in enumerate(memo):
-            if state.matches(x, idx):
-                if i:
-                    memo.insert(0, memo.pop(i))
-                return state
-        state = _PointState(self, x, idx)
+            if state.has_index_set(idx):
+                # x is validated, so it has the key's shape.
+                if (state.x == x).all():
+                    if i:
+                        memo.insert(0, memo.pop(i))
+                    return state
+                rows = state
+        state = _PointState(self, x, idx, rows=rows)
         self._memo = [state] + memo[:MEMO_SIZE - 1]
         return state
+
+    def audit_f_many(self, points):
+        """[audit_f(x) for x in points], bit for bit and with the same audit
+        ledger count; on CSR data one product A @ X per block of points
+        whose products fit _AUDIT_BLOCK_BYTES.  The memo is left as it was."""
+        if not sp.issparse(self.A):
+            return super().audit_f_many(points)
+        xs = [check_vector(x, "x", self.dim) for x in points]
+        full = self.full_index_set()
+        per_block = max(1, _AUDIT_BLOCK_BYTES // (8 * self.n))
+        values = []
+        for start in range(0, len(xs), per_block):
+            block = xs[start:start + per_block]
+            Z = self.A @ np.column_stack(block)
+            for j, x in enumerate(block):
+                self.audit_ledger.f_calls += self.n
+                values.append(_PointState(self, x, full, z=Z[:, j]).value)
+        return values
 
     # -- oracle primitives (means over idx) ----------------------------------
 

@@ -24,9 +24,11 @@ the sign of d^T grad f is unknown when the gradient is inexact.  Each
 counted value is paid for once: under full evaluation f(x_k) is the
 accepted trial value of the previous search (the same expression
 x + alpha d on the same set); a batch search evaluates f(x_k) on its
-fresh batch every iteration.  The FixedStep variant replaces the search
-with predefined step sizes that provably satisfy the same decrease
-condition given accuracy levels (delta_g, delta_H) on the estimates, here 0.
+fresh batch every iteration, and its trials read the rows the gradient
+batch copied, so each drawn index set is copied once.  The FixedStep
+variant replaces the search with predefined step sizes that provably
+satisfy the same decrease condition given accuracy levels (delta_g,
+delta_H) on the estimates, here 0.
 
 Audit mode recomputes exact quantities through a ledger-exempt channel and
 enforces the per-step decrease floors, backtracking caps, and iteration
@@ -79,6 +81,10 @@ TERM_CONTRACT_VIOLATION = "ContractViolation"
 
 THETA_TILDE_LOW = (2.0 - math.sqrt(3.0)) ** 2  # ~0.0718
 
+# Iterates whose record f waits for the audit channel are valued this many
+# at a time (ObjectiveOracle.audit_f_many).
+_F_BLOCK = 16
+
 
 @dataclass
 class SolverConfig:
@@ -122,6 +128,10 @@ class SolverConfig:
         for name in ("U_H", "alpha_sol_fixed", "alpha_nc_fixed"):
             if getattr(self, name) is not None:
                 check_interval(getattr(self, name), name, 0.0, math.inf)
+        if (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
+                and self.seed < 0):
+            raise ValueError("seed must be a non-negative integer or a numpy "
+                             "Generator, got %r" % (self.seed,))
         for name in ("max_outer_iters", "max_ls_trials"):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
@@ -139,12 +149,11 @@ class IterationRecord:
     search; otherwise (batch evaluation, FixedStep, an iterate that no
     search has reached) it is recomputed through the ledger-exempt audit
     channel so convergence curves stay comparable across variants.  That
-    is one full objective pass per iteration made only for this field,
-    counted in RunReport.audit_ledger and not in props: on the
-    sparse-subsampled benchmark (a 50000 x 2000 CSR, inexact-sub-eval) it
-    costs 2.65e6 audit props against the run's 7.0e5 ledger props, and
-    about half the solve time.  Dropping the pass would change the f
-    column of the run CSVs.
+    is one full objective value per iteration made only for this field,
+    counted in RunReport.audit_ledger (n audit props each) and not in
+    props.  Outside an audit, iterates whose gradient batch was a sample
+    are valued 16 at a time through ``audit_f_many``, which on CSR data
+    reads the matrix once per block instead of once per iterate.
 
     step_class follows the K1..K5 taxonomy: K1 small gradient, K2/K3
     accepted Newton steps split on whether the next gradient estimate fell
@@ -606,8 +615,10 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
         recomputation; any failure raises ContractViolation.
     trace : optional callable fed each IterationRecord once it is final:
         a step's record when the next gradient estimate has fixed its K2/K3
-        class and its audit checks, the last record when the run ends.  It
-        sees exactly `records` of the report, in order.
+        class and its audit checks and its f_value is known, the last
+        record when the run ends.  It sees exactly `records` of the report,
+        in order; a record whose f_value waits for a block of audit values
+        arrives up to one block (16 iterations) late.
     """
     if variant not in (LINE_SEARCH, FIXED_STEP):
         raise ValueError("unknown variant %r" % (variant,))
@@ -650,6 +661,27 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
     f_x = None
     # The last iteration's record, committed once ||g_{k+1}|| is known.
     open_record = None
+    # (record, iterate) pairs whose f_value waits for audit_f_many, oldest
+    # first; trace has been fed records[:n_traced], which stops short of
+    # the first of them.
+    unvalued = []
+    n_traced = 0
+
+    def feed_trace():
+        nonlocal n_traced
+        if trace is None:
+            return
+        stop = unvalued[0][0].k if unvalued else len(records)
+        for record in records[n_traced:stop]:
+            trace(record)
+        n_traced = stop
+
+    def value_records():
+        values = problem.audit_f_many([point for _, point in unvalued])
+        for (record, _), value in zip(unvalued, values):
+            record.f_value = value
+        unvalued.clear()
+        feed_trace()
 
     def commit(record, next_norm, exact_next_norm):
         """Close an iteration: the K2/K3 class of an accepted Newton step,
@@ -659,8 +691,7 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
         if audit:
             auditor.resolve(next_norm, exact_next_norm)
         records.append(record)
-        if trace is not None:
-            trace(record)
+        feed_trace()
 
     for k in range(cfg.max_outer_iters):
         # Full batches are the oracle's shared read-only index set, which
@@ -682,11 +713,20 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
         )
 
         # f at x_k: the full-set line-search value doubles as the record
-        # value; other paths report through the audit channel.
+        # value; other paths report through the audit channel.  Outside an
+        # audit, which reads f_here at once, an iterate whose gradient batch
+        # was a sample waits to be valued in a block with later ones; one
+        # whose gradient was exact is valued now, while the problem may
+        # still hold the products of that full pass (NLSProblem's memo).
         line_idx = full_idx if exact_line_f else grad_idx
         if f_x is None and terminate is None and variant == LINE_SEARCH:
             f_x = problem.eval_f(x, line_idx)
-        f_here = f_x if exact_line_f and f_x is not None else problem.audit_f(x)
+        if exact_line_f and f_x is not None:
+            f_here = f_x
+        elif audit or grad_idx is full_idx:
+            f_here = problem.audit_f(x)
+        else:
+            f_here = None
 
         alpha, ls_trials, step_class, x_next, f_next = None, 0, None, None, None
         if terminate == TERM_FIRST_ORDER_AND_CERTIFIED:
@@ -722,6 +762,10 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
             grad_calls=snap["grad_calls"], hv_calls=snap["hv_calls"],
             props=snap["props"], grad_true_norm=exact_g_norm, nc_origin=nc_origin,
         )
+        if f_here is None:
+            unvalued.append((open_record, x))
+            if len(unvalued) == _F_BLOCK:
+                value_records()
         if terminate is not None:
             termination = terminate
             break
@@ -733,12 +777,13 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
         prev_g_norm = g_norm
         x, f_x = x_next, (f_next if exact_line_f else None)
 
+    value_records()
     x_final = x + d if termination == TERM_FIRST_ORDER_AND_CERTIFIED else x
     if termination in (TERM_CERTIFIED_AT_CURRENT, TERM_CONTRACT_VIOLATION):
         # The run stopped at the x of its last record, which holds f(x) on
         # the full set and, when the gradient was exact (under audit or on
         # the full batch), ||grad f(x)|| as the audit channel computes them.
-        final_f = f_here
+        final_f = open_record.f_value
         if audit:
             final_norm = exact_g_norm
         elif not policy.subsamples_gradient():

@@ -11,6 +11,7 @@ from ntcg.cli import (
     ExperimentSpec,
     load_config_file,
     main,
+    run_experiment,
     spec_fields_from_config,
 )
 from ntcg.reporting import CSV_COLUMNS, aggregate_runs, read_run_csv, trajectory
@@ -233,6 +234,16 @@ class TestSolveCommand:
         assert err.endswith(", not %r\n" % problem) and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_negative_seed_is_rejected(self, tmp_path, capsys):
+        # numpy's "expected non-negative integer" used to name no flag.
+        code = main(["solve", "--problem", "saddle", "--dim", "3", "--variant", "full",
+                     "--seed", "-3", "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be a non-negative integer")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv, text, message", [
         (["--alpha-sol", "0"], None, "alpha_sol_fixed must lie in (0, inf)"),
         (["--alpha-sol", "-0.2"], None, "alpha_sol_fixed must lie in (0, inf)"),
@@ -322,6 +333,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unknown config key %r" % key):
             ExperimentSpec(problem="saddle", variant="full", dim=3,
                            overrides={key: 1})
+
+    def test_fields_the_problem_ignores_are_rejected(self, tmp_path):
+        # The library path used to run this spec, dropping every such field.
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="--data applies only to problems"):
+            run_experiment(ExperimentSpec(
+                problem="quadratic", variant="full", data="/nonexistent", sparse=True,
+                welsch_alpha=-5, dim=4, out=str(out)))
+        assert not out.exists()
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):

@@ -14,8 +14,10 @@ from numpy.testing import assert_array_equal
 from scipy.special import expit
 
 import ntcg.problems
-from ntcg import HessianOperator, NLSProblem, synthetic_nls
+from ntcg import (HessianOperator, NLSProblem, SamplingPolicy, SolverConfig, run,
+                  synthetic_nls)
 from ntcg.problems import SIGMOID, TANH, WELSCH
+from ntcg.sampling import SUB_BOTH
 
 N, DIM = 60, 5
 
@@ -229,6 +231,64 @@ def test_exact_iteration_does_each_product_once(monkeypatch):
     assert link_calls == [("phi", 300), ("d1", 300), ("d2", 300),
                           ("phi", 300), ("d1", 300)]
     assert sum(1 for entry in log if entry[0] == "scale") == 1
+
+
+def test_batch_line_search_iteration_copies_each_index_set_once():
+    """One `inexact-sub-eval` iteration copies the rows of its gradient
+    batch and of its Hessian batch once each: f(x) and every line-search
+    trial on the gradient batch read the gradient's copy."""
+    problem = synthetic_nls(300, 6, seed=2)
+    reference = synthetic_nls(300, 6, seed=2)
+    log = []
+    problem.A = problem.A.view(_CountingRows)
+    problem.A.log = log
+    policy = SamplingPolicy(mode=SUB_BOTH, grad_batch=60, hess_batch=20,
+                            line_search_eval="batch")
+    # A large eta rejects the first trials, so several share the rows.
+    cfg = SolverConfig(eps_g=1e-3, eta=50.0, seed=1, max_outer_iters=1,
+                       skip_small_step_block=True)
+    got, want = run(problem, cfg, policy=policy), run(reference, cfg, policy=policy)
+    assert got.records == want.records
+    assert got.ledger == want.ledger and got.audit_ledger == want.audit_ledger
+    assert got.records[0].ls_trials >= 2
+    assert sorted(shape for kind, shape, _ in log if kind == "copy") == [(20, 6), (60, 6)]
+
+
+class _CountingCSR(sp.csr_matrix):
+    """A CSR data matrix that logs the shape of each operand it multiplies."""
+
+    def __matmul__(self, other):
+        self.log.append(np.shape(other))
+        return super().__matmul__(other)
+
+
+@pytest.mark.parametrize("count", [1, 2, 16, 17])
+@pytest.mark.parametrize("link", [SIGMOID, TANH, WELSCH])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+def test_audit_f_many_equals_audit_f(sparse, link, count):
+    problem, reference = instance(link, sparse), instance(link, sparse)
+    rng = np.random.default_rng(13)
+    points = [rng.standard_normal(DIM) for _ in range(count)]
+    assert problem.audit_f_many(points) == [reference.audit_f(x) for x in points]
+    assert problem.audit_ledger.snapshot() == reference.audit_ledger.snapshot()
+    assert problem.ledger.snapshot() == reference.ledger.snapshot()
+
+
+@pytest.mark.parametrize("link", [SIGMOID, TANH, WELSCH])
+def test_audit_f_many_splits_blocks_past_the_memory_cap(monkeypatch, link):
+    # Rows of about 15 stored values; a cap of three columns' products
+    # splits 17 points into blocks of 3, 3, 3, 3, 3 and 2.
+    rng = np.random.default_rng(17)
+    A = sp.random(2000, 300, density=0.05, format="csr", random_state=rng)
+    b = rng.integers(0, 2, 2000).astype(float)
+    problem, reference = NLSProblem(A, b, link=link), NLSProblem(A, b, link=link)
+    problem.A = _CountingCSR(A)
+    problem.A.log = log = []
+    monkeypatch.setattr(ntcg.problems, "_AUDIT_BLOCK_BYTES", 3 * 8 * 2000 + 7)
+    points = [rng.standard_normal(300) for _ in range(17)]
+    assert problem.audit_f_many(points) == [reference.audit_f(x) for x in points]
+    assert log == [(300, 3)] * 5 + [(300, 2)]
+    assert problem.audit_ledger.snapshot() == reference.audit_ledger.snapshot()
 
 
 @pytest.mark.parametrize("link", [SIGMOID, TANH])

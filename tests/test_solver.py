@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from helpers import MatrixOperator
 
 import ntcg.solver as solver
 from ntcg import (
     ContractViolation,
+    NLSProblem,
     QuadraticProblem,
     SaddleProblem,
     SamplingPolicy,
@@ -22,9 +24,11 @@ from ntcg import (
     scale_nc_direction,
     synthetic_nls,
 )
+from ntcg.oracle import ObjectiveOracle
 from ntcg.problems import TANH
-from ntcg.sampling import EXACT, SUB_BOTH, SUB_HESSIAN_ONLY
-from ntcg.solver import FIXED_STEP, run
+from ntcg.reporting import write_run_csv
+from ntcg.sampling import EXACT, SUB_BOTH, SUB_HESSIAN_ONLY, preset_policy
+from ntcg.solver import FIXED_STEP, LINE_SEARCH, run
 
 
 class TestScaleOps:
@@ -522,7 +526,71 @@ class TestRunFixedStep:
             run(q, cfg, variant=FIXED_STEP, x0=np.ones(2), constants=consts)
 
 
+def csr_instance():
+    problem = synthetic_nls(3000, 20, seed=3)
+    return NLSProblem(sp.csr_matrix(problem.A), problem.b)
+
+
+class TestBlockValuedRecords:
+    """Outside an audit, records whose f comes through the audit channel
+    are valued in blocks of iterates; nothing a run reports may change."""
+
+    @pytest.mark.parametrize("preset", ["inexact-sub-eval", "inexact-fixed"])
+    def test_block_size_changes_no_output(self, monkeypatch, tmp_path, preset):
+        variant, steps = LINE_SEARCH, {}
+        if preset == "inexact-fixed":
+            variant, steps = FIXED_STEP, {"alpha_sol_fixed": 0.2, "alpha_nc_fixed": 0.04}
+        cfg = SolverConfig(eps_g=1e-3, seed=2, max_outer_iters=40,
+                           skip_small_step_block=True, **steps)
+
+        def solve(tag):
+            problem = csr_instance()
+            seen = []
+            rep = run(problem, cfg, policy=preset_policy(preset, problem.n),
+                      variant=variant, trace=seen.append)
+            assert len(seen) == len(rep.records)
+            assert all(a is b for a, b in zip(seen, rep.records))
+            path = tmp_path / (tag + ".csv")
+            write_run_csv(path, rep)
+            return (rep.records, path.read_bytes(), rep.ledger, rep.audit_ledger,
+                    rep.termination, rep.final_f, rep.final_true_grad_norm)
+
+        blocks = solve("blocks")
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_F_BLOCK", 1)
+            ones = solve("ones")
+        with monkeypatch.context() as patch:
+            # The unblocked reference: one audit_f per iterate.
+            patch.setattr(NLSProblem, "audit_f_many", ObjectiveOracle.audit_f_many)
+            each = solve("each")
+        assert blocks == ones == each
+        assert len(blocks[0]) > 2 * solver._F_BLOCK
+
+    def test_contract_violation_reads_its_block_valued_f(self):
+        # The first line search fails; final_f is f(x0) = mean (b - 1/2)^2.
+        problem = csr_instance()
+        cfg = SolverConfig(eps_g=1e-3, eta=1e6, max_ls_trials=1,
+                           skip_small_step_block=True)
+        rep = run(problem, cfg, policy=preset_policy("inexact-sub-eval", problem.n))
+        assert rep.termination == solver.TERM_CONTRACT_VIOLATION
+        assert rep.iterations == 1
+        assert rep.final_f == rep.records[-1].f_value == 0.25
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("seed", [-3, -1, np.int64(-2)])
+    def test_negative_seed_is_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            SolverConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(3), np.random.default_rng(4)])
+    def test_seeds_and_generators_are_accepted(self, seed):
+        problem = synthetic_nls(200, 4, seed=0)
+        rep = run(problem, SolverConfig(seed=seed, max_outer_iters=2,
+                                        skip_small_step_block=True),
+                  policy=preset_policy("inexact-sub-eval", problem.n))
+        assert rep.iterations == 2
+
     def test_zeta_must_stay_below_u_h(self):
         q = QuadraticProblem(np.ones(2) * 0.25)
         cfg = SolverConfig(eps_g=1e-3, eps_H=0.1, U_H=0.25, zeta=0.5)
