@@ -7,6 +7,7 @@ fixed-step drivers, subsampled gradient/Hessian oracles with exact
 call accounting, and a benchmark CLI.
 """
 
+from .audit import iteration_bound, verify_condition
 from .capped_cg import NC, SOL, CappedCGParams, CappedCGResult, capped_cg, j_cap
 from .estimator import SquaredLossClassifier, WelschRegressor
 from .exceptions import ContractViolation, LibSVMFormatError
@@ -26,7 +27,6 @@ from .sampling import (
     adapt_grad_batch,
     floor_targets,
     sample_indices,
-    verify_condition,
 )
 from .solver import (
     FIXED_STEP,
@@ -36,7 +36,6 @@ from .solver import (
     SolverConfig,
     fixed_step_nc,
     fixed_step_sol,
-    iteration_bound,
     line_search_nc,
     line_search_sol,
     run,

@@ -102,6 +102,10 @@ class ExperimentSpec:
             if given and self.problem not in problems:
                 raise ValueError("%s applies only to problems %s, not %r"
                                  % (flag, ", ".join(problems), self.problem))
+        min_dim = 2 if self.problem == "saddle" else 1
+        if self.dim is not None and self.dim < min_dim:
+            raise ValueError("--dim must be >= %d for problem %r, got %r"
+                             % (min_dim, self.problem, self.dim))
         # A key that a spec field also sets would be applied but reported
         # (aggregate.json) at the field's value; `seed` (set by spec.seed, so
         # no config key) would be dropped.

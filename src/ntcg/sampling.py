@@ -19,9 +19,6 @@ EXACT = "Exact"
 SUB_HESSIAN_ONLY = "SubHessianOnly"
 SUB_BOTH = "SubBoth"
 
-COND2 = "Cond2"
-COND3 = "Cond3"
-
 # Smallest adaptive gradient batch.
 MIN_BATCH = 32
 
@@ -80,38 +77,6 @@ def adapt_grad_batch(prev_batch, g_norm_now, g_norm_prev, n_total):
     else:
         batch = prev_batch
     return max(min(batch, n_total), min(MIN_BATCH, n_total))
-
-
-def verify_condition(delta_g_used, delta_H_used, context, which=COND2):
-    """Retrospective check of the gradient/Hessian accuracy conditions.
-
-    delta_g_used / delta_H_used are the measured true errors
-    ||g_k - grad f(x_k)|| and ||H_k - hess f(x_k)|| (audit mode computes
-    them exactly).  `context` supplies eps_g, eps_H, zeta, eta, L_H,
-    norm_d, norm_g, norm_g_next.  norm_g_next is available only after the
-    step, which is why this check is retrospective by nature.
-
-    Cond2:  delta_g <= (1-zeta)/8 * max(eps_g, min(eps_H*||d||, ||g_k||,
-            ||g_{k+1}||)),  delta_H <= (1-zeta)/4 * eps_H.
-    Cond3:  same delta_H; the delta_g bound additionally capped by
-            3*eps_H^2 / (65*(L_H+eta)).
-    """
-    zeta = context["zeta"]
-    eps_g = context["eps_g"]
-    eps_H = context["eps_H"]
-    adaptive = max(
-        eps_g,
-        min(eps_H * context["norm_d"], context["norm_g"], context["norm_g_next"]),
-    )
-    if which == COND2:
-        g_bound = (1.0 - zeta) / 8.0 * adaptive
-    elif which == COND3:
-        cap = 3.0 * eps_H**2 / (65.0 * (context["L_H"] + context["eta"]))
-        g_bound = (1.0 - zeta) / 8.0 * min(cap, adaptive)
-    else:
-        raise ValueError("which must be %r or %r" % (COND2, COND3))
-    H_bound = (1.0 - zeta) / 4.0 * eps_H
-    return delta_g_used <= g_bound and delta_H_used <= H_bound
 
 
 @dataclass(frozen=True)

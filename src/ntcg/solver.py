@@ -30,13 +30,6 @@ variant replaces the search with predefined step sizes that provably
 satisfy the same decrease condition given accuracy levels (delta_g,
 delta_H) on the estimates, here 0.
 
-Audit mode recomputes exact quantities through a ledger-exempt channel and
-enforces the per-step decrease floors, backtracking caps, and iteration
-bounds, raising ContractViolation on the first failure.  Without audit no
-checks run; a step rule that fails (an exhausted line search, a broken
-fixed-step discriminant) is logged and ends the run with a
-ContractViolation status.
-
 The driver is a single logical thread: all randomness (batch draws and
 oracle start vectors) flows from one seeded generator, and the adaptive
 gradient batch is a variable of the run, not of the (frozen) sampling
@@ -56,18 +49,13 @@ from typing import Optional
 import numpy as np
 
 from ._validation import as_generator, check_interval, check_vector
+from .audit import _Audit
 from .capped_cg import NC, SOL, CappedCGParams, capped_cg
 from .exceptions import ContractViolation
 from .meo import meo_lanczos
 from .oracle import HessianOperator
 from . import sampling  # called through the module, where bench/tracing.py wraps it
-from .sampling import (
-    COND2,
-    COND3,
-    EXACT,
-    SamplingPolicy,
-    verify_condition,
-)
+from .sampling import EXACT, SamplingPolicy
 
 logger = logging.getLogger(__name__)
 
@@ -318,58 +306,6 @@ def fixed_step_nc(norm_d, delta_H, delta_g, L_H, eta, theta_tilde):
     return theta_tilde * beta1
 
 
-# -- decrease constants and iteration bounds -----------------------------------
-
-
-def c_sol_constant(eta, theta, zeta, L_H):
-    return (eta / 6.0) * min(
-        (1.0 + 2.0 * L_H) ** -1.5,
-        (3.0 * theta**2 * (1.0 - zeta) / (4.0 * (L_H + eta))) ** 1.5,
-    )
-
-
-def c_nc_constant(eta, theta, L_H):
-    return (eta / 6.0) * min((3.0 * theta / (2.0 * (L_H + eta))) ** 3, 1.0)
-
-
-def cbar_sol_constant(eta, zeta, L_H):
-    return (eta / 6.0) * (3.0 * (1.0 - zeta) / (4.0 * L_H * (L_H + eta))) ** 1.5
-
-
-def cbar_nc_constant(eta, theta_tilde, L_H):
-    return (eta / 6.0) * (3.0 * theta_tilde / (4.0 * (L_H + eta))) ** 3
-
-
-def j_sol_cap(theta, zeta, eps_H, U_g, L_H, eta):
-    """Backtracking depth bound for accepted Newton directions."""
-    arg = 3.0 * (1.0 - zeta) * eps_H**2 / (4.4 * U_g * (L_H + eta))
-    return math.ceil(0.5 * math.log(arg) / math.log(theta))
-
-
-def j_nc_cap(theta, L_H, eta):
-    """Backtracking depth bound for curvature directions."""
-    return math.ceil(math.log(3.0 / (2.0 * (L_H + eta))) / math.log(theta))
-
-
-def iteration_bound(f0_minus_flow, L_H, constants, eps, variant=LINE_SEARCH):
-    """Worst-case outer-iteration count for audit comparison.
-
-    `constants` carries the decrease constants of the chosen variant:
-    {"c_sol", "c_nc"} for LineSearch, {"cbar_sol", "cbar_nc"} for
-    FixedStep.  Stated under the coupling eps_H = sqrt(L_H * eps).
-    """
-    if variant == LINE_SEARCH:
-        c_sol, c_nc = constants["c_sol"], constants["c_nc"]
-        denom = min(
-            c_sol / (64.0 * L_H**1.5), 8.0 * L_H**1.5 * c_sol, L_H**1.5 * c_nc / 8.0
-        )
-        return math.ceil(3.0 * f0_minus_flow / denom * eps**-1.5) + 5
-    if variant == FIXED_STEP:
-        denom = min(constants["cbar_sol"], constants["cbar_nc"] / 8.0) * L_H**1.5
-        return 2 * math.ceil(f0_minus_flow / denom * eps**-1.5) + 3
-    raise ValueError("unknown variant %r" % (variant,))
-
-
 # -- the driver ----------------------------------------------------------------
 
 
@@ -390,161 +326,6 @@ def _resolve(config, constants):
                   L_H=None if L_H is None else float(L_H))
     check_interval(cfg.zeta, "zeta", 0.0, min(1.0, cfg.U_H))
     return cfg
-
-
-class _Audit:
-    """Guarantee checks of an audit run, recomputed exactly through the
-    ledger-exempt audit channel.
-
-    The first failed check raises ContractViolation, so a returned summary
-    never lists violations.  Checks that need the next gradient norm (the
-    retrospective accuracy condition and the Newton-step decrease floor)
-    wait in `pending` until `resolve`.  `n_checks` counts the per-iteration
-    checks; the iteration bound is reported on its own.  The Hessian error
-    is measured up to dimension 64; above it a condition that the gradient
-    error does not break is recorded as unchecked (`ok` None), as is a
-    Cond3 that Cond2 does not break when L_H is unknown.
-    """
-
-    def __init__(self, problem, cfg, constants, variant, exact_policy, guaranteed_step):
-        self.problem = problem
-        self.cfg = cfg
-        self.constants = constants
-        self.variant = variant
-        self.exact_policy = exact_policy
-        self.guaranteed_step = self.exact_policy and guaranteed_step
-        self.which = COND3 if variant == FIXED_STEP else COND2
-        self.n_checks = 0
-        self.condition_results = []
-        self.pending = None
-        self.delta_g = None
-
-    def check(self, k, name, ok, lhs, rhs):
-        self.n_checks += 1
-        if not ok:
-            raise ContractViolation(
-                "iteration %d: %s failed (%r vs %r)" % (k, name, lhs, rhs),
-                detail={"k": k, "check": name, "lhs": lhs, "rhs": rhs},
-            )
-
-    def decrease_constant(self, d_type):
-        """c_sol / c_nc under LineSearch, cbar_sol / cbar_nc under FixedStep."""
-        cfg = self.cfg
-        if self.variant == LINE_SEARCH:
-            if d_type == SOL:
-                return c_sol_constant(cfg.eta, cfg.theta, cfg.zeta, cfg.L_H)
-            return c_nc_constant(cfg.eta, cfg.theta, cfg.L_H)
-        if d_type == SOL:
-            return cbar_sol_constant(cfg.eta, cfg.zeta, cfg.L_H)
-        return cbar_nc_constant(cfg.eta, cfg.theta_tilde, cfg.L_H)
-
-    def gradient(self, x, g):
-        """Exact ||grad f(x)||; keeps the estimate's error for the condition."""
-        exact_g = self.problem.audit_grad(x)
-        self.delta_g = float(np.linalg.norm(g - exact_g))
-        return float(np.linalg.norm(exact_g))
-
-    def step(self, record, x, x_next, d, g, hess_idx, f_here):
-        """Checks of a step just taken; queues the retrospective ones."""
-        cfg, k, d_type = self.cfg, record.k, record.d_type
-        eps_g, eps_H, L_H = cfg.eps_g, cfg.eps_H, cfg.L_H
-        line_search = self.variant == LINE_SEARCH
-        norm_d = float(np.linalg.norm(d))
-        f_next = self.problem.audit_f(x_next)
-        decrease = f_here - f_next
-        if self.guaranteed_step:
-            self.check(k, "monotone_decrease", decrease > 0.0, f_next, f_here)
-        if self.guaranteed_step and L_H is not None:
-            if d_type == NC:
-                floor = self.decrease_constant(NC) * eps_H**3
-                if record.nc_origin == "meo":
-                    floor /= 8.0
-                self.check(k, "nc_decrease_floor", decrease >= floor - 1e-12,
-                           decrease, floor)
-            elif not line_search and norm_d >= eps_g / eps_H:
-                floor = self.decrease_constant(SOL) * eps_H**3
-                self.check(k, "fixed_sol_decrease_floor",
-                           decrease >= floor - 1e-12, decrease, floor)
-        if self.exact_policy and line_search and L_H is not None:
-            trials = record.ls_trials
-            if d_type == NC:
-                cap = j_nc_cap(cfg.theta, L_H, cfg.eta) + 1
-                j_used = math.ceil(trials / 2) - 1
-                self.check(k, "nc_backtrack_cap", j_used <= cap, j_used, cap)
-            else:
-                cap = 1 + j_sol_cap(cfg.theta, cfg.zeta, eps_H, self.constants.U_g,
-                                    L_H, cfg.eta)
-                self.check(k, "sol_backtrack_cap", trials - 1 <= cap, trials - 1, cap)
-        if d_type == NC:
-            self.check(k, "nc_against_gradient", float(d @ g) <= 1e-12,
-                       float(d @ g), 0.0)
-
-        condition = None
-        if not self.exact_policy:
-            delta_H = None
-            if self.problem.dim <= 64:  # every sampled mode samples the Hessian
-                H_err = (self.problem.dense_hessian(x, hess_idx)
-                         - self.problem.dense_hessian(x))
-                delta_H = float(np.linalg.norm(H_err, 2))
-            condition = dict(vars(cfg), delta_g_used=self.delta_g, delta_H_used=delta_H,
-                             norm_d=norm_d, norm_g=record.grad_est_norm)
-        sol_floor = None
-        if (
-            self.exact_policy and line_search and d_type == SOL
-            and norm_d > eps_g / eps_H and L_H is not None
-        ):
-            sol_floor = self.decrease_constant(SOL)
-        self.pending = {"k": k, "condition": condition, "sol_floor": sol_floor,
-                        "decrease": decrease}
-
-    def resolve(self, norm_g_next, exact_g_next_norm):
-        """Close the pending checks with the next gradient estimate's norm
-        ||g_{k+1}|| and the exact one known."""
-        pending, self.pending = self.pending, None
-        if pending is None:
-            return
-        k, ctx = pending["k"], pending["condition"]
-        if ctx is not None:
-            # Cond3 only tightens Cond2's gradient bound by a cap that needs
-            # L_H; without it Cond2 can show a failure but not a pass.
-            which = self.which if ctx["L_H"] is not None else COND2
-            delta_H = ctx["delta_H_used"]
-            ok = verify_condition(ctx["delta_g_used"], delta_H or 0.0,
-                                  dict(ctx, norm_g_next=norm_g_next), which=which)
-            decided = delta_H is not None and which == self.which
-            self.condition_results.append(
-                {"k": k, "ok": None if ok and not decided else bool(ok)})
-        if pending["sol_floor"] is not None:
-            eps_H, decrease = self.cfg.eps_H, pending["decrease"]
-            floor = pending["sol_floor"] * max(0.0, min(
-                exact_g_next_norm**3 / (2.5 * eps_H) ** 3, (2.5 * eps_H) ** 3,
-                self.cfg.eps_g ** 1.5,
-            ))
-            self.check(k, "sol_decrease_floor", decrease >= floor - 1e-12,
-                       decrease, floor)
-
-    def summary(self, records):
-        """The audit report; checks the iteration bound where it applies."""
-        summary = {
-            "n_checks": self.n_checks,
-            "violations": [],
-            "condition_results": self.condition_results,
-        }
-        eps_g, eps_H, L_H = self.cfg.eps_g, self.cfg.eps_H, self.cfg.L_H
-        f_low = self.constants.f_low
-        if (
-            self.exact_policy and records and L_H and math.isfinite(f_low)
-            and abs(eps_H - math.sqrt(L_H * eps_g)) <= 1e-12 * max(1.0, eps_H)
-        ):
-            prefix = "c" if self.variant == LINE_SEARCH else "cbar"
-            consts = {prefix + "_sol": self.decrease_constant(SOL),
-                      prefix + "_nc": self.decrease_constant(NC)}
-            bound = iteration_bound(records[0].f_value - f_low, L_H, consts, eps_g,
-                                    self.variant)
-            summary["iteration_bound"] = bound
-            self.check(-1, "iteration_bound", len(records) <= bound,
-                       len(records), bound)
-        return summary
 
 
 def _direction(H, g, g_norm, cfg, rng):
@@ -598,7 +379,7 @@ def _step_length(f_eval, x, d, d_type, f_x, variant, cfg):
 
 
 def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
-        x0=None, audit=False, trace=None):
+        x0=None, audit=False):
     """Minimize `problem`; returns a :class:`RunReport`.
 
     problem : ObjectiveOracle (carries the call ledgers; the report counts
@@ -612,13 +393,7 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
     constants : ProblemConstants; defaults to problem.constants().
     x0 : start point, default zeros.
     audit : verify per-step floors and caps against exact ledger-exempt
-        recomputation; any failure raises ContractViolation.
-    trace : optional callable fed each IterationRecord once it is final:
-        a step's record when the next gradient estimate has fixed its K2/K3
-        class and its audit checks and its f_value is known, the last
-        record when the run ends.  It sees exactly `records` of the report,
-        in order; a record whose f_value waits for a block of audit values
-        arrives up to one block (16 iterations) late.
+        recomputation (ntcg.audit); any failure raises ContractViolation.
     """
     if variant not in (LINE_SEARCH, FIXED_STEP):
         raise ValueError("unknown variant %r" % (variant,))
@@ -639,9 +414,12 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
     audit_ledger_start = problem.audit_ledger.snapshot()
     rng = as_generator(cfg.seed)
     auditor = None
+    audit_f = problem.audit_f
     if audit:
-        auditor = _Audit(problem, cfg, constants, variant, policy.mode == EXACT,
+        auditor = _Audit(problem, cfg, constants, variant == FIXED_STEP,
+                         policy.mode == EXACT,
                          guaranteed_step=variant == LINE_SEARCH or no_overrides)
+        audit_f = auditor.f  # values the point the last step reached once
     exact_line_f = policy.line_search_eval == "full"
 
     x = np.zeros(problem.dim) if x0 is None else check_vector(x0, "x0", problem.dim)
@@ -661,37 +439,23 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
     f_x = None
     # The last iteration's record, committed once ||g_{k+1}|| is known.
     open_record = None
-    # (record, iterate) pairs whose f_value waits for audit_f_many, oldest
-    # first; trace has been fed records[:n_traced], which stops short of
-    # the first of them.
+    # (record, iterate) pairs whose f_value waits for audit_f_many.
     unvalued = []
-    n_traced = 0
-
-    def feed_trace():
-        nonlocal n_traced
-        if trace is None:
-            return
-        stop = unvalued[0][0].k if unvalued else len(records)
-        for record in records[n_traced:stop]:
-            trace(record)
-        n_traced = stop
 
     def value_records():
         values = problem.audit_f_many([point for _, point in unvalued])
         for (record, _), value in zip(unvalued, values):
             record.f_value = value
         unvalued.clear()
-        feed_trace()
 
     def commit(record, next_norm, exact_next_norm):
         """Close an iteration: the K2/K3 class of an accepted Newton step,
-        the audit checks waiting on the next gradient, the record, trace."""
+        the audit checks waiting on the next gradient, the record."""
         if record.step_class is None and record.alpha is not None:
             record.step_class = "K2" if next_norm < eps_g else "K3"
         if audit:
             auditor.resolve(next_norm, exact_next_norm)
         records.append(record)
-        feed_trace()
 
     for k in range(cfg.max_outer_iters):
         # Full batches are the oracle's shared read-only index set, which
@@ -713,18 +477,19 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
         )
 
         # f at x_k: the full-set line-search value doubles as the record
-        # value; other paths report through the audit channel.  Outside an
-        # audit, which reads f_here at once, an iterate whose gradient batch
-        # was a sample waits to be valued in a block with later ones; one
-        # whose gradient was exact is valued now, while the problem may
-        # still hold the products of that full pass (NLSProblem's memo).
+        # value; other paths report through the audit channel.  An audit
+        # reads f_here at once and holds it from its check of the last step.
+        # Outside one, an iterate whose gradient batch was a sample waits to
+        # be valued in a block with later ones; one whose gradient was exact
+        # is valued now, while the problem may still hold the products of
+        # that full pass (NLSProblem's memo).
         line_idx = full_idx if exact_line_f else grad_idx
         if f_x is None and terminate is None and variant == LINE_SEARCH:
             f_x = problem.eval_f(x, line_idx)
         if exact_line_f and f_x is not None:
             f_here = f_x
         elif audit or grad_idx is full_idx:
-            f_here = problem.audit_f(x)
+            f_here = audit_f(x)
         else:
             f_here = None
 
@@ -791,7 +556,7 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
         else:
             final_norm = float(np.linalg.norm(problem.audit_grad(x_final)))
     else:
-        final_f = problem.audit_f(x_final)
+        final_f = audit_f(x_final)
         final_norm = float(np.linalg.norm(problem.audit_grad(x_final)))
     commit(open_record, final_norm, final_norm)
     if audit:

@@ -343,6 +343,21 @@ class TestSpecValidation:
                 welsch_alpha=-5, dim=4, out=str(out)))
         assert not out.exists()
 
+    @pytest.mark.parametrize("problem, dim, least", [
+        ("quadratic", "-1", 1), ("quadratic", "0", 1), ("saddle", "1", 2),
+    ])
+    def test_dim_below_the_problem_minimum_names_the_flag(self, tmp_path, capsys,
+                                                          problem, dim, least):
+        # numpy's "negative dimensions are not allowed" and the problems'
+        # own "need dim >= ..." used to name no flag.
+        code = main(["solve", "--problem", problem, "--variant", "full", "--dim", dim,
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --dim must be >= %d" % least)
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             ExperimentSpec(problem="quadratic", variant="warp")

@@ -12,9 +12,8 @@ from ntcg import (
     synthetic_nls,
     verify_condition,
 )
+from ntcg.audit import COND2, COND3
 from ntcg.sampling import (
-    COND2,
-    COND3,
     EXACT,
     MIN_BATCH,
     SUB_BOTH,

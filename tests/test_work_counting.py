@@ -1,8 +1,9 @@
 """Each counted oracle value is paid for once.
 
 The driver reuses what it already holds: f(x_k) on the full set from the
-accepted trial of the previous line search, and d^T H d of a capped-CG
-curvature direction from the product CG formed.  These tests wrap the
+accepted trial of the previous line search, d^T H d of a capped-CG
+curvature direction from the product CG formed, and in an audit the
+f(x_{k+1}) that checked the step.  These tests wrap the
 counted entry points of one problem instance and key every charged call by
 the bytes of its arguments, so a value bought twice shows up as a repeated
 key.
@@ -23,7 +24,7 @@ from ntcg import (
 )
 from ntcg.problems import TANH, constants_for
 from ntcg.sampling import preset_policy
-from ntcg.solver import TERM_CERTIFIED_AT_CURRENT
+from ntcg.solver import TERM_CERTIFIED_AT_CURRENT, TERM_MAX_ITERS
 
 
 def _key(*arrays):
@@ -120,4 +121,24 @@ def test_audited_saddle_run_from_the_origin_reuses_the_last_record():
     assert report.final_f == report.records[-1].f_value
     assert report.final_true_grad_norm == report.records[-1].grad_true_norm
     assert any(kind == "audit_grad" for kind, _ in calls)
+    assert_paid_once(calls)
+
+
+@pytest.mark.parametrize("preset", ["inexact-sub-eval", "inexact-fixed", "full"])
+def test_audited_run_values_each_point_once(preset):
+    # The audit values f(x_{k+1}) to check each step; the next record and
+    # the final f of a run that hits the cap reuse it.  `full` takes f(x_0)
+    # from its first line search, so its audit values one point fewer.
+    problem = synthetic_nls(2000, 10, seed=0)
+    variant, steps = LINE_SEARCH, {}
+    if preset == "inexact-fixed":
+        variant, steps = FIXED_STEP, {"alpha_sol_fixed": 0.2, "alpha_nc_fixed": 0.04}
+    calls = count_calls(problem, audit=True)
+    report = run(problem, SolverConfig(eps_g=1e-3, seed=0, max_outer_iters=30,
+                                       skip_small_step_block=True, **steps),
+                 policy=preset_policy(preset, problem.n), variant=variant, audit=True)
+    assert report.termination == TERM_MAX_ITERS
+    points = sum(1 for kind, _ in calls if kind == "audit_f")
+    assert points == (30 if preset == "full" else 31)
+    assert report.audit_ledger["f_calls"] == points * problem.n
     assert_paid_once(calls)
