@@ -19,7 +19,12 @@ Presets:
 
 All presets skip the small-step oracle block by default (the practical
 choice); pass --no-skip-small-step-block to run the faithful control flow.
-Config files are flat ``key = value`` text; command-line flags win.
+
+Solver settings are ``SolverConfig`` fields and go by their field names:
+in a config file (flat ``key = value`` text), in ``ExperimentSpec.config``
+and as the destination of the flags that set them (``_SOLVER_FLAGS``).
+Command-line flags win over the config file.  ``ExperimentSpec`` checks
+every setting, naming its flag, before any data is read.
 
 Repeats use consecutive seeds and run serially, one generator per repeat,
 so outputs are reproducible byte for byte.
@@ -27,13 +32,15 @@ so outputs are reproducible byte for byte.
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import solver
+from ._validation import check_interval
 from .exceptions import ContractViolation, LibSVMFormatError
 from .libsvm import load_libsvm
 from .problems import (
@@ -69,23 +76,20 @@ EXIT_CONTRACT_VIOLATION = 2
 
 @dataclass
 class ExperimentSpec:
+    """One `ntcg solve` invocation.  `config` holds SolverConfig fields by
+    name (all but `seed`, which `seed` and `repeats` set per repeat)."""
+
     problem: str
     variant: str
     data: str = None
     out: str = "."
-    eps: float = 1e-3
-    eps_h: float = None
     seed: int = 0
     repeats: int = 1
     audit: bool = False
-    skip_small_step_block: bool = True
     dim: int = None  # quadratic and saddle only; build_problem's default 10
-    max_iters: int = 10_000
     welsch_alpha: float = None  # nls-welsch only; build_problem's default 1.0
-    alpha_sol: float = None
-    alpha_nc: float = None
     sparse: bool = False
-    overrides: dict = field(default_factory=dict)
+    config: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.problem not in PROBLEMS:
@@ -93,7 +97,7 @@ class ExperimentSpec:
         if self.variant not in VARIANTS:
             raise ValueError("unknown variant %r" % (self.variant,))
         if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
+            raise ValueError("--repeats must be >= 1, got %r" % (self.repeats,))
         if self.problem.startswith("nls-") and not self.data:
             raise ValueError("problem %r needs --data" % (self.problem,))
         for name, (flag, problems) in _PROBLEM_FLAGS.items():
@@ -106,15 +110,18 @@ class ExperimentSpec:
         if self.dim is not None and self.dim < min_dim:
             raise ValueError("--dim must be >= %d for problem %r, got %r"
                              % (min_dim, self.problem, self.dim))
-        # A key that a spec field also sets would be applied but reported
-        # (aggregate.json) at the field's value; `seed` (set by spec.seed, so
-        # no config key) would be dropped.
-        for key in self.overrides:
-            if key in _FIELD_OF_KEY:
-                raise ValueError("config key %r is set by the spec field %r, not "
-                                 "by overrides" % (key, _FIELD_OF_KEY[key]))
+        if self.welsch_alpha is not None:
+            check_interval(self.welsch_alpha, "--welsch-alpha", 0.0, math.inf)
+        solver.SolverConfig(seed=self.seed)  # before any data is read
+        # One setting at a time, so the error names the one at fault.
+        for key, value in self.config.items():
             if key not in _CONFIG_TYPES:
                 raise ValueError("unknown config key %r" % key)
+            try:
+                solver.SolverConfig(**{key: value})
+            except ValueError as exc:
+                raise ValueError("%s: %s" % (_SOLVER_FLAGS.get(key)
+                                             or "config key %r" % key, exc)) from None
 
 
 def build_problem(spec):
@@ -143,15 +150,12 @@ def build_problem(spec):
 
 
 def build_config(spec, seed):
-    kwargs = {key: getattr(spec, name) for name, key in _FLAG_KEYS.items()}
+    defaults = {"skip_small_step_block": True}
     variant_kind = solver.LINE_SEARCH
     if spec.variant == "inexact-fixed":
         variant_kind = solver.FIXED_STEP
-        for key, default in (("alpha_sol_fixed", 0.2), ("alpha_nc_fixed", 0.04)):
-            if kwargs[key] is None:
-                kwargs[key] = default
-    kwargs.update(spec.overrides, seed=seed)
-    return solver.SolverConfig(**kwargs), variant_kind
+        defaults.update(alpha_sol_fixed=0.2, alpha_nc_fixed=0.04)
+    return solver.SolverConfig(**{**defaults, **spec.config, "seed": seed}), variant_kind
 
 
 def run_experiment(spec):
@@ -199,7 +203,7 @@ def run_experiment(spec):
         extra={
             "problem": spec.problem,
             "variant": spec.variant,
-            "eps": spec.eps,
+            "eps": config.eps_g,
             "seeds": [spec.seed + r for r in range(spec.repeats)],
             "terminations": [rep.termination for rep in reports],
             "csv_files": [Path(p).name for p in csv_paths],
@@ -210,7 +214,7 @@ def run_experiment(spec):
 
 def load_config_file(path):
     """Flat ``key = value`` text; '#' starts a comment."""
-    overrides = {}
+    entries = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -219,8 +223,8 @@ def load_config_file(path):
             if "=" not in line:
                 raise ValueError("config line %d is not key = value" % lineno)
             key, val = (part.strip() for part in line.split("=", 1))
-            overrides[key] = val
-    return overrides
+            entries[key] = val
+    return entries
 
 
 def _config_bool(text):
@@ -232,76 +236,67 @@ def _config_bool(text):
     raise ValueError("expected true/false/yes/no/1/0, got %r" % text)
 
 
-_CONFIG_TYPES = {
-    "eps_g": float, "eps_H": float, "theta": float, "eta": float, "zeta": float,
-    "delta": float, "theta_tilde": float, "U_H": float, "L_H": float,
-    "max_outer_iters": int, "max_ls_trials": int,
-    "skip_small_step_block": _config_bool,
-    "alpha_sol_fixed": float, "alpha_nc_fixed": float,
-}
+# The type each config-file value is read as, by SolverConfig field.
+_CONFIG_TYPES = {f.name: {int: int, bool: _config_bool}.get(f.type, float)
+                 for f in fields(solver.SolverConfig) if f.name != "seed"}
 
-# The SolverConfig field that each command-line flag sets, by the
-# ExperimentSpec field the flag fills; a config file names the same setting
-# by the SolverConfig field.
-_FLAG_KEYS = {
-    "eps": "eps_g", "eps_h": "eps_H", "max_iters": "max_outer_iters",
-    "skip_small_step_block": "skip_small_step_block",
-    "alpha_sol": "alpha_sol_fixed", "alpha_nc": "alpha_nc_fixed",
+# The command-line flag of each SolverConfig field that has one: the flag
+# writes the field (its argparse dest), and errors name it.
+_SOLVER_FLAGS = {
+    "eps_g": "--eps", "eps_H": "--eps-h", "max_outer_iters": "--max-iters",
+    "skip_small_step_block": "--no-skip-small-step-block",
+    "alpha_sol_fixed": "--alpha-sol", "alpha_nc_fixed": "--alpha-nc",
 }
-_FIELD_OF_KEY = {key: name for name, key in _FLAG_KEYS.items()}
 
 
 def spec_fields_from_config(raw):
-    """ExperimentSpec fields from raw config entries: keys that have a
-    command-line flag set that flag's field, the rest go to `overrides`."""
-    fields, overrides = {}, {}
+    """The ExperimentSpec `config` dict from raw config-file entries; the
+    spec rejects an unknown key."""
+    config = {}
     for key, val in raw.items():
-        if key not in _CONFIG_TYPES:
-            raise ValueError("unknown config key %r" % key)
         try:
-            value = _CONFIG_TYPES[key](val)
+            config[key] = _CONFIG_TYPES.get(key, str)(val)
         except ValueError as exc:
             raise ValueError("config key %r: %s" % (key, exc)) from None
-        if key in _FIELD_OF_KEY:
-            fields[_FIELD_OF_KEY[key]] = value
-        else:
-            overrides[key] = value
-    fields["overrides"] = overrides
-    return fields
+    return config
 
 
 def make_parser():
-    """Parser whose solve options are named after ExperimentSpec fields; an
-    option not given on the command line is absent from the namespace, so
-    the config file or the spec default supplies it."""
+    """Parser whose solve options are named after ExperimentSpec fields, or
+    after SolverConfig fields for the solver flags; an option not given on
+    the command line is absent from the namespace, so the config file or
+    the default supplies it."""
     parser = argparse.ArgumentParser(
         prog="ntcg", description="Newton-CG benchmark driver"
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("solve", help="run one solver preset, write CSV/JSON reports",
                        argument_default=argparse.SUPPRESS)
+
+    def solver_flag(key, **kwargs):
+        p.add_argument(_SOLVER_FLAGS[key], dest=key, **kwargs)
+
     p.add_argument("--problem", required=True, choices=PROBLEMS)
     p.add_argument("--data", help="LIBSVM file (required for nls-* problems)")
     p.add_argument("--variant", required=True, choices=VARIANTS)
-    p.add_argument("--eps", type=float, help="first-order tolerance")
-    p.add_argument("--eps-h", type=float,
-                   help="second-order tolerance; default sqrt(L_H * eps)")
+    solver_flag("eps_g", type=float, help="first-order tolerance")
+    solver_flag("eps_H", type=float,
+                help="second-order tolerance; default sqrt(L_H * eps)")
     p.add_argument("--seed", type=int)
     p.add_argument("--repeats", type=int)
     p.add_argument("--audit", action="store_true",
                    help="verify decrease floors and caps (ledger-exempt "
                         "exact recomputation); nonzero exit on violation")
-    p.add_argument("--no-skip-small-step-block", dest="skip_small_step_block",
-                   action="store_false",
-                   help="run the faithful small-step control flow")
+    solver_flag("skip_small_step_block", action="store_false",
+                help="run the faithful small-step control flow")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--dim", type=int, help="synthetic problem dimension")
-    p.add_argument("--max-iters", type=int)
+    solver_flag("max_outer_iters", type=int)
     p.add_argument("--welsch-alpha", type=float)
-    p.add_argument("--alpha-sol", type=float,
-                   help="fixed step for Newton-type steps (inexact-fixed)")
-    p.add_argument("--alpha-nc", type=float,
-                   help="fixed step for curvature steps (inexact-fixed)")
+    solver_flag("alpha_sol_fixed", type=float,
+                help="fixed step for Newton-type steps (inexact-fixed)")
+    solver_flag("alpha_nc_fixed", type=float,
+                help="fixed step for curvature steps (inexact-fixed)")
     p.add_argument("--sparse", action="store_true", help="keep data sparse")
     p.add_argument("--config", help="flat key=value config file")
     return parser
@@ -311,11 +306,12 @@ def main(argv=None):
     args = vars(make_parser().parse_args(argv))
     del args["command"]
     try:
-        fields = {}
+        config = {}
         if "config" in args:
-            fields = spec_fields_from_config(load_config_file(args.pop("config")))
-        fields.update(args)  # command-line flags win over the config file
-        reports, code = run_experiment(ExperimentSpec(**fields))
+            config = spec_fields_from_config(load_config_file(args.pop("config")))
+        # Command-line flags win over the config file.
+        config.update({key: args.pop(key) for key in _SOLVER_FLAGS if key in args})
+        reports, code = run_experiment(ExperimentSpec(config=config, **args))
     except (OSError, LibSVMFormatError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

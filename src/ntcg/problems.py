@@ -60,7 +60,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from ._validation import check_matrix, check_vector, row_blocks
+from ._validation import check_interval, check_matrix, check_vector, row_blocks
 from .oracle import ObjectiveOracle
 
 SIGMOID = "sigmoid"
@@ -253,8 +253,8 @@ class NLSProblem(ObjectiveOracle):
             raise ValueError("row/label count mismatch")
         if link not in (SIGMOID, TANH, WELSCH):
             raise ValueError("unknown link %r" % (link,))
-        if link == WELSCH and alpha <= 0:
-            raise ValueError("welsch alpha must be positive")
+        if link == WELSCH:
+            check_interval(alpha, "welsch alpha", 0.0, math.inf)
         super().__init__(A.shape[0], A.shape[1])
         self.A = A
         self.b = b

@@ -333,7 +333,8 @@ def test_criterion_08_accounting_identity(tmp_path):
     dump_libsvm(data, problem.A, problem.b)
     spec = ExperimentSpec(
         problem="nls-sigmoid", variant="subh", data=str(data),
-        out=str(tmp_path / "out"), eps=1e-2, seed=9, max_iters=40,
+        out=str(tmp_path / "out"), seed=9,
+        config={"eps_g": 1e-2, "max_outer_iters": 40},
     )
     reports, code = run_experiment(spec)
     rows = read_run_csv(tmp_path / "out" / "run_seed9.csv")
@@ -354,8 +355,8 @@ def test_criterion_09_inexact_presets_beat_full_on_props(binary_10k, tmp_path):
     for variant in ("full", "inexact-full-eval", "inexact-sub-eval"):
         spec = ExperimentSpec(
             problem="nls-sigmoid", variant=variant, data=binary_10k,
-            out=str(tmp_path / variant), eps=1e-3, seed=7, repeats=1,
-            max_iters=300,
+            out=str(tmp_path / variant), seed=7, repeats=1,
+            config={"eps_g": 1e-3, "max_outer_iters": 300},
         )
         reports, code = run_experiment(spec)
         assert code == 0
@@ -391,8 +392,8 @@ def test_criterion_10_determinism(binary_10k, tmp_path):
     for tag in ("first", "second"):
         spec = ExperimentSpec(
             problem="nls-sigmoid", variant="inexact-sub-eval", data=binary_10k,
-            out=str(tmp_path / tag), eps=1e-2, seed=123, repeats=2,
-            max_iters=40,
+            out=str(tmp_path / tag), seed=123, repeats=2,
+            config={"eps_g": 1e-2, "max_outer_iters": 40},
         )
         run_experiment(spec)
         outs.append(tmp_path / tag)

@@ -11,6 +11,7 @@ from ntcg.cli import (
     ExperimentSpec,
     load_config_file,
     main,
+    make_parser,
     run_experiment,
     spec_fields_from_config,
 )
@@ -193,6 +194,48 @@ class TestSolveCommand:
         fields = {f.name for f in dataclasses.fields(SolverConfig)}
         assert set(_CONFIG_TYPES) <= fields
         assert fields - set(_CONFIG_TYPES) == {"seed"}
+        # Every solve flag that does not fill an ExperimentSpec field writes
+        # a SolverConfig field under that field's own name.
+        solve = make_parser()._subparsers._group_actions[0].choices["solve"]
+        spec_fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
+        solver_flags = {action.option_strings[0]: action.dest
+                        for action in solve._actions
+                        if action.dest not in spec_fields | {"help"}}
+        assert set(solver_flags.values()) <= fields
+        assert solver_flags == {
+            "--eps": "eps_g", "--eps-h": "eps_H", "--max-iters": "max_outer_iters",
+            "--no-skip-small-step-block": "skip_small_step_block",
+            "--alpha-sol": "alpha_sol_fixed", "--alpha-nc": "alpha_nc_fixed",
+        }
+
+    @pytest.mark.parametrize("flag_argv, text", [
+        (["--eps", "0.1"], "eps_g = 0.1"),
+        (["--eps-h", "0.02"], "eps_H = 0.02"),
+        (["--max-iters", "7"], "max_outer_iters = 7"),
+        (["--no-skip-small-step-block"], "skip_small_step_block = false"),
+        (["--alpha-sol", "0.3"], "alpha_sol_fixed = 0.3"),
+        (["--alpha-nc", "0.01"], "alpha_nc_fixed = 0.01"),
+    ], ids=["eps", "eps-h", "max-iters", "no-skip-small-step-block", "alpha-sol",
+            "alpha-nc"])
+    def test_flag_and_config_key_are_one_setting(self, small_dataset, tmp_path,
+                                                 flag_argv, text):
+        # A base run with curvature steps, whose own value of the flag's
+        # setting, if any, gives way to the flag.
+        base = {"--eps": "0.05", "--eps-h": "0.01", "--max-iters": "30"}
+        base.pop(flag_argv[0], None)
+        argv = ["solve", "--problem", "nls-tanh", "--data", small_dataset,
+                "--variant", "inexact-fixed", "--seed", "2"]
+        argv += [word for item in base.items() for word in item]
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text(text + "\n")
+        codes = [main(argv + extra + ["--out", str(tmp_path / name)]) for name, extra in (
+            ("base", []), ("flag", flag_argv), ("config", ["--config", str(cfgfile)]))]
+        assert codes[1] == codes[2]
+        csv, agg = ({name: read(tmp_path / name / file)
+                     for name in ("base", "flag", "config")}
+                    for file in ("run_seed2.csv", "aggregate.json"))
+        assert csv["flag"] == csv["config"] != csv["base"]
+        assert agg["flag"] == agg["config"]
 
     @pytest.mark.parametrize("flag, key", [("--alpha-sol", "alpha_sol_fixed"),
                                            ("--alpha-nc", "alpha_nc_fixed")])
@@ -268,6 +311,48 @@ class TestSolveCommand:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, text, message", [
+        (["--max-iters", "0"], None,
+         "--max-iters: max_outer_iters must be a positive integer, got 0"),
+        ([], "max_outer_iters = 0\n",
+         "--max-iters: max_outer_iters must be a positive integer, got 0"),
+        (["--eps", "0"], None, "--eps: eps_g must lie in (0, 1), got 0"),
+        (["--eps-h", "2"], None, "--eps-h: eps_H must lie in (0, 1), got 2"),
+        (["--alpha-sol", "-1"], None,
+         "--alpha-sol: alpha_sol_fixed must lie in (0, inf), got -1"),
+        (["--alpha-nc", "nan"], None,
+         "--alpha-nc: alpha_nc_fixed must be a finite real number, got nan"),
+        ([], "theta = 2\n", "config key 'theta': theta must lie in (0, 1), got 2"),
+        (["--repeats", "0"], None, "--repeats must be >= 1, got 0"),
+        (["--seed", "-3"], None,
+         "seed must be a non-negative integer or a numpy Generator, got -3"),
+        (["--welsch-alpha", "nan"], None,
+         "--welsch-alpha must be a finite real number, got nan"),
+        (["--welsch-alpha", "inf"], None,
+         "--welsch-alpha must be a finite real number, got inf"),
+        (["--welsch-alpha", "0"], None, "--welsch-alpha must lie in (0, inf), got 0"),
+        (["--welsch-alpha", "-1"], None, "--welsch-alpha must lie in (0, inf), got -1"),
+    ], ids=["max-iters", "max-outer-iters-key", "eps", "eps-h", "alpha-sol",
+            "alpha-nc", "theta-key", "repeats", "seed", "welsch-alpha-nan",
+            "welsch-alpha-inf", "welsch-alpha-zero", "welsch-alpha-negative"])
+    @pytest.mark.parametrize("data", ["present", "missing"])
+    def test_settings_errors_come_before_the_data_is_read(
+            self, small_dataset, tmp_path, capsys, argv, text, message, data):
+        # Out-of-range settings used to surface only after the data loaded,
+        # under the SolverConfig field name (a NaN Welsch alpha as "L_H must
+        # be finite"); a missing data file was reported instead.
+        if text is not None:
+            cfgfile = tmp_path / "cfg.txt"
+            cfgfile.write_text(text)
+            argv = argv + ["--config", str(cfgfile)]
+        path = small_dataset if data == "present" else str(tmp_path / "nonexistent")
+        code = main(["solve", "--problem", "nls-welsch", "--data", path,
+                     "--variant", "inexact-fixed", "--out", str(tmp_path / "out")]
+                    + argv)
+        assert code == 1
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text, message", [
         (None, "No such file"),
         ("theta = abc\n", "config key 'theta': could not convert"),
@@ -318,21 +403,12 @@ class TestAggregation:
 
 
 class TestSpecValidation:
-    @pytest.mark.parametrize("key", ["eps_g", "eps_H", "max_outer_iters",
-                                     "skip_small_step_block", "alpha_sol_fixed",
-                                     "alpha_nc_fixed"])
-    def test_overrides_reject_keys_a_field_sets(self, key):
-        # The field's value is the one aggregate.json reports.
-        with pytest.raises(ValueError, match="set by the spec field"):
-            ExperimentSpec(problem="saddle", variant="full", dim=3,
-                           overrides={key: 1e-2})
-
     @pytest.mark.parametrize("key", ["tolerance", "seed"])
     def test_overrides_reject_unknown_keys(self, key):
         # build_config's own seed used to replace an overridden one.
         with pytest.raises(ValueError, match="unknown config key %r" % key):
             ExperimentSpec(problem="saddle", variant="full", dim=3,
-                           overrides={key: 1})
+                           config={key: 1})
 
     def test_fields_the_problem_ignores_are_rejected(self, tmp_path):
         # The library path used to run this spec, dropping every such field.

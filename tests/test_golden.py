@@ -193,8 +193,8 @@ def datasets(tmp_path_factory):
 def cli_case(datasets, tmp_path, problem, variant, skip_block=True, eps_h=None):
     link = problem.split("-", 1)[1]
     spec = ExperimentSpec(problem=problem, variant=variant, data=datasets[link],
-                          out=str(tmp_path), skip_small_step_block=skip_block,
-                          eps_h=eps_h)
+                          out=str(tmp_path),
+                          config={"skip_small_step_block": skip_block, "eps_H": eps_h})
     reports, _ = run_experiment(spec)
     (report,) = reports
     return report, tmp_path / "run_seed0.csv"

@@ -105,6 +105,12 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             NLSProblem(np.eye(2), np.zeros(2), link=WELSCH, alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0, -1.0])
+    def test_welsch_rejects_alpha_that_is_not_finite_and_positive(self, alpha):
+        # NaN used to pass `alpha <= 0` and fail later on a derived constant.
+        with pytest.raises(ValueError, match="welsch alpha must"):
+            NLSProblem(np.eye(2), np.zeros(2), link=WELSCH, alpha=alpha)
+
 
 class TestConstants:
     def test_sigmoid_single_row_values(self):
