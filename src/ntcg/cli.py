@@ -122,6 +122,11 @@ class ExperimentSpec:
             except ValueError as exc:
                 raise ValueError("%s: %s" % (_SOLVER_FLAGS.get(key)
                                              or "config key %r" % key, exc)) from None
+            if (key in ("alpha_sol_fixed", "alpha_nc_fixed") and value is not None
+                    and self.variant != "inexact-fixed"):
+                raise ValueError("step-size overrides apply to variant "
+                                 "'inexact-fixed' only; %r would ignore %s"
+                                 % (self.variant, _SOLVER_FLAGS[key]))
 
 
 def build_problem(spec):

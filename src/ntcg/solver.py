@@ -321,6 +321,11 @@ def _resolve(config, constants):
         if L_H is None:
             raise ValueError("eps_H or L_H must be provided")
         eps_H = math.sqrt(L_H * config.eps_g) if L_H > 0 else math.sqrt(config.eps_g)
+        if not eps_H < 1.0:  # only L_H > 0 can take it there
+            raise ValueError(
+                "eps_H = sqrt(L_H * eps_g) = %g, derived from L_H = %g and "
+                "eps_g = %g, must lie in (0, 1); give eps_H (--eps-h) or a "
+                "smaller eps_g (--eps)" % (eps_H, L_H, config.eps_g))
     # replace() validates the filled eps_H through __post_init__.
     cfg = replace(config, eps_H=eps_H, U_H=float(U_H),
                   L_H=None if L_H is None else float(L_H))

@@ -15,6 +15,7 @@ from ntcg.cli import (
     run_experiment,
     spec_fields_from_config,
 )
+from ntcg.problems import TANH
 from ntcg.reporting import CSV_COLUMNS, aggregate_runs, read_run_csv, trajectory
 
 
@@ -254,6 +255,48 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: step-size overrides") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("variant", ["full", "subh", "inexact-full-eval",
+                                         "inexact-sub-eval"])
+    @pytest.mark.parametrize("flag, key", [("--alpha-sol", "alpha_sol_fixed"),
+                                           ("--alpha-nc", "alpha_nc_fixed")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_step_size_override_is_rejected_before_the_data_is_read(
+            self, tmp_path, capsys, variant, flag, key, source):
+        # The missing data file used to be reported instead.
+        argv = ["solve", "--problem", "nls-sigmoid", "--data",
+                str(tmp_path / "nonexistent"), "--variant", variant,
+                "--out", str(tmp_path / "out")]
+        if source == "flag":
+            argv += [flag, "0.3"]
+        else:
+            cfgfile = tmp_path / "cfg.txt"
+            cfgfile.write_text("%s = 0.3\n" % key)
+            argv += ["--config", str(cfgfile)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: step-size overrides apply to variant 'inexact-fixed' only; "
+            "%r would ignore %s\n" % (variant, flag))
+        assert not (tmp_path / "out").exists()
+
+    def test_derived_eps_h_outside_its_range_names_its_inputs(self, tmp_path, capsys):
+        # This used to print "eps_H must lie in (0, 1), got 1.40688", naming
+        # neither --eps nor L_H.
+        problem = synthetic_nls(120, 6, link=TANH, seed=42)
+        path = tmp_path / "tanh.libsvm"
+        dump_libsvm(path, problem.A, problem.b)
+        argv = ["solve", "--problem", "nls-tanh", "--data", str(path),
+                "--variant", "full", "--eps", "0.2", "--max-iters", "2"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: eps_H = sqrt(L_H * eps_g) = 1.40688, derived from "
+            "L_H = 9.89663 and eps_g = 0.2, must lie in (0, 1); give eps_H "
+            "(--eps-h) or a smaller eps_g (--eps)\n")
+        assert not (tmp_path / "out").exists()
+        # Either remedy it names runs.
+        assert main(argv + ["--eps-h", "0.5", "--out", str(tmp_path / "eps-h")]) == EXIT_OK
+        argv[argv.index("0.2")] = "0.05"
+        assert main(argv + ["--out", str(tmp_path / "eps")]) == EXIT_OK
 
     @pytest.mark.parametrize("problem, argv, flag", [
         ("quadratic", ["--dim", "4", "--welsch-alpha", "3"], "--welsch-alpha"),

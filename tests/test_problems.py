@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from helpers import central_diff_grad, central_diff_hvp, rel_err
 
+import ntcg._validation
 from ntcg import NLSProblem, QuadraticProblem, SaddleProblem, constants_for
+from ntcg._validation import row_blocks
 from ntcg.problems import SIGMOID, TANH, WELSCH
 
 
@@ -219,3 +226,83 @@ class TestSynthetic:
                     problem.dense_hessian(x) - problem.dense_hessian(y), 2
                 )
                 assert gap <= consts.L_H * np.linalg.norm(x - y) + 1e-9
+
+
+class TestBlockedHVP:
+    """A dense batch of several row blocks takes its HVP block by block;
+    one block and CSR data keep the single product."""
+
+    @staticmethod
+    def point(problem, seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(problem.dim), rng.standard_normal(problem.dim)
+
+    @pytest.mark.parametrize("link", [SIGMOID, TANH, WELSCH])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("batch", ["full", "sampled"])
+    def test_several_blocks_add_their_parts_in_block_order(
+            self, monkeypatch, link, order, batch):
+        monkeypatch.setattr(ntcg._validation, "_BLOCK_VALUES", 16 * 9)
+        base = random_instance(link, 60, 9, seed=5)
+        problem = NLSProblem(np.asarray(base.A, order=order), base.b, link=link)
+        x, v = self.point(problem, 6)
+        full = batch == "full"
+        idx = (problem.full_index_set() if full
+               else np.random.default_rng(7).integers(0, 60, size=50))
+        hv = problem.eval_hvp(x, v, idx)
+        # The rows the state holds: A itself, or the copy A[idx].
+        A = problem.A if full else problem.A[idx]
+        c = problem._state(x, idx).curv_weights
+        blocks = row_blocks(A)
+        assert len(blocks) == 4
+        total = A[blocks[0]].T @ (c[blocks[0]] * (A[blocks[0]] @ v))
+        for rows in blocks[1:]:
+            total = total + A[rows].T @ (c[rows] * (A[rows] @ v))
+        assert hv.tobytes() == (total / idx.size).tobytes()
+        assert rel_err(hv, A.T @ (c * (A @ v)) / idx.size) < 1e-13
+
+    @pytest.mark.parametrize("link", [SIGMOID, TANH, WELSCH])
+    @pytest.mark.parametrize("data", ["one-block-C", "one-block-F", "csr"])
+    def test_one_block_and_csr_keep_the_single_product(self, monkeypatch, link, data):
+        base = random_instance(link, 75, 9, seed=8)
+        A = np.asarray(base.A, order="F" if data == "one-block-F" else "C")
+        if data == "csr":
+            # Blocks this small would split the rows were CSR blocked.
+            monkeypatch.setattr(ntcg._validation, "_BLOCK_VALUES", 16)
+            A = sp.csr_matrix(A * (np.random.default_rng(9).random(A.shape) < 0.4))
+        else:
+            assert len(row_blocks(A)) == 1
+        problem = NLSProblem(A, base.b, link=link)
+        x, v = self.point(problem, 10)
+        idx = problem.full_index_set()
+        hv = problem.eval_hvp(x, v, idx)
+        c = problem._state(x, idx).curv_weights
+        assert hv.tobytes() == (A.T @ (c * (A @ v)) / 75).tobytes()
+
+
+# Prints the SHA-256 of one full-set HVP on a 10000 x 100 instance: 8 row
+# blocks at the real block size.
+_HVP_HASH = """
+import hashlib
+import numpy as np
+from ntcg import synthetic_nls
+from ntcg.problems import TANH
+problem = synthetic_nls(10000, 100, link=TANH, seed=0)
+rng = np.random.default_rng(1)
+x, v = 0.3 * rng.standard_normal(100), rng.standard_normal(100)
+print(hashlib.sha256(problem.eval_hvp(x, v, problem.full_index_set()).tobytes())
+      .hexdigest())
+"""
+
+
+def test_full_set_hvp_does_not_depend_on_the_blas_thread_count():
+    # One BLAS call over all rows splits its sum by thread.
+    src = str(Path(ntcg.__file__).resolve().parents[1])
+    hashes = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", _HVP_HASH], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        hashes.add(out.strip())
+    assert len(hashes) == 1
