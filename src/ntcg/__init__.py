@@ -38,6 +38,7 @@ from .solver import (
     fixed_step_sol,
     line_search_nc,
     line_search_sol,
+    preset,
     run,
     scale_meo_direction,
     scale_nc_direction,
@@ -83,6 +84,7 @@ __all__ = [
     "line_search_sol",
     "load_libsvm",
     "meo_lanczos",
+    "preset",
     "run",
     "sample_indices",
     "scale_meo_direction",

@@ -134,9 +134,7 @@ class _Audit:
         self.n_checks += 1
         if not ok:
             raise ContractViolation(
-                "iteration %d: %s failed (%r vs %r)" % (k, name, lhs, rhs),
-                detail={"k": k, "check": name, "lhs": lhs, "rhs": rhs},
-            )
+                "iteration %d: %s failed (%r vs %r)" % (k, name, lhs, rhs))
 
     def decrease_constant(self, d_type):
         """c_sol / c_nc under LineSearch, cbar_sol / cbar_nc under FixedStep."""

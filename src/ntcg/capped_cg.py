@@ -243,11 +243,9 @@ def capped_cg(H, g, params):
             found = extract_accumulated_nc(ys[:j], rs[:j], y_next, r_next, eps)
             if found is None:
                 raise ContractViolation(
-                    "slow residual decay detected but no accumulated "
-                    "direction has curvature <= eps; operator is likely "
-                    "inconsistent",
-                    detail={"j": j, "M": M},
-                )
+                    "slow residual decay detected at j=%d (M=%g) but no "
+                    "accumulated direction has curvature <= eps; operator is "
+                    "likely inconsistent" % (j, M))
             return CappedCGResult(NC, found[1], iterations=j, M_final=M,
                                   nc_source="slow_decay")
 
@@ -255,7 +253,5 @@ def capped_cg(H, g, params):
             cap = min(dim, j_cap(M, eps, params.zeta))
         if j >= cap:
             raise ContractViolation(
-                "capped CG exceeded its iteration cap without any "
-                "termination test firing",
-                detail={"j": j, "cap": cap, "M": M},
-            )
+                "capped CG reached j=%d at its iteration cap %d (M=%g) without "
+                "any termination test firing" % (j, cap, M))

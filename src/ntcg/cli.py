@@ -1,21 +1,11 @@
 """Benchmark command line: data ingestion, variant presets, reporting.
 
-``ntcg solve`` runs one of five solver presets on an NLS dataset (LIBSVM
+``ntcg solve`` runs one of the five solver presets that
+``ntcg.solver.preset`` defines (``--variant``) on an NLS dataset (LIBSVM
 format) or a synthetic diagnostic, writes one CSV per repeat plus an
 aggregate JSON (mean trajectory and 1-standard-deviation band keyed on
 cumulative oracle calls), and exits nonzero only when a run ends in a
 contract violation.
-
-Presets:
-  full              exact gradients, Hessians, and function values
-  subh              exact gradient/function, Hessian batch 0.01 n
-  inexact-full-eval gradient batch 0.05 n (adaptive, factor 1.2), Hessian
-                    batch 0.01 n, exact line-search objective
-  inexact-fixed     same batches, predefined steps (defaults 0.2 for
-                    Newton-type steps, 0.04 for curvature steps)
-  inexact-sub-eval  like full-eval but the line-search objective is
-                    estimated on the gradient batch; heuristic, outside
-                    the decrease guarantees, and usually the fastest
 
 All presets skip the small-step oracle block by default (the practical
 choice); pass --no-skip-small-step-block to run the faithful control flow.
@@ -53,11 +43,9 @@ from .problems import (
     constants_for,
 )
 from .reporting import aggregate_runs, write_aggregate_json, write_run_csv
-from .sampling import PRESETS, preset_policy
 
 PROBLEMS = ("nls-sigmoid", "nls-tanh", "nls-welsch", "quadratic", "saddle")
 _NLS = tuple(p for p in PROBLEMS if p.startswith("nls-"))
-VARIANTS = PRESETS
 
 # The ExperimentSpec fields that only some problems read: the flag that sets
 # each and the problems that read it.  A spec for another problem that sets
@@ -94,7 +82,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise ValueError("unknown problem %r" % (self.problem,))
-        if self.variant not in VARIANTS:
+        if self.variant not in solver.PRESETS:
             raise ValueError("unknown variant %r" % (self.variant,))
         if self.repeats < 1:
             raise ValueError("--repeats must be >= 1, got %r" % (self.repeats,))
@@ -123,10 +111,12 @@ class ExperimentSpec:
                 raise ValueError("%s: %s" % (_SOLVER_FLAGS.get(key)
                                              or "config key %r" % key, exc)) from None
             if (key in ("alpha_sol_fixed", "alpha_nc_fixed") and value is not None
-                    and self.variant != "inexact-fixed"):
-                raise ValueError("step-size overrides apply to variant "
-                                 "'inexact-fixed' only; %r would ignore %s"
-                                 % (self.variant, _SOLVER_FLAGS[key]))
+                    and solver.PRESETS[self.variant][2] != solver.FIXED_STEP):
+                fixed = ", ".join(repr(name) for name, (*_, rule)
+                                  in solver.PRESETS.items() if rule == solver.FIXED_STEP)
+                raise ValueError("step-size overrides apply to variant %s only; "
+                                 "%r would ignore %s"
+                                 % (fixed, self.variant, _SOLVER_FLAGS[key]))
 
 
 def build_problem(spec):
@@ -154,15 +144,6 @@ def build_problem(spec):
     return problem, constants_for(problem), x0
 
 
-def build_config(spec, seed):
-    defaults = {"skip_small_step_block": True}
-    variant_kind = solver.LINE_SEARCH
-    if spec.variant == "inexact-fixed":
-        variant_kind = solver.FIXED_STEP
-        defaults.update(alpha_sol_fixed=0.2, alpha_nc_fixed=0.04)
-    return solver.SolverConfig(**{**defaults, **spec.config, "seed": seed}), variant_kind
-
-
 def run_experiment(spec):
     """Execute the spec; returns (reports, exit_code).
 
@@ -172,20 +153,20 @@ def run_experiment(spec):
     """
     out_dir = Path(spec.out)
     problem, constants, x0 = build_problem(spec)
+    policy, variant, settings = solver.preset(spec.variant, problem.n)
 
     reports = []
     exit_code = EXIT_OK
     csv_paths = []
     for r in range(spec.repeats):
         seed = spec.seed + r
-        policy = preset_policy(spec.variant, problem.n)
-        config, variant_kind = build_config(spec, seed)
+        config = solver.SolverConfig(**{**settings, **spec.config, "seed": seed})
         try:
             report = solver.run(
                 problem,
                 config,
                 policy=policy,
-                variant=variant_kind,
+                variant=variant,
                 constants=constants,
                 x0=x0,
                 audit=spec.audit,
@@ -283,7 +264,7 @@ def make_parser():
 
     p.add_argument("--problem", required=True, choices=PROBLEMS)
     p.add_argument("--data", help="LIBSVM file (required for nls-* problems)")
-    p.add_argument("--variant", required=True, choices=VARIANTS)
+    p.add_argument("--variant", required=True, choices=solver.PRESETS)
     solver_flag("eps_g", type=float, help="first-order tolerance")
     solver_flag("eps_H", type=float,
                 help="second-order tolerance; default sqrt(L_H * eps)")

@@ -16,7 +16,6 @@ from scipy.special import expit
 from . import solver
 from ._validation import check_matrix, check_X_y
 from .problems import SIGMOID, TANH, WELSCH, NLSProblem
-from .sampling import preset_policy
 
 
 class _ParamsMixin:
@@ -54,10 +53,11 @@ class _BaseNewtonCG(_ParamsMixin):
             skip_small_step_block=self.skip_small_step_block,
             seed=self.seed,
         )
-        policy = preset_policy(
+        policy, variant, _ = solver.preset(
             "inexact-full-eval" if self.subsample else "full", problem.n
         )
-        report = solver.run(problem, config, policy=policy, x0=np.zeros(problem.dim))
+        report = solver.run(problem, config, policy=policy, variant=variant,
+                            x0=np.zeros(problem.dim))
         if report.termination == solver.TERM_CONTRACT_VIOLATION:
             warnings.warn(
                 "solver run ended in %s after %d iterations; coef_ is its "

@@ -11,10 +11,6 @@ class ContractViolation(RuntimeError):
     rather than an ordinary numerical failure.
     """
 
-    def __init__(self, message, detail=None):
-        super().__init__(message)
-        self.detail = detail or {}
-
 
 class LibSVMFormatError(ValueError):
     """Malformed LIBSVM input; carries the 1-based line number."""

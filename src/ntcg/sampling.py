@@ -1,5 +1,5 @@
 """Finite-sum subsampling: batch estimators, accuracy targets, the adaptive
-batch rule, and the sampling policies of the benchmark presets.
+batch rule, and the sampling policy type.
 
 Sampling is uniform without replacement and resampled fresh every iteration
 (per-iteration probability statements need fresh randomness).
@@ -123,29 +123,3 @@ class SamplingPolicy:
     def subsamples_hessian(self):
         return self.mode in (SUB_HESSIAN_ONLY, SUB_BOTH)
 
-
-PRESETS = ("full", "subh", "inexact-full-eval", "inexact-fixed", "inexact-sub-eval")
-
-
-def preset_policy(preset, n):
-    """Sampling policy of a benchmark preset, sized against n components.
-
-    "full" evaluates exactly; "subh" draws Hessian batches of ceil(0.01 n);
-    the inexact presets add adaptive gradient batches of ceil(0.05 n), with
-    the line-search objective estimated on the gradient batch only under
-    "inexact-sub-eval".
-    """
-    if preset not in PRESETS:
-        raise ValueError("unknown preset %r" % (preset,))
-    hess_batch = max(1, math.ceil(0.01 * n))
-    if preset == "full":
-        return SamplingPolicy(mode=EXACT)
-    if preset == "subh":
-        return SamplingPolicy(mode=SUB_HESSIAN_ONLY, hess_batch=hess_batch)
-    return SamplingPolicy(
-        mode=SUB_BOTH,
-        grad_batch=max(1, math.ceil(0.05 * n)),
-        hess_batch=hess_batch,
-        adaptive=True,
-        line_search_eval="batch" if preset == "inexact-sub-eval" else "full",
-    )

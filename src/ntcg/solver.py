@@ -55,7 +55,7 @@ from .exceptions import ContractViolation
 from .meo import meo_lanczos
 from .oracle import HessianOperator
 from . import sampling  # called through the module, where bench/tracing.py wraps it
-from .sampling import EXACT, SamplingPolicy
+from .sampling import EXACT, SUB_BOTH, SUB_HESSIAN_ONLY, SamplingPolicy
 
 logger = logging.getLogger(__name__)
 
@@ -125,6 +125,47 @@ class SolverConfig:
             if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
                     or value < 1):
                 raise ValueError("%s must be a positive integer, got %r" % (name, value))
+
+
+# The benchmark presets: name -> (sampling mode, line-search objective, step
+# rule).  `preset` sizes their batches and fills their settings.
+PRESETS = {
+    "full": (EXACT, "full", LINE_SEARCH),
+    "subh": (SUB_HESSIAN_ONLY, "full", LINE_SEARCH),
+    "inexact-full-eval": (SUB_BOTH, "full", LINE_SEARCH),
+    "inexact-fixed": (SUB_BOTH, "full", FIXED_STEP),
+    "inexact-sub-eval": (SUB_BOTH, "batch", LINE_SEARCH),
+}
+
+
+def preset(name, n):
+    """(policy, variant, settings) of the benchmark preset `name` on n
+    components.
+
+    policy : its SamplingPolicy.  "full" evaluates exactly; the others draw
+        Hessian batches of ceil(0.01 n), and the inexact ones add an
+        adaptive gradient batch starting at ceil(0.05 n), on which
+        "inexact-sub-eval" also estimates the line-search objective (a
+        heuristic outside the decrease guarantees).
+    variant : FIXED_STEP for "inexact-fixed", else LINE_SEARCH.
+    settings : the SolverConfig fields the preset fills unless the caller
+        gives them: the small-step block skipped (the practical mode), and
+        under FixedStep the steps 0.2 (Newton type) and 0.04 (curvature).
+    """
+    if name not in PRESETS:
+        raise ValueError("unknown preset %r" % (name,))
+    mode, line_search_eval, variant = PRESETS[name]
+    policy = SamplingPolicy(
+        mode=mode,
+        grad_batch=max(1, math.ceil(0.05 * n)) if mode == SUB_BOTH else 0,
+        hess_batch=max(1, math.ceil(0.01 * n)) if mode != EXACT else 0,
+        adaptive=mode == SUB_BOTH,
+        line_search_eval=line_search_eval,
+    )
+    settings = {"skip_small_step_block": True}
+    if variant == FIXED_STEP:
+        settings.update(alpha_sol_fixed=0.2, alpha_nc_fixed=0.04)
+    return policy, variant, settings
 
 
 @dataclass
@@ -226,7 +267,7 @@ def scale_meo_direction(v, H, g, curvature=None):
 # -- line searches ------------------------------------------------------------
 
 
-def _backtrack(f_eval, x, d, eta, f0, max_trials, steps, kind, name):
+def _backtrack(f_eval, x, d, eta, f0, max_trials, steps, name):
     """(alpha, trials, f_eval(x + alpha d)) for the first of `steps` that
     meets the cubic decrease condition; ContractViolation once max_trials
     have failed."""
@@ -240,8 +281,7 @@ def _backtrack(f_eval, x, d, eta, f0, max_trials, steps, kind, name):
         f_trial = f_eval(x + alpha * d)
         if f_trial < f0 - (eta / 6.0) * abs(alpha) ** 3 * norm_d3:
             return alpha, trials, f_trial
-    raise ContractViolation("%s exhausted %d trials" % (name, max_trials),
-                            detail={"kind": kind})
+    raise ContractViolation("%s exhausted %d trials" % (name, max_trials))
 
 
 def line_search_sol(f_eval, x, d, eta, theta, f0=None, max_trials=60):
@@ -254,7 +294,7 @@ def line_search_sol(f_eval, x, d, eta, theta, f0=None, max_trials=60):
     conditions, hence ContractViolation.
     """
     return _backtrack(f_eval, x, d, eta, f0, max_trials,
-                      (theta**j for j in itertools.count()), "sol", "line search")
+                      (theta**j for j in itertools.count()), "line search")
 
 
 def line_search_nc(f_eval, x, d, eta, theta, f0=None, max_trials=60):
@@ -265,7 +305,7 @@ def line_search_nc(f_eval, x, d, eta, theta, f0=None, max_trials=60):
     """
     steps = (alpha for j in itertools.count() for alpha in (theta**j, -(theta**j)))
     return _backtrack(f_eval, x, d, eta, f0, max_trials, steps,
-                      "nc", "bidirectional line search")
+                      "bidirectional line search")
 
 
 # -- fixed step sizes ----------------------------------------------------------
@@ -298,10 +338,9 @@ def fixed_step_nc(norm_d, delta_H, delta_g, L_H, eta, theta_tilde):
     disc = z * z - 4.0 * (L_H + eta) * delta_g / 6.0
     if disc <= 0.0 or z <= 0.0:
         raise ContractViolation(
-            "fixed-step discriminant nonpositive; gradient accuracy "
-            "condition is broken",
-            detail={"norm_d": norm_d, "delta_H": delta_H, "delta_g": delta_g},
-        )
+            "fixed-step discriminant nonpositive at norm_d=%g, delta_H=%g, "
+            "delta_g=%g; gradient accuracy condition is broken"
+            % (norm_d, delta_H, delta_g))
     beta1 = (z + math.sqrt(disc)) / ((L_H + eta) * norm_d / 3.0)
     return theta_tilde * beta1
 
@@ -394,7 +433,9 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
         policy's gradient batch starts at policy.grad_batch and moves
         within the run; the policy is frozen and never changes.
     variant : LINE_SEARCH or FIXED_STEP; LINE_SEARCH raises ValueError if
-        config sets a step-size override.
+        config sets a step-size override, and FIXED_STEP if it derives the
+        Newton step (alpha_sol_fixed None) with the small-step block
+        skipped, where that step can exceed 1 and raise f.
     constants : ProblemConstants; defaults to problem.constants().
     x0 : start point, default zeros.
     audit : verify per-step floors and caps against exact ledger-exempt
@@ -406,6 +447,13 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
     if variant == LINE_SEARCH and not no_overrides:
         raise ValueError("step-size overrides (alpha_sol_fixed, alpha_nc_fixed) "
                          "apply to FixedStep only; LineSearch would ignore them")
+    if (variant == FIXED_STEP and config.alpha_sol_fixed is None
+            and config.skip_small_step_block):
+        # fixed_step_sol is at most 1 only for ||d|| >= eps_g/eps_H, the
+        # steps the block lets through (Royer, O'Neill & Wright 2020).
+        raise ValueError("FixedStep's derived Newton step (alpha_sol_fixed "
+                         "None) needs the small-step block; give alpha_sol_fixed "
+                         "or set skip_small_step_block=False")
     policy = SamplingPolicy(mode=EXACT) if policy is None else policy
     if constants is None:
         constants = problem.constants()

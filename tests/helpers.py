@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 
-from ntcg import HessianOperator
+from ntcg import HessianOperator, preset
 from ntcg.libsvm import _parse_lines, _Rows
 
 
@@ -27,6 +27,12 @@ class MatrixOperator(HessianOperator):
     def _count_and_apply(self, v):
         self.n_applies += 1
         return self.matrix @ v
+
+
+def preset_policy(name, n):
+    """The sampling policy of preset `name`, for runs that set their own
+    variant and settings."""
+    return preset(name, n)[0]
 
 
 def central_diff_grad(f, x, h=1e-5):

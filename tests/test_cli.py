@@ -448,7 +448,7 @@ class TestAggregation:
 class TestSpecValidation:
     @pytest.mark.parametrize("key", ["tolerance", "seed"])
     def test_overrides_reject_unknown_keys(self, key):
-        # build_config's own seed used to replace an overridden one.
+        # Each repeat's own seed would replace a config seed.
         with pytest.raises(ValueError, match="unknown config key %r" % key):
             ExperimentSpec(problem="saddle", variant="full", dim=3,
                            config={key: 1})

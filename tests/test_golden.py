@@ -34,6 +34,7 @@ from ntcg.cli import ExperimentSpec, run_experiment
 from ntcg.problems import TANH
 from ntcg.reporting import write_run_csv
 from ntcg.sampling import SUB_BOTH
+from ntcg.solver import PRESETS
 
 # The trajectory columns fix the control flow; the count columns fix what
 # the run paid for it.  A change that only stops paying for a value twice
@@ -240,9 +241,6 @@ def nls_audit_case(tmp_path, variant, sampled):
                           skip_small_step_block=sampled)
     return direct_case(tmp_path, problem, None, config, variant, np.zeros(5),
                        policy=policy)
-
-
-PRESETS = ("full", "subh", "inexact-full-eval", "inexact-fixed", "inexact-sub-eval")
 
 
 @pytest.mark.parametrize("variant", PRESETS)

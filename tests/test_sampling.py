@@ -18,7 +18,6 @@ from ntcg.sampling import (
     MIN_BATCH,
     SUB_BOTH,
     SUB_HESSIAN_ONLY,
-    preset_policy,
 )
 
 
@@ -184,17 +183,3 @@ class TestPolicy:
         # used to be accepted and do nothing.
         with pytest.raises(ValueError, match="needs mode SubBoth"):
             SamplingPolicy(mode=mode, adaptive=True, **batches)
-
-    def test_preset_policies(self):
-        assert preset_policy("full", 1050).mode == EXACT
-        subh = preset_policy("subh", 1050)
-        assert (subh.mode, subh.hess_batch) == (SUB_HESSIAN_ONLY, 11)
-        for preset, line_eval in (("inexact-full-eval", "full"),
-                                  ("inexact-fixed", "full"),
-                                  ("inexact-sub-eval", "batch")):
-            policy = preset_policy(preset, 1050)
-            assert policy.mode == SUB_BOTH
-            assert (policy.grad_batch, policy.hess_batch) == (53, 11)
-            assert policy.adaptive and policy.line_search_eval == line_eval
-        with pytest.raises(ValueError):
-            preset_policy("exact", 1050)

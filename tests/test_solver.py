@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from helpers import MatrixOperator
+from helpers import MatrixOperator, preset_policy
 
 import ntcg.solver as solver
 from ntcg import (
@@ -20,6 +20,7 @@ from ntcg import (
     iteration_bound,
     line_search_nc,
     line_search_sol,
+    preset,
     scale_meo_direction,
     scale_nc_direction,
     synthetic_nls,
@@ -28,7 +29,7 @@ from ntcg.audit import c_nc_constant, c_sol_constant
 from ntcg.oracle import ObjectiveOracle
 from ntcg.problems import TANH
 from ntcg.reporting import write_run_csv
-from ntcg.sampling import EXACT, SUB_BOTH, SUB_HESSIAN_ONLY, preset_policy
+from ntcg.sampling import EXACT, SUB_BOTH, SUB_HESSIAN_ONLY
 from ntcg.solver import FIXED_STEP, LINE_SEARCH, run
 
 
@@ -458,6 +459,28 @@ class TestRunLineSearch:
         assert rep.records[-1].meo_iters > 0
 
 
+_SUB_BOTH_1050 = {"mode": SUB_BOTH, "grad_batch": 53, "hess_batch": 11, "adaptive": True}
+
+
+class TestPresets:
+    @pytest.mark.parametrize("name, policy, variant, steps", [
+        ("full", SamplingPolicy(mode=EXACT), LINE_SEARCH, {}),
+        ("subh", SamplingPolicy(mode=SUB_HESSIAN_ONLY, hess_batch=11), LINE_SEARCH, {}),
+        ("inexact-full-eval", SamplingPolicy(**_SUB_BOTH_1050), LINE_SEARCH, {}),
+        ("inexact-fixed", SamplingPolicy(**_SUB_BOTH_1050), FIXED_STEP,
+         {"alpha_sol_fixed": 0.2, "alpha_nc_fixed": 0.04}),
+        ("inexact-sub-eval", SamplingPolicy(**_SUB_BOTH_1050, line_search_eval="batch"),
+         LINE_SEARCH, {}),
+    ])
+    def test_policy_variant_and_settings(self, name, policy, variant, steps):
+        assert preset(name, 1050) == (
+            policy, variant, {"skip_small_step_block": True, **steps})
+
+    def test_unknown_preset_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown preset 'exact'"):
+            preset("exact", 1050)
+
+
 class TestRunFixedStep:
     def test_saddle_fixed_step_audit(self):
         problem = SaddleProblem(3, mu=1.0, gamma=1.0)
@@ -493,6 +516,24 @@ class TestRunFixedStep:
         with pytest.raises(ValueError, match="FixedStep only"):
             run(q, cfg, x0=np.ones(4), constants=q.constants())
         assert q.ledger.props == 0
+
+    def test_derived_newton_step_needs_the_small_step_block(self):
+        # With the block skipped, small Newton steps take fixed_step_sol's
+        # alpha past 1 (up to 2.68 here) and f rises: audited, the run
+        # failed monotone_decrease at iteration 27.  So it is refused.
+        problem = SaddleProblem(3, mu=1.0, gamma=0.5)
+        x0 = np.array([0.5, 0.0, 0.0])
+        cfg = SolverConfig(eps_g=1e-3, seed=0, skip_small_step_block=True)
+        for audit in (False, True):
+            with pytest.raises(ValueError, match="alpha_sol_fixed.*skip_small_step_block"):
+                run(problem, cfg, variant=FIXED_STEP, x0=x0, audit=audit)
+        assert problem.ledger.props == problem.audit_ledger.props == 0
+        rep = run(problem, dataclasses.replace(cfg, skip_small_step_block=False),
+                  variant=FIXED_STEP, x0=x0, audit=True)
+        assert rep.termination == solver.TERM_FIRST_ORDER_AND_CERTIFIED
+        assert rep.iterations == 26
+        fs = [r.f_value for r in rep.records]
+        assert all(a > b for a, b in zip(fs, fs[1:]))
 
     def test_zero_l_h_rejected_when_steps_are_derived(self):
         # The derived steps assume L_H > 0; at L_H = 0 the Newton step
@@ -533,18 +574,13 @@ class TestBlockValuedRecords:
     """Outside an audit, records whose f comes through the audit channel
     are valued in blocks of iterates; nothing a run reports may change."""
 
-    @pytest.mark.parametrize("preset", ["inexact-sub-eval", "inexact-fixed"])
-    def test_block_size_changes_no_output(self, monkeypatch, tmp_path, preset):
-        variant, steps = LINE_SEARCH, {}
-        if preset == "inexact-fixed":
-            variant, steps = FIXED_STEP, {"alpha_sol_fixed": 0.2, "alpha_nc_fixed": 0.04}
-        cfg = SolverConfig(eps_g=1e-3, seed=2, max_outer_iters=40,
-                           skip_small_step_block=True, **steps)
-
+    @pytest.mark.parametrize("name", ["inexact-sub-eval", "inexact-fixed"])
+    def test_block_size_changes_no_output(self, monkeypatch, tmp_path, name):
         def solve(tag):
             problem = csr_instance()
-            rep = run(problem, cfg, policy=preset_policy(preset, problem.n),
-                      variant=variant)
+            policy, variant, settings = preset(name, problem.n)
+            cfg = SolverConfig(eps_g=1e-3, seed=2, max_outer_iters=40, **settings)
+            rep = run(problem, cfg, policy=policy, variant=variant)
             path = tmp_path / (tag + ".csv")
             write_run_csv(path, rep)
             return (rep.records, path.read_bytes(), rep.ledger, rep.audit_ledger,

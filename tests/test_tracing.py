@@ -15,9 +15,9 @@ import ntcg.solver
 from ntcg import SolverConfig, constants_for, dump_libsvm, synthetic_nls
 from ntcg.problems import TANH
 from ntcg.reporting import read_run_csv
-from ntcg.sampling import preset_policy
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from helpers import preset_policy  # noqa: E402
 from tracing import Tracer, instrument  # noqa: E402
 
 

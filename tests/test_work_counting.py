@@ -13,17 +13,18 @@ import collections
 
 import numpy as np
 import pytest
+from helpers import preset_policy
 
 from ntcg import (
     FIXED_STEP,
     LINE_SEARCH,
     SaddleProblem,
     SolverConfig,
+    preset,
     run,
     synthetic_nls,
 )
 from ntcg.problems import TANH, constants_for
-from ntcg.sampling import preset_policy
 from ntcg.solver import TERM_CERTIFIED_AT_CURRENT, TERM_MAX_ITERS
 
 
@@ -124,21 +125,19 @@ def test_audited_saddle_run_from_the_origin_reuses_the_last_record():
     assert_paid_once(calls)
 
 
-@pytest.mark.parametrize("preset", ["inexact-sub-eval", "inexact-fixed", "full"])
-def test_audited_run_values_each_point_once(preset):
+@pytest.mark.parametrize("name", ["inexact-sub-eval", "inexact-fixed", "full"])
+def test_audited_run_values_each_point_once(name):
     # The audit values f(x_{k+1}) to check each step; the next record and
     # the final f of a run that hits the cap reuse it.  `full` takes f(x_0)
     # from its first line search, so its audit values one point fewer.
     problem = synthetic_nls(2000, 10, seed=0)
-    variant, steps = LINE_SEARCH, {}
-    if preset == "inexact-fixed":
-        variant, steps = FIXED_STEP, {"alpha_sol_fixed": 0.2, "alpha_nc_fixed": 0.04}
+    policy, variant, settings = preset(name, problem.n)
     calls = count_calls(problem, audit=True)
     report = run(problem, SolverConfig(eps_g=1e-3, seed=0, max_outer_iters=30,
-                                       skip_small_step_block=True, **steps),
-                 policy=preset_policy(preset, problem.n), variant=variant, audit=True)
+                                       **settings),
+                 policy=policy, variant=variant, audit=True)
     assert report.termination == TERM_MAX_ITERS
     points = sum(1 for kind, _ in calls if kind == "audit_f")
-    assert points == (30 if preset == "full" else 31)
+    assert points == (30 if name == "full" else 31)
     assert report.audit_ledger["f_calls"] == points * problem.n
     assert_paid_once(calls)
