@@ -8,12 +8,12 @@ call accounting, and a benchmark CLI.
 """
 
 from .audit import iteration_bound, verify_condition
-from .capped_cg import NC, SOL, CappedCGParams, CappedCGResult, capped_cg, j_cap
+from .capped_cg import NC, SOL, CappedCGResult, capped_cg, j_cap
 from .estimator import SquaredLossClassifier, WelschRegressor
 from .exceptions import ContractViolation, LibSVMFormatError
 from .libsvm import dump_libsvm, load_libsvm
 from .meo import CERTIFICATE, NEGATIVE_CURVATURE, MEOResult, meo_lanczos
-from .oracle import HessianOperator, ObjectiveOracle, OracleLedger
+from .oracle import ObjectiveOracle, OracleLedger
 from .problems import (
     NLSProblem,
     ProblemConstants,
@@ -47,12 +47,10 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CappedCGParams",
     "CappedCGResult",
     "CERTIFICATE",
     "ContractViolation",
     "FIXED_STEP",
-    "HessianOperator",
     "IterationRecord",
     "LibSVMFormatError",
     "LINE_SEARCH",

@@ -30,27 +30,6 @@ _MIN_GRAD_NORM = 1e-300
 
 
 @dataclass
-class CappedCGParams:
-    """Inputs of the capped CG kernel.
-
-    epsilon : damping parameter in (0, 1).
-    zeta : relative accuracy for the SOL branch, in (0, 1).
-    M_init : optional initial curvature bound (>= 0, defaults to 0); if the
-        caller knows a bound U_H on ||H|| it should pass it here.
-    """
-
-    epsilon: float
-    zeta: float
-    M_init: float = 0.0
-
-    def __post_init__(self):
-        self.epsilon = check_interval(self.epsilon, "epsilon", 0.0, 1.0)
-        self.zeta = check_interval(self.zeta, "zeta", 0.0, 1.0)
-        if self.M_init < 0 or not np.isfinite(self.M_init):
-            raise ValueError("M_init must be finite and >= 0")
-
-
-@dataclass
 class CappedCGResult:
     """Outcome of one capped CG run.
 
@@ -144,25 +123,30 @@ def extract_accumulated_nc(ys, rs, y_next, r_next, epsilon):
     return None
 
 
-def capped_cg(H, g, params):
+def capped_cg(hvp, g, epsilon, zeta, M_init=0.0):
     """Run capped CG; returns a :class:`CappedCGResult`.
 
-    H : HessianOperator-like object with `dim` and `apply(v)`.
+    hvp : the symmetric map v -> H v on float64 vectors of g's length.
     g : right-hand-side gradient, nonzero.
+    epsilon, zeta : damping and SOL relative accuracy, each in (0, 1).
+    M_init : initial curvature bound, finite and >= 0 (e.g. U_H >= ||H||).
 
-    Raises ValueError for g = 0 and ContractViolation if no termination
-    branch fires within the proven cap (inconsistent operator) or the
-    operator produces non-finite output.
+    Raises ValueError for bad parameters or g = 0, before any product, and
+    ContractViolation if no termination branch fires within the proven cap
+    (inconsistent operator) or the operator produces non-finite output.
     """
-    g = check_vector(g, "g", H.dim)
+    eps = check_interval(epsilon, "epsilon", 0.0, 1.0)
+    zeta = check_interval(zeta, "zeta", 0.0, 1.0)
+    if M_init < 0 or not np.isfinite(M_init):
+        raise ValueError("M_init must be finite and >= 0")
+    g = check_vector(g, "g")
     norm_g = _norm(g)
     if norm_g < _MIN_GRAD_NORM:
         raise ValueError("capped_cg requires a nonzero gradient")
 
-    eps = params.epsilon
-    M = float(params.M_init)
-    _, zeta_hat, tau, T = _derived(M, eps, params.zeta)
-    dim = H.dim
+    M = float(M_init)
+    _, zeta_hat, tau, T = _derived(M, eps, zeta)
+    dim = g.shape[0]
 
     # Every dot product below is taken once per vector and reused (r @ r
     # as rr, p @ p as pp, y @ y as yy); the norms are their square roots.
@@ -170,7 +154,7 @@ def capped_cg(H, g, params):
     r = g.copy()
     rr = r @ r
     p = -g
-    Hp = H.apply(p)
+    Hp = hvp(p)
     if not np.isfinite(Hp).all():
         raise ContractViolation("operator returned non-finite values")
 
@@ -182,7 +166,7 @@ def capped_cg(H, g, params):
     ratio0 = _safe_ratio(Hp, pp)
     if ratio0 > M:
         M = ratio0
-        _, zeta_hat, tau, T = _derived(M, eps, params.zeta)
+        _, zeta_hat, tau, T = _derived(M, eps, zeta)
 
     # The iteration cap depends on M only; None until needed after a change.
     cap = None
@@ -206,7 +190,7 @@ def capped_cg(H, g, params):
         ys.append(y)
         rs.append(r)
 
-        Hp = H.apply(p)
+        Hp = hvp(p)
         if not np.isfinite(Hp).all():
             raise ContractViolation("operator returned non-finite values")
         pp, yy = p @ p, y @ y
@@ -217,7 +201,7 @@ def capped_cg(H, g, params):
         observed = max(_safe_ratio(Hp, pp), _safe_ratio(Hy, yy), _safe_ratio(Hr, rr))
         if observed > M:
             M = observed
-            _, zeta_hat, tau, T = _derived(M, eps, params.zeta)
+            _, zeta_hat, tau, T = _derived(M, eps, zeta)
             cap = None
 
         norm_r = math.sqrt(rr)
@@ -250,7 +234,7 @@ def capped_cg(H, g, params):
                                   nc_source="slow_decay")
 
         if cap is None:
-            cap = min(dim, j_cap(M, eps, params.zeta))
+            cap = min(dim, j_cap(M, eps, zeta))
         if j >= cap:
             raise ContractViolation(
                 "capped CG reached j=%d at its iteration cap %d (M=%g) without "

@@ -100,7 +100,7 @@ class ExperimentSpec:
                              % (min_dim, self.problem, self.dim))
         if self.welsch_alpha is not None:
             check_interval(self.welsch_alpha, "--welsch-alpha", 0.0, math.inf)
-        solver.SolverConfig(seed=self.seed)  # before any data is read
+        _, variant, settings = solver.preset(self.variant, 1)
         # One setting at a time, so the error names the one at fault.
         for key, value in self.config.items():
             if key not in _CONFIG_TYPES:
@@ -111,12 +111,19 @@ class ExperimentSpec:
                 raise ValueError("%s: %s" % (_SOLVER_FLAGS.get(key)
                                              or "config key %r" % key, exc)) from None
             if (key in ("alpha_sol_fixed", "alpha_nc_fixed") and value is not None
-                    and solver.PRESETS[self.variant][2] != solver.FIXED_STEP):
+                    and variant != solver.FIXED_STEP):
                 fixed = ", ".join(repr(name) for name, (*_, rule)
                                   in solver.PRESETS.items() if rule == solver.FIXED_STEP)
                 raise ValueError("step-size overrides apply to variant %s only; "
                                  "%r would ignore %s"
                                  % (fixed, self.variant, _SOLVER_FLAGS[key]))
+        # The settings the run would get, under run's FixedStep rule.
+        cfg = solver.SolverConfig(**{**settings, **self.config, "seed": self.seed})
+        if (variant == solver.FIXED_STEP and cfg.alpha_sol_fixed is None
+                and cfg.skip_small_step_block):
+            raise ValueError("variant %r derives its Newton step only with the "
+                             "small-step block; give --alpha-sol or "
+                             "--no-skip-small-step-block" % (self.variant,))
 
 
 def build_problem(spec):

@@ -98,10 +98,11 @@ def meo_iteration_cap(dim, M, epsilon, delta):
     return min(dim, budget)
 
 
-def meo_lanczos(H, M, epsilon, delta, rng):
+def meo_lanczos(hvp, dim, M, epsilon, delta, rng):
     """Minimum-eigenvalue oracle; see the module docstring for the contract.
 
-    H : operator with `dim` and `apply`; symmetric, ||H|| <= M.
+    hvp, dim : the map v -> H v of a symmetric H with ||H|| <= M, on
+        float64 vectors of length dim.
     M : curvature bound, > 0.
     epsilon : curvature threshold, > 0.
     delta : failure probability in (0, 1).  delta = 0 would make the step
@@ -118,7 +119,6 @@ def meo_lanczos(H, M, epsilon, delta, rng):
     delta = check_interval(delta, "delta", 0.0, 1.0)
     rng = as_generator(rng)
 
-    dim = H.dim
     cap = meo_iteration_cap(dim, M, epsilon, delta)
     threshold = -0.5 * epsilon
     scale = max(1.0, M)
@@ -145,7 +145,7 @@ def meo_lanczos(H, M, epsilon, delta, rng):
         """Confirm the pair with a direct product; None if not actually
         below the threshold."""
         v = assemble(steps, s)
-        lam = float(v @ H.apply(v))
+        lam = float(v @ hvp(v))
         if lam <= threshold:
             return MEOResult(NEGATIVE_CURVATURE, steps, lam=lam, v=v)
         return None
@@ -153,7 +153,7 @@ def meo_lanczos(H, M, epsilon, delta, rng):
     steps = 0
     theta, s = np.inf, None
     while steps < cap:
-        w = H.apply(q)
+        w = hvp(q)
         if not np.isfinite(w).all():
             raise ValueError("operator returned non-finite values")
         alpha = float(q @ w)

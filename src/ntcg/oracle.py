@@ -1,4 +1,4 @@
-"""Objective oracles, implicit Hessian operators, and oracle-call accounting.
+"""Objective oracles and oracle-call accounting.
 
 The cost model is the propagation count used throughout the benchmark
 drivers: one unit per component function value, two per component gradient,
@@ -149,11 +149,16 @@ class ObjectiveOracle:
         return self._grad(x, idx)
 
     def eval_hvp(self, x, v, index_set):
+        """Mean H v over index_set; a float64 vector of length dim, else ValueError."""
         x = check_vector(x, "x", self.dim)
         v = check_vector(v, "v", self.dim)
         idx = self._index_set(index_set)
         self.ledger.hv_calls += idx.size
-        return self._hvp(x, v, idx)
+        out = np.asarray(self._hvp(x, v, idx), dtype=np.float64)
+        if out.shape != (self.dim,):
+            raise ValueError("Hessian-vector product has shape %s, expected (%d,)"
+                             % (out.shape, self.dim))
+        return out
 
     # -- audit accessors: exact full-set quantities, ledger-exempt --------
 
@@ -176,39 +181,3 @@ class ObjectiveOracle:
         x = check_vector(x, "x", self.dim)
         idx = self._full_index if index_set is None else self._index_set(index_set)
         return self._dense_hessian(x, idx)
-
-
-class HessianOperator:
-    """Implicit symmetric linear map v -> Hv.
-
-    Symmetry and determinism (for fixed state) are contracts on the wrapped
-    callable, not enforced per call; the test suite checks them on every
-    problem Hessian.
-    """
-
-    __slots__ = ("dim", "_apply")
-
-    def __init__(self, dim, apply_fn):
-        self.dim = int(dim)
-        self._apply = apply_fn
-
-    def apply(self, v):
-        v = np.asarray(v, dtype=np.float64)
-        out = np.asarray(self._apply(v), dtype=np.float64)
-        if out.shape != (self.dim,):
-            raise ValueError(
-                "operator returned shape %s, expected (%d,)" % ((out.shape,), self.dim)
-            )
-        return out
-
-    @classmethod
-    def from_oracle(cls, oracle, x, index_set):
-        """Subsampled (or exact) Hessian of `oracle` at the point x, counted
-        into the oracle's ledger.  x and the index set are copied, so later
-        changes to the caller's arrays do not reach the operator; the
-        oracle's read-only full index set is kept as it is.  The copy keeps
-        its dtype, so every product validates the indices as given."""
-        x = np.array(x, dtype=np.float64, copy=True)
-        full = oracle.full_index_set()
-        idx = full if index_set is full else np.array(index_set)
-        return cls(oracle.dim, lambda v: oracle.eval_hvp(x, v, idx))

@@ -50,10 +50,9 @@ import numpy as np
 
 from ._validation import as_generator, check_interval, check_vector
 from .audit import _Audit
-from .capped_cg import NC, SOL, CappedCGParams, capped_cg
+from .capped_cg import NC, SOL, capped_cg
 from .exceptions import ContractViolation
 from .meo import meo_lanczos
-from .oracle import HessianOperator
 from . import sampling  # called through the module, where bench/tracing.py wraps it
 from .sampling import EXACT, SUB_BOTH, SUB_HESSIAN_ONLY, SamplingPolicy
 
@@ -233,13 +232,13 @@ def _sgn(value):
     return 1.0 if value >= 0 else -1.0
 
 
-def scale_nc_direction(d_raw, H, g, curvature=None):
+def scale_nc_direction(d_raw, hvp, g, curvature=None):
     """Rescale a raw curvature direction so its norm equals
     |d^T H d| / ||d||^2 and it points against the gradient estimate.
 
     The result satisfies d^T H d / ||d||^2 = -||d|| and d^T g <= 0.
     `curvature` is d_raw^T H d_raw when the caller already holds it (capped
-    CG's `CappedCGResult.curvature`); otherwise one product H d_raw pays
+    CG's `CappedCGResult.curvature`); otherwise one product hvp(d_raw) pays
     for it.
     """
     d_raw = np.asarray(d_raw, dtype=np.float64)
@@ -247,19 +246,17 @@ def scale_nc_direction(d_raw, H, g, curvature=None):
     if norm == 0.0:
         raise ValueError("cannot scale a zero direction")
     if curvature is None:
-        curvature = float(d_raw @ H.apply(d_raw))
+        curvature = float(d_raw @ hvp(d_raw))
     sign = _sgn(float(d_raw @ g))
     return -sign * (abs(curvature) / norm**2) * (d_raw / norm)
 
 
-def scale_meo_direction(v, H, g, curvature=None):
-    """Scale a unit eigenvector estimate to length |v^T H v|, signed against
-    the gradient estimate."""
+def scale_meo_direction(v, g, curvature):
+    """Scale a unit eigenvector estimate v to length |curvature| (v^T H v,
+    the MEO's `MEOResult.lam`), signed against the gradient estimate."""
     v = np.asarray(v, dtype=np.float64)
     if abs(np.linalg.norm(v) - 1.0) > 1e-8:
         raise ValueError("v must be a unit vector")
-    if curvature is None:
-        curvature = float(v @ H.apply(v))
     sign = _sgn(float(v @ g))
     return -(sign * abs(curvature)) * v
 
@@ -372,9 +369,9 @@ def _resolve(config, constants):
     return cfg
 
 
-def _direction(H, g, g_norm, cfg, rng):
-    """Direction at one iterate: (d, d_type, nc_origin, cg_iters, meo_iters,
-    terminate).
+def _direction(hvp, g, g_norm, cfg, rng):
+    """Direction at one iterate, with hvp the map v -> H v of its Hessian
+    estimate: (d, d_type, nc_origin, cg_iters, meo_iters, terminate).
 
     A certificate at small ||g|| keeps d_type NC with no direction; one from
     the small-step block keeps the Newton direction, returned at x + d.
@@ -382,22 +379,20 @@ def _direction(H, g, g_norm, cfg, rng):
     eps_g, eps_H = cfg.eps_g, cfg.eps_H
     cg_iters = 0
     if g_norm >= eps_g:
-        result = capped_cg(
-            H, g, CappedCGParams(epsilon=eps_H, zeta=cfg.zeta, M_init=cfg.U_H)
-        )
+        result = capped_cg(hvp, g, eps_H, cfg.zeta, M_init=cfg.U_H)
         cg_iters = result.iterations
         if result.d_type == NC:
-            d = scale_nc_direction(result.d, H, g, curvature=result.curvature)
+            d = scale_nc_direction(result.d, hvp, g, curvature=result.curvature)
             return d, NC, "cg", cg_iters, 0, None
         d, d_type, certified = result.d, SOL, TERM_FIRST_ORDER_AND_CERTIFIED
         if cfg.skip_small_step_block or not float(np.linalg.norm(d)) <= eps_g / eps_H:
             return d, SOL, None, cg_iters, 0, None
     else:
         d, d_type, certified = None, NC, TERM_CERTIFIED_AT_CURRENT
-    meo = meo_lanczos(H, cfg.U_H, eps_H, cfg.delta, rng)
+    meo = meo_lanczos(hvp, g.shape[0], cfg.U_H, eps_H, cfg.delta, rng)
     if meo.is_certificate:
         return d, d_type, None, cg_iters, meo.iterations, certified
-    d = scale_meo_direction(meo.v, H, g, curvature=meo.lam)
+    d = scale_meo_direction(meo.v, g, meo.lam)
     return d, NC, "meo", cg_iters, meo.iterations, None
 
 
@@ -512,7 +507,7 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
 
     for k in range(cfg.max_outer_iters):
         # Full batches are the oracle's shared read-only index set, which
-        # `_PointState` and `HessianOperator.from_oracle` recognise by identity.
+        # `_PointState` and the oracle's range check recognise by identity.
         grad_idx = (sampling.sample_indices(n, min(grad_batch, n), rng)
                     if policy.subsamples_gradient() else full_idx)
         g = problem.eval_grad(x, grad_idx)
@@ -524,9 +519,10 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
 
         hess_idx = (sampling.sample_indices(n, min(policy.hess_batch, n), rng)
                     if policy.subsamples_hessian() else full_idx)
-        H = HessianOperator.from_oracle(problem, x, hess_idx)
+        # eval_hvp is looked up per product, where bench/tracing.py wraps it.
         d, d_type, nc_origin, cg_iters, meo_iters, terminate = _direction(
-            H, g, g_norm, cfg, rng
+            lambda v, x=x, idx=hess_idx: problem.eval_hvp(x, v, idx),
+            g, g_norm, cfg, rng,
         )
 
         # f at x_k: the full-set line-search value doubles as the record

@@ -9,22 +9,23 @@ import tracemalloc
 
 import numpy as np
 
-from ntcg import HessianOperator, preset
+from ntcg import preset
 from ntcg.libsvm import _parse_lines, _Rows
 
 
-class MatrixOperator(HessianOperator):
-    """v -> A v for a dense square A, counting its products in `n_applies`."""
+class MatrixOperator:
+    """The product function v -> A v of a dense square A, of dimension
+    `dim`, counting its calls in `n_applies`."""
 
     def __init__(self, A):
         A = np.asarray(A, dtype=np.float64)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("need a square matrix")
-        self.n_applies = 0
-        super().__init__(A.shape[0], self._count_and_apply)
         self.matrix = A
+        self.dim = A.shape[0]
+        self.n_applies = 0
 
-    def _count_and_apply(self, v):
+    def __call__(self, v):
         self.n_applies += 1
         return self.matrix @ v
 

@@ -21,7 +21,6 @@ from helpers import (
 import ntcg.solver as solver
 from ntcg import (
     CERTIFICATE,
-    CappedCGParams,
     SaddleProblem,
     SolverConfig,
     capped_cg,
@@ -67,10 +66,7 @@ def test_criterion_01_capped_cg_sol_contract():
         spread = float(rng.uniform(0.5, 6.0))
         H = symmetric_with_spectrum(rng, rng.uniform(eps, eps + spread, size=dim))
         g = rng.standard_normal(dim)
-        res = capped_cg(
-            MatrixOperator(H), g,
-            CappedCGParams(epsilon=eps, zeta=zeta),
-        )
+        res = capped_cg(MatrixOperator(H), g, epsilon=eps, zeta=zeta)
         if res.d_type != "SOL":
             violations.append((seed, "returned NC on a PD spectrum"))
             continue
@@ -109,10 +105,7 @@ def test_criterion_02_capped_cg_nc_contract():
         vals[0] = -2.0 * eps - float(rng.uniform(0.0, 3.0))  # lambda_min <= -2 eps
         H = symmetric_with_spectrum(rng, vals)
         g = rng.standard_normal(dim)
-        res = capped_cg(
-            MatrixOperator(H), g,
-            CappedCGParams(epsilon=eps, zeta=0.5),
-        )
+        res = capped_cg(MatrixOperator(H), g, epsilon=eps, zeta=0.5)
         if res.iterations > min(dim, j_cap(res.M_final, eps, 0.5)):
             violations.append((seed, "iteration cap"))
         if res.d_type == "NC":
@@ -140,7 +133,7 @@ def test_criterion_03_meo_statistical_contract():
     incorrect = 0
     problems = []
     for trial in range(200):
-        res = meo_lanczos(H, M=M, epsilon=eps, delta=delta, rng=trial)
+        res = meo_lanczos(H, H.dim, M=M, epsilon=eps, delta=delta, rng=trial)
         if res.iterations > cap:
             problems.append((trial, "iteration cap"))
         if res.outcome == CERTIFICATE:

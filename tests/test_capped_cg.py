@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import MatrixOperator, random_symmetric, symmetric_with_spectrum
 
-from ntcg import NC, SOL, CappedCGParams, ContractViolation, capped_cg, j_cap
+from ntcg import NC, SOL, ContractViolation, capped_cg, j_cap
 from ntcg.capped_cg import _derived, _norm
 
 
@@ -24,7 +24,7 @@ class TestTrivialCases:
     def test_scalar_matrix_one_step(self):
         H = MatrixOperator(2.0 * np.eye(3))
         g = np.array([3.0, 0.0, 0.0])
-        res = capped_cg(H, g, CappedCGParams(epsilon=0.5, zeta=0.5))
+        res = capped_cg(H, g, epsilon=0.5, zeta=0.5)
         assert res.d_type == SOL
         np.testing.assert_allclose(res.d, [-1.0, 0.0, 0.0], atol=1e-14)
         assert res.iterations == 1
@@ -34,7 +34,7 @@ class TestTrivialCases:
         # H + 2 eps I is the zero map, so the very first test fires.
         H = MatrixOperator(-np.eye(4))
         g = np.array([1.0, -2.0, 0.5, 4.0])
-        res = capped_cg(H, g, CappedCGParams(epsilon=0.5, zeta=0.5))
+        res = capped_cg(H, g, epsilon=0.5, zeta=0.5)
         assert res.d_type == NC
         np.testing.assert_allclose(res.d, -g)
         assert res.iterations == 0
@@ -43,22 +43,24 @@ class TestTrivialCases:
     def test_zero_gradient_rejected(self):
         H = MatrixOperator(np.eye(3))
         with pytest.raises(ValueError):
-            capped_cg(H, np.zeros(3), CappedCGParams(epsilon=0.5, zeta=0.5))
+            capped_cg(H, np.zeros(3), epsilon=0.5, zeta=0.5)
 
     def test_nonfinite_operator_rejected(self):
         bad = np.zeros((3, 3))
         bad[0, 0] = np.inf
         H = MatrixOperator(bad)
         with pytest.raises(ContractViolation):
-            capped_cg(H, np.ones(3), CappedCGParams(epsilon=0.5, zeta=0.5))
+            capped_cg(H, np.ones(3), epsilon=0.5, zeta=0.5)
 
     def test_bad_params_rejected(self):
-        with pytest.raises(ValueError):
-            CappedCGParams(epsilon=1.5, zeta=0.5)
-        with pytest.raises(ValueError):
-            CappedCGParams(epsilon=0.5, zeta=0.0)
-        with pytest.raises(ValueError):
-            CappedCGParams(epsilon=0.5, zeta=0.5, M_init=-1.0)
+        # Each is refused before the first product.
+        H = MatrixOperator(np.eye(3))
+        for params in (dict(epsilon=1.5, zeta=0.5), dict(epsilon=0.5, zeta=0.0),
+                       dict(epsilon=0.5, zeta=0.5, M_init=-1.0),
+                       dict(epsilon=0.5, zeta=0.5, M_init=np.inf)):
+            with pytest.raises(ValueError):
+                capped_cg(H, np.ones(3), **params)
+        assert H.n_applies == 0
 
 
 class TestSolBranch:
@@ -67,9 +69,7 @@ class TestSolBranch:
         H = random_symmetric(rng, 10, 1.0, 5.0)  # lambda_min >= 1
         g = rng.standard_normal(10)
         eps, zeta = 0.01, 0.5
-        res = capped_cg(
-            MatrixOperator(H), g, CappedCGParams(epsilon=eps, zeta=zeta)
-        )
+        res = capped_cg(MatrixOperator(H), g, epsilon=eps, zeta=zeta)
         assert res.d_type == SOL
         d_star = solve_dense(H, g, eps)
         # zeta_hat-level residual implies closeness to the dense solution.
@@ -83,10 +83,7 @@ class TestSolBranch:
         eps = float(rng.uniform(0.01, 0.5))
         H = random_symmetric(rng, dim, eps, eps + rng.uniform(0.5, 5.0))
         g = rng.standard_normal(dim)
-        res = capped_cg(
-            MatrixOperator(H), g,
-            CappedCGParams(epsilon=eps, zeta=0.5),
-        )
+        res = capped_cg(MatrixOperator(H), g, epsilon=eps, zeta=0.5)
         # lambda_min(H) >= eps: the curvature tests never fire.
         assert res.d_type == SOL
         check_sol_invariants(H, g, eps, 0.5, res)
@@ -98,7 +95,7 @@ class TestSolBranch:
         H = random_symmetric(rng, 20, 1.0, 4.0)
         op = MatrixOperator(H)
         res = capped_cg(op, rng.standard_normal(20),
-                        CappedCGParams(epsilon=0.05, zeta=0.5))
+                        epsilon=0.05, zeta=0.5)
         assert op.n_applies == res.iterations + 1
 
 
@@ -109,9 +106,7 @@ class TestNCBranch:
         H = np.diag(diag)
         rng = np.random.default_rng(0)
         g = rng.standard_normal(6)
-        res = capped_cg(
-            MatrixOperator(H), g, CappedCGParams(epsilon=1.0 - 1e-9, zeta=0.5)
-        )
+        res = capped_cg(MatrixOperator(H), g, epsilon=1.0 - 1e-9, zeta=0.5)
         assert res.d_type == NC
         d = res.d
         assert d @ (H @ d) <= -(d @ d)
@@ -125,9 +120,7 @@ class TestNCBranch:
         vals[0] = -2.0 * eps - rng.uniform(0.1, 2.0)
         H = symmetric_with_spectrum(rng, vals)
         g = rng.standard_normal(dim)
-        res = capped_cg(
-            MatrixOperator(H), g, CappedCGParams(epsilon=eps, zeta=0.5)
-        )
+        res = capped_cg(MatrixOperator(H), g, epsilon=eps, zeta=0.5)
         assert res.iterations <= min(dim, j_cap(res.M_final, eps, 0.5))
         if res.d_type == NC:
             d = res.d
@@ -154,12 +147,12 @@ class TestNCBranch:
         # is not bit-identical, so the caller pays for the product.
         H, g, eps = self._instance(source)
         op = MatrixOperator(H)
-        res = capped_cg(op, g, CappedCGParams(epsilon=eps, zeta=0.5))
+        res = capped_cg(op, g, epsilon=eps, zeta=0.5)
         assert (res.d_type, res.nc_source) == (NC, source)
         if source == "y":
             assert res.curvature is None
         else:
-            assert res.curvature == float(res.d @ op.apply(res.d))
+            assert res.curvature == float(res.d @ op(res.d))
 
     def test_accumulated_extraction_finds_first_nc_difference(self):
         # The slow-decay branch is a worst-case safety net; random spectra
@@ -209,10 +202,7 @@ class TestNCBranch:
             )
             H = symmetric_with_spectrum(rng, vals)
             g = rng.standard_normal(dim)
-            res = capped_cg(
-                MatrixOperator(H), g,
-                CappedCGParams(epsilon=eps, zeta=0.5),
-            )
+            res = capped_cg(MatrixOperator(H), g, epsilon=eps, zeta=0.5)
             if res.d_type == NC and res.nc_source == "slow_decay":
                 d = res.d
                 assert d @ (H @ d) <= -eps * (d @ d) + 1e-10
@@ -229,7 +219,7 @@ class TestNCBranch:
             eps = float(rng.uniform(0.01, 0.3))
             H = random_symmetric(rng, dim, eps, eps + rng.uniform(0.5, 8.0))
             g = rng.standard_normal(dim)
-            res = capped_cg(MatrixOperator(H), g, CappedCGParams(epsilon=eps, zeta=0.5))
+            res = capped_cg(MatrixOperator(H), g, epsilon=eps, zeta=0.5)
             assert res.d_type == SOL
             direct = np.linalg.norm((H + 2 * eps * np.eye(dim)) @ res.d + g)
             assert abs(direct - res.residual_norm) <= 1e-12 * np.linalg.norm(g)
@@ -240,19 +230,14 @@ class TestMUpdates:
         rng = np.random.default_rng(5)
         H = random_symmetric(rng, 12, 0.5, 7.0)
         g = rng.standard_normal(12)
-        res = capped_cg(
-            MatrixOperator(H), g, CappedCGParams(epsilon=0.1, zeta=0.5)
-        )
+        res = capped_cg(MatrixOperator(H), g, epsilon=0.1, zeta=0.5)
         assert res.M_final <= np.linalg.norm(H, 2) + 1e-10
 
     def test_m_init_from_caller_is_kept_when_larger(self):
         rng = np.random.default_rng(6)
         H = random_symmetric(rng, 8, 1.0, 3.0)
         g = rng.standard_normal(8)
-        res = capped_cg(
-            MatrixOperator(H), g,
-            CappedCGParams(epsilon=0.1, zeta=0.5, M_init=10.0),
-        )
+        res = capped_cg(MatrixOperator(H), g, epsilon=0.1, zeta=0.5, M_init=10.0)
         assert res.M_final == 10.0
 
     def test_derived_parameter_consistency(self):

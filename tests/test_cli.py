@@ -477,6 +477,23 @@ class TestSpecValidation:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_derived_fixed_step_without_the_block_is_rejected_before_the_data_is_read(
+            self, tmp_path):
+        # This spec used to pass; the run then read the data file before
+        # run() refused it, naming SolverConfig fields.  The file is missing,
+        # so a read would raise FileNotFoundError instead.
+        data, out = str(tmp_path / "nonexistent"), tmp_path / "out"
+        with pytest.raises(ValueError, match="derives its Newton step only with the "
+                           "small-step block; give --alpha-sol or "
+                           "--no-skip-small-step-block"):
+            run_experiment(ExperimentSpec(
+                problem="nls-sigmoid", variant="inexact-fixed", data=data,
+                out=str(out), config={"alpha_sol_fixed": None}))
+        assert not out.exists()
+        # With the block on, the derived step is allowed.
+        ExperimentSpec(problem="nls-sigmoid", variant="inexact-fixed", data=data,
+                       config={"alpha_sol_fixed": None, "skip_small_step_block": False})
+
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             ExperimentSpec(problem="quadratic", variant="warp")

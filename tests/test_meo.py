@@ -17,7 +17,7 @@ def planted_operator(rng, dim, lam_min, bulk_low, bulk_high):
 class TestExactCases:
     def test_planted_diagonal_finds_exact_pair(self):
         H = MatrixOperator(np.diag([-2.0, 1.0, 1.0]))
-        res = meo_lanczos(H, M=2.0, epsilon=1.0, delta=0.05, rng=0)
+        res = meo_lanczos(H, H.dim, M=2.0, epsilon=1.0, delta=0.05, rng=0)
         assert res.outcome == NEGATIVE_CURVATURE
         assert abs(res.lam - (-2.0)) < 1e-8
         assert min(np.linalg.norm(res.v - [1, 0, 0]),
@@ -25,7 +25,7 @@ class TestExactCases:
 
     def test_identity_certificate(self):
         H = MatrixOperator(np.eye(5))
-        res = meo_lanczos(H, M=1.0, epsilon=0.5, delta=0.05, rng=1)
+        res = meo_lanczos(H, H.dim, M=1.0, epsilon=0.5, delta=0.05, rng=1)
         assert res.outcome == CERTIFICATE
         assert res.lam is None and res.v is None
 
@@ -34,7 +34,7 @@ class TestExactCases:
         # eigendecomposition.
         rng = np.random.default_rng(2)
         H, op = planted_operator(rng, 8, -1.5, 0.5, 2.0)
-        res = meo_lanczos(op, M=2.5, epsilon=1.0, delta=0.05, rng=3)
+        res = meo_lanczos(op, op.dim, M=2.5, epsilon=1.0, delta=0.05, rng=3)
         assert res.outcome == NEGATIVE_CURVATURE
         vals, vecs = np.linalg.eigh(H)
         assert abs(res.lam - vals[0]) < 1e-8
@@ -42,10 +42,8 @@ class TestExactCases:
         assert min(np.linalg.norm(res.v - v0), np.linalg.norm(res.v + v0)) < 1e-6
 
     def test_one_dimensional_operator(self):
-        res = meo_lanczos(
-            MatrixOperator(np.array([[-3.0]])),
-            M=3.0, epsilon=1.0, delta=0.05, rng=4,
-        )
+        res = meo_lanczos(MatrixOperator(np.array([[-3.0]])), 1,
+                          M=3.0, epsilon=1.0, delta=0.05, rng=4)
         assert res.outcome == NEGATIVE_CURVATURE
         assert res.iterations == 1
         assert abs(res.lam + 3.0) < 1e-12
@@ -59,7 +57,7 @@ class TestContracts:
         lam = -float(rng.uniform(0.6, 4.0))
         H, op = planted_operator(rng, dim, lam, -0.4, 3.0)
         eps = 1.0
-        res = meo_lanczos(op, M=5.0, epsilon=eps, delta=0.05, rng=seed + 1000)
+        res = meo_lanczos(op, op.dim, M=5.0, epsilon=eps, delta=0.05, rng=seed + 1000)
         if res.outcome == NEGATIVE_CURVATURE:
             assert abs(np.linalg.norm(res.v) - 1.0) <= 1e-12
             rayleigh = res.v @ (H @ res.v)
@@ -77,8 +75,8 @@ class TestContracts:
     def test_seed_reproducibility(self):
         rng = np.random.default_rng(8)
         H, op = planted_operator(rng, 20, -2.0, 0.1, 2.5)
-        a = meo_lanczos(op, M=3.0, epsilon=1.0, delta=0.05, rng=123)
-        b = meo_lanczos(op, M=3.0, epsilon=1.0, delta=0.05, rng=123)
+        a = meo_lanczos(op, op.dim, M=3.0, epsilon=1.0, delta=0.05, rng=123)
+        b = meo_lanczos(op, op.dim, M=3.0, epsilon=1.0, delta=0.05, rng=123)
         assert a.outcome == b.outcome == NEGATIVE_CURVATURE
         np.testing.assert_array_equal(a.v, b.v)
         assert a.lam == b.lam and a.iterations == b.iterations
@@ -86,14 +84,14 @@ class TestContracts:
     def test_delta_zero_rejected(self):
         H = MatrixOperator(np.eye(3))
         with pytest.raises(ValueError):
-            meo_lanczos(H, M=1.0, epsilon=0.5, delta=0.0, rng=0)
+            meo_lanczos(H, H.dim, M=1.0, epsilon=0.5, delta=0.0, rng=0)
 
     def test_bad_m_rejected(self):
         H = MatrixOperator(np.eye(3))
         with pytest.raises(ValueError):
-            meo_lanczos(H, M=0.0, epsilon=0.5, delta=0.05, rng=0)
+            meo_lanczos(H, H.dim, M=0.0, epsilon=0.5, delta=0.05, rng=0)
         with pytest.raises(ValueError):
-            meo_lanczos(H, M=np.inf, epsilon=0.5, delta=0.05, rng=0)
+            meo_lanczos(H, H.dim, M=np.inf, epsilon=0.5, delta=0.05, rng=0)
 
 
 class TestStatistics:
@@ -108,7 +106,7 @@ class TestStatistics:
         failures = 0
         trials = 60
         for t in range(trials):
-            res = meo_lanczos(op, M=M, epsilon=1.0, delta=0.05, rng=5000 + t)
+            res = meo_lanczos(op, op.dim, M=M, epsilon=1.0, delta=0.05, rng=5000 + t)
             if res.outcome == CERTIFICATE:
                 failures += 1
             else:
@@ -121,7 +119,7 @@ class TestStatistics:
         rng = np.random.default_rng(99)
         H, op = planted_operator(rng, 15, -0.9, 0.5, 2.0)
         for t in range(20):
-            res = meo_lanczos(op, M=2.5, epsilon=1.0, delta=0.05, rng=t)
+            res = meo_lanczos(op, op.dim, M=2.5, epsilon=1.0, delta=0.05, rng=t)
             if res.outcome == NEGATIVE_CURVATURE:
                 assert res.lam <= -0.5
 

@@ -4,7 +4,7 @@ from helpers import central_diff_grad, central_diff_hvp, rel_err
 from numpy.testing import assert_array_equal
 
 import ntcg.oracle
-from ntcg import HessianOperator, ObjectiveOracle, OracleLedger, QuadraticProblem, synthetic_nls
+from ntcg import ObjectiveOracle, OracleLedger, QuadraticProblem, synthetic_nls
 
 
 class TestLedger:
@@ -128,16 +128,16 @@ class TestEvaluation:
             problem.dense_hessian(np.zeros(3), [1])
 
 
-class TestHessianOperator:
+class TestEvalHvp:
     @pytest.mark.parametrize("seed", range(5))
     def test_symmetry_on_problem_hessians(self, seed):
         problem = synthetic_nls(25, 6, seed=seed)
         rng = np.random.default_rng(seed + 100)
         x = rng.standard_normal(6)
-        H = HessianOperator.from_oracle(problem, x, problem.full_index_set())
+        full = problem.full_index_set()
         u = rng.standard_normal(6)
         v = rng.standard_normal(6)
-        Hu, Hv = H.apply(u), H.apply(v)
+        Hu, Hv = problem.eval_hvp(x, u, full), problem.eval_hvp(x, v, full)
         norm_H = np.linalg.norm(problem.dense_hessian(x), 2)
         lhs = abs(u @ Hv - v @ Hu)
         assert lhs <= 1e-10 * np.linalg.norm(u) * np.linalg.norm(v) * max(norm_H, 1e-30)
@@ -147,36 +147,28 @@ class TestHessianOperator:
         problem = synthetic_nls(25, 6, seed=seed)
         rng = np.random.default_rng(seed + 200)
         x = rng.standard_normal(6)
-        H = HessianOperator.from_oracle(problem, x, problem.full_index_set())
+        full = problem.full_index_set()
         u = rng.standard_normal(6)
         v = rng.standard_normal(6)
         a, b = 2.5, -1.25
         np.testing.assert_allclose(
-            H.apply(a * u + b * v), a * H.apply(u) + b * H.apply(v),
+            problem.eval_hvp(x, a * u + b * v, full),
+            a * problem.eval_hvp(x, u, full) + b * problem.eval_hvp(x, v, full),
             rtol=1e-10, atol=1e-12,
         )
 
-    def test_hv_call_accounting_through_operator(self):
-        problem = synthetic_nls(40, 5, seed=11)
-        H = HessianOperator.from_oracle(problem, np.zeros(5), np.arange(10))
-        H.apply(np.ones(5))
-        assert problem.ledger.hv_calls == 10
-        assert problem.ledger.props == 40
-
-    def test_operator_keeps_its_own_index_set(self):
+    def test_rejects_fractional_indices(self):
         problem = synthetic_nls(50, 4, seed=0)
-        x = np.random.default_rng(1).standard_normal(4)
-        idx = np.array([0, 1, 2])
-        H = HessianOperator.from_oracle(problem, x, idx)
-        before = H.apply(np.ones(4))
-        idx[0] = 40
-        assert_array_equal(H.apply(np.ones(4)), before)
-
-    def test_operator_rejects_fractional_indices(self):
-        problem = synthetic_nls(50, 4, seed=0)
-        H = HessianOperator.from_oracle(problem, np.ones(4), [0.5])
         with pytest.raises(ValueError):
-            H.apply(np.ones(4))
+            problem.eval_hvp(np.ones(4), np.ones(4), [0.5])
+
+    def test_rejects_wrong_output_shape(self):
+        class WrongShape(ObjectiveOracle):
+            def _hvp(self, x, v, idx):
+                return np.ones((3, 1))
+
+        with pytest.raises(ValueError, match=r"shape \(3, 1\), expected \(3,\)"):
+            WrongShape(2, 3).eval_hvp(np.zeros(3), np.ones(3), [0])
 
 
 def _read_only(a):

@@ -14,8 +14,7 @@ from numpy.testing import assert_array_equal
 from scipy.special import expit
 
 import ntcg.problems
-from ntcg import (HessianOperator, NLSProblem, SamplingPolicy, SolverConfig, run,
-                  synthetic_nls)
+from ntcg import NLSProblem, SamplingPolicy, SolverConfig, run, synthetic_nls
 from ntcg.problems import SIGMOID, TANH, WELSCH
 from ntcg.sampling import SUB_BOTH
 
@@ -203,8 +202,7 @@ def test_exact_iteration_does_each_product_once(monkeypatch):
 
     def iteration(p):
         g = p.eval_grad(x, full)
-        H = HessianOperator.from_oracle(p, x, full)
-        hvs = [H.apply(v) for v in vs]
+        hvs = [p.eval_hvp(x, v, full) for v in vs]
         return (g, *hvs, p.eval_f(x, full), p.eval_f(x_trial, full),
                 p.eval_grad(x_trial, full))
 

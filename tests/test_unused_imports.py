@@ -49,8 +49,8 @@ def test_the_check_sees_an_unused_import():
         "import os\n"
         "import numpy as np\n"
         "import ntcg.solver\n"
-        "from ntcg import HessianOperator, run\n"
+        "from ntcg import ObjectiveOracle, run\n"
         "def f():\n"
         "    return np.zeros(1), ntcg.solver, run\n"
     )
-    assert unused_imports(source) == [(1, "os"), (4, "HessianOperator")]
+    assert unused_imports(source) == [(1, "os"), (4, "ObjectiveOracle")]
