@@ -11,25 +11,31 @@ suffices to locate curvature below -eps/2 with probability >= 1 - delta
 whenever lambda_min(H) < -eps, so an incorrect certificate is issued with
 probability at most delta.
 
-Implementation notes, all load-bearing for the contracts above:
+Implementation notes, all load-bearing for the contracts above.
+
+The Lanczos process, ``lanczos``:
   * full reorthogonalization every step; cheap at these dimensions, and it
     removes the ghost-eigenvalue failure mode;
-  * the tridiagonal eigenproblem is solved every iteration, for its bottom
+  * breakdown (beta <= BREAKDOWN_TOL * max(1, M) in the oracle) means the
+    Krylov subspace is invariant, so the restriction of H to it is decided
+    exactly; the process reports beta = 0 there and stops.
+
+The oracle, ``meo_lanczos``:
+  * the tridiagonal eigenproblem is solved every step, for its bottom
     pair only: LAPACK bisection (stebz) for the smallest eigenvalue, then
     inverse iteration (stein) for its vector, called directly with the
     arguments and checks of scipy's ``eigh_tridiagonal(select="i",
     select_range=(0, 0))``, so the pair is bit-identical to that call's
-    without its per-call argument handling; the run stops
-    early only once the smallest Ritz value is at most -eps/2 AND its
-    Lanczos residual is at most CONV_TOL * max(1, M) (so the assembled
-    vector's Rayleigh quotient matches the Ritz value), which keeps runs
-    with d <= cap exact: they proceed to full dimension or breakdown, where
-    the bottom Ritz pair IS the bottom eigenpair;
-  * breakdown (beta <= BREAKDOWN_TOL * max(1, M)) means the Krylov
-    subspace is invariant, so the restriction of H to it is decided exactly;
-  * the reported lambda is the Rayleigh quotient of the returned v,
-    confirmed with a direct operator product, so v^T H v = lambda and
-    lambda <= -eps/2 hold by construction, never anything weaker.
+    without its per-call argument handling;
+  * the bottom Ritz pair is tested once its value is at most -eps/2 and
+    either its Lanczos residual is at most CONV_TOL * max(1, M) (so the
+    assembled vector's Rayleigh quotient matches the Ritz value) or the
+    step is the last (the cap or breakdown).  That keeps runs with
+    d <= cap exact: they proceed to full dimension or breakdown, where the
+    bottom Ritz pair IS the bottom eigenpair;
+  * the test is one direct operator product per pair, and the reported
+    lambda is that Rayleigh quotient of the returned v, so v^T H v = lambda
+    and lambda <= -eps/2 hold by construction, never anything weaker.
 """
 
 import math
@@ -40,6 +46,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from ._validation import as_generator, check_interval
+from .exceptions import ContractViolation
 
 NEGATIVE_CURVATURE = "NegativeCurvature"
 CERTIFICATE = "Certificate"
@@ -98,6 +105,42 @@ def meo_iteration_cap(dim, M, epsilon, delta):
     return min(dim, budget)
 
 
+def lanczos(hvp, q, cap, tol):
+    """Lanczos process with full reorthogonalization on the symmetric map
+    hvp (v -> H v), from the unit vector q, for at most cap steps.
+
+    Step k yields (Q, alphas, betas, beta): the Krylov basis Q (dim x k),
+    the tridiagonal T = Q^T H Q as its diagonal alphas and off-diagonal
+    betas, and the next beta, with H Q - Q T = beta q' e_k^T for a unit q'.
+    The views are never rewritten.  Stops after cap steps or at breakdown,
+    beta <= tol, where span(Q) is invariant and the yielded beta is 0.
+    Raises ContractViolation on a non-finite product.
+    """
+    Q = np.empty((q.shape[0], cap))
+    alphas = np.empty(cap)
+    betas = np.empty(max(cap - 1, 0))
+    for k in range(cap):
+        w = hvp(q)
+        if not np.isfinite(w).all():
+            raise ContractViolation("operator returned non-finite values")
+        alpha = float(q @ w)
+        Q[:, k] = q
+        alphas[k] = alpha
+        w = w - alpha * q
+        if k > 0:
+            w = w - betas[k - 1] * Q[:, k - 1]
+        # Full reorthogonalization against the stored basis.
+        w = w - Q[:, : k + 1] @ (Q[:, : k + 1].T @ w)
+        beta = float(np.linalg.norm(w))
+        if beta <= tol:
+            beta = 0.0
+        yield Q[:, : k + 1], alphas[: k + 1], betas[:k], beta
+        if beta == 0.0 or k + 1 == cap:
+            return
+        betas[k] = beta
+        q = w / beta
+
+
 def meo_lanczos(hvp, dim, M, epsilon, delta, rng):
     """Minimum-eigenvalue oracle; see the module docstring for the contract.
 
@@ -127,64 +170,20 @@ def meo_lanczos(hvp, dim, M, epsilon, delta, rng):
     q = rng.standard_normal(dim)
     q /= np.linalg.norm(q)
 
-    Q = np.empty((dim, cap))
-    alphas = np.empty(cap)
-    betas = np.empty(max(cap - 1, 0))
-
-    def bottom_ritz(steps):
-        if steps == 1:
-            return float(alphas[0]), np.array([1.0])
-        return bottom_ritz_pair(alphas[:steps], betas[: steps - 1])
-
-    def assemble(steps, s):
-        v = Q[:, :steps] @ s
-        v /= np.linalg.norm(v)
-        return v
-
-    def negative_curvature(steps, s):
-        """Confirm the pair with a direct product; None if not actually
-        below the threshold."""
-        v = assemble(steps, s)
-        lam = float(v @ hvp(v))
-        if lam <= threshold:
-            return MEOResult(NEGATIVE_CURVATURE, steps, lam=lam, v=v)
-        return None
-
     steps = 0
-    theta, s = np.inf, None
-    while steps < cap:
-        w = hvp(q)
-        if not np.isfinite(w).all():
-            raise ValueError("operator returned non-finite values")
-        alpha = float(q @ w)
-        Q[:, steps] = q
-        alphas[steps] = alpha
-        w = w - alpha * q
-        if steps > 0:
-            w = w - betas[steps - 1] * Q[:, steps - 1]
-        # Full reorthogonalization against the stored basis.
-        w = w - Q[:, : steps + 1] @ (Q[:, : steps + 1].T @ w)
-        steps += 1
-
-        theta, s = bottom_ritz(steps)
-        beta = float(np.linalg.norm(w))
-
-        if beta <= BREAKDOWN_TOL * scale:
-            break  # invariant subspace: the bottom Ritz pair is exact there
-
-        # Ritz residual ||H v - theta v|| = beta * |last component of s|.
-        if theta <= threshold and beta * abs(s[-1]) <= CONV_TOL * scale:
-            found = negative_curvature(steps, s)
-            if found is not None:
-                return found
-
-        if steps < cap:
-            betas[steps - 1] = beta
-            q = w / beta
-
-    # Breakdown or the step cap: the bottom Ritz pair decides.
-    if theta <= threshold:
-        found = negative_curvature(steps, s)
-        if found is not None:
-            return found
+    for Q, alphas, betas, beta in lanczos(hvp, q, cap, BREAKDOWN_TOL * scale):
+        steps = len(alphas)
+        if steps == 1:
+            theta, s = float(alphas[0]), np.array([1.0])
+        else:
+            theta, s = bottom_ritz_pair(alphas, betas)
+        # Ritz residual ||H v - theta v|| = beta * |last component of s|,
+        # 0 at breakdown; at the cap the pair is tested whatever its residual.
+        if theta <= threshold and (beta * abs(s[-1]) <= CONV_TOL * scale
+                                   or steps == cap):
+            v = Q @ s
+            v /= np.linalg.norm(v)
+            lam = float(v @ hvp(v))
+            if lam <= threshold:
+                return MEOResult(NEGATIVE_CURVATURE, steps, lam=lam, v=v)
     return MEOResult(CERTIFICATE, steps)

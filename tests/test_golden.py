@@ -12,10 +12,23 @@ trajectory digest, and any change to what the run pays in the count digest.
 The preset cases run ``ntcg solve`` end to end on LIBSVM files written from
 ``synthetic_nls(3000, 15, seed=1)``; the audit cases call ``run`` directly
 and also pin the audit summary.
+
+A change that moves trajectories re-records the pins from the output of
+
+    PYTHONPATH=src python tests/test_golden.py
+
+which prints ``GOLDEN`` and ``AUDIT`` for the current tree in this file's
+format; with ``--check`` it exits nonzero when they differ from the pins
+here.
 """
 
+import argparse
 import csv
 import hashlib
+import math
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,15 +193,18 @@ def fingerprint(report, csv_path):
     )
 
 
-@pytest.fixture(scope="module")
-def datasets(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden")
+def write_datasets(root):
     paths = {}
     for name, link in (("sigmoid", "sigmoid"), ("tanh", TANH)):
         problem = synthetic_nls(3000, 15, link=link, seed=1)
         paths[name] = str(root / (name + ".libsvm"))
         dump_libsvm(paths[name], problem.A, problem.b)
     return paths
+
+
+@pytest.fixture(scope="module")
+def datasets(tmp_path_factory):
+    return write_datasets(tmp_path_factory.mktemp("golden"))
 
 
 def cli_case(datasets, tmp_path, problem, variant, skip_block=True, eps_h=None):
@@ -291,3 +307,82 @@ def check(case, report, path):
     got = fingerprint(report, path)
     assert got[:5] == tuple(pinned)
     assert got[5] == pytest.approx(final_f, rel=1e-12, abs=0.0)
+
+
+def record_pins(root):
+    """(GOLDEN, AUDIT) of the current tree, from the test cases' runs, each
+    in its own directory under root."""
+    datasets = write_datasets(root)
+    runs, audited = {}, {}
+    for variant in PRESETS:
+        runs[variant] = lambda out, v=variant: cli_case(datasets, out, "nls-sigmoid", v)
+    for case, eps_h in (("tanh-subh-block", None), ("tanh-subh-block-nc", 5e-3)):
+        runs[case] = lambda out, e=eps_h: cli_case(datasets, out, "nls-tanh", "subh",
+                                                    skip_block=False, eps_h=e)
+    for variant in (LINE_SEARCH, FIXED_STEP):
+        for start in sorted(SADDLE_STARTS):
+            audited["saddle-%s-%s" % (variant, start)] = (
+                lambda out, v=variant, s=start: saddle_case(out, v, s))
+    for variant, sampled in ((LINE_SEARCH, True), (LINE_SEARCH, False), (FIXED_STEP, False)):
+        audited["nls-audit-%s-%s" % (variant, "sampled" if sampled else "exact")] = (
+            lambda out, v=variant, s=sampled: nls_audit_case(out, v, s))
+    golden, audit = {}, {}
+    for case, run_case in {**runs, **audited}.items():
+        out = root / case
+        out.mkdir()
+        report, path = run_case(out)
+        golden[case] = fingerprint(report, path)
+        if case in audited:
+            audit[case] = audit_pin(report)
+    return golden, audit
+
+
+def format_pins(name, pins, width=88):
+    """`name = {...}` as this file writes it: an entry on one line when it
+    fits in width columns; else its leading values share an indented line
+    as far as they fit, and each value after them has a line of its own."""
+    lines = [name + " = {"]
+    for case, pin in pins.items():
+        values = ['"%s"' % v if isinstance(v, str) else repr(v) for v in pin]
+        line = '    "%s": (%s),' % (case, ", ".join(values))
+        if len(line) <= width:
+            lines.append(line)
+            continue
+        lines.append('    "%s": (' % case)
+        head = " " * 7
+        while values and len(head) + len(values[0]) + 2 <= width:
+            head += " " + values.pop(0) + ","
+        lines += [head] + ["        %s," % value for value in values] + ["    ),"]
+    return "\n".join(lines + ["}"])
+
+
+def same_golden(got, pinned):
+    """The comparison of `check`: the final f to a relative 1e-12, the rest
+    exactly."""
+    return (got[:5] == pinned[:5]
+            and math.isclose(got[5], pinned[5], rel_tol=1e-12, abs_tol=0.0))
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 when the printed pins differ from the file's")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as root:
+        golden, audit = record_pins(Path(root))
+    print(format_pins("GOLDEN", golden))
+    print()
+    print(format_pins("AUDIT", audit))
+    if not args.check:
+        return 0
+    moved = [case for case in sorted(golden.keys() | GOLDEN.keys())
+             if case not in golden or case not in GOLDEN
+             or not same_golden(golden[case], GOLDEN[case])
+             or audit.get(case) != AUDIT.get(case)]
+    for case in moved:
+        print("pin moved: %s" % case, file=sys.stderr)
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from helpers import MatrixOperator, symmetric_with_spectrum
+from helpers import MatrixOperator, random_symmetric, symmetric_with_spectrum
 from numpy.testing import assert_array_equal
 from scipy.linalg import eigh_tridiagonal
 
-from ntcg import CERTIFICATE, NEGATIVE_CURVATURE, meo_lanczos
-from ntcg.meo import bottom_ritz_pair, meo_iteration_cap
+import ntcg.meo
+from ntcg import CERTIFICATE, NEGATIVE_CURVATURE, ContractViolation, meo_lanczos
+from ntcg.meo import bottom_ritz_pair, lanczos, meo_iteration_cap
 
 
 def planted_operator(rng, dim, lam_min, bulk_low, bulk_high):
@@ -86,6 +87,34 @@ class TestContracts:
         with pytest.raises(ValueError):
             meo_lanczos(H, H.dim, M=1.0, epsilon=0.5, delta=0.0, rng=0)
 
+    def test_nonfinite_operator_rejected(self):
+        # The rule and message capped CG has for a broken operator, which
+        # `ntcg solve` reports as a contract violation.
+        bad = np.zeros((3, 3))
+        bad[0, 0] = np.inf
+        with pytest.raises(ContractViolation, match="operator returned non-finite values"):
+            meo_lanczos(MatrixOperator(bad), 3, M=1.0, epsilon=0.5, delta=0.05, rng=0)
+
+    def test_failed_confirmation_is_paid_for_once(self, monkeypatch):
+        # A 2-step cap with the residual test passing at every step: the
+        # bottom Ritz pair of step 2 is below -eps/2, and the scripted
+        # operator makes its confirming product (the third) fail.  The entry
+        # 1 + 1e-9 keeps step 2 short of breakdown.
+        diag = np.ones(40)
+        diag[:2] = -3.0, 1.0 + 1e-9
+        products = []
+
+        def scripted(v):
+            products.append(v)
+            return diag * v if len(products) <= 2 else v
+
+        monkeypatch.setattr(ntcg.meo, "CONV_TOL", np.inf)
+        M, eps, delta = 0.01, 1.0, 0.5
+        assert meo_iteration_cap(40, M, eps, delta) == 2
+        res = meo_lanczos(scripted, 40, M=M, epsilon=eps, delta=delta, rng=0)
+        assert res.outcome == CERTIFICATE and res.iterations == 2
+        assert len(products) == res.iterations + 1
+
     def test_bad_m_rejected(self):
         H = MatrixOperator(np.eye(3))
         with pytest.raises(ValueError):
@@ -150,3 +179,56 @@ class TestBottomRitzPair:
     def test_nonfinite_input_rejected(self):
         with pytest.raises(ValueError):
             bottom_ritz_pair(np.array([1.0, np.nan]), np.array([0.5]))
+
+
+class TestLanczosProcess:
+    """The process against numpy.linalg.eigh on small dense operators."""
+
+    @staticmethod
+    def run(H, seed, cap=None):
+        q = np.random.default_rng(seed).standard_normal(H.shape[0])
+        q /= np.linalg.norm(q)
+        tol = 1e-12 * np.linalg.norm(H, 2)
+        return list(lanczos(MatrixOperator(H), q, cap or H.shape[0], tol))
+
+    @staticmethod
+    def ritz_values(alphas, betas):
+        return np.linalg.eigvalsh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_full_dimension_gives_the_extreme_eigenvalues(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(5, 31))
+        H = random_symmetric(rng, dim, -2.0, 3.0)
+        steps = self.run(H, seed + 100)
+        assert len(steps) == dim
+        for k, (Q, alphas, betas, beta) in enumerate(steps, 1):
+            assert Q.shape == (dim, k) and alphas.shape == (k,) and betas.shape == (k - 1,)
+            assert np.abs(Q.T @ Q - np.eye(k)).max() <= 1e-12
+            assert beta > 0.0 or k == dim
+        theta = self.ritz_values(*steps[-1][1:3])
+        vals = np.linalg.eigvalsh(H)
+        tol = 1e-10 * np.linalg.norm(H, 2)
+        assert abs(theta[0] - vals[0]) <= tol and abs(theta[-1] - vals[-1]) <= tol
+
+    @pytest.mark.parametrize("rank", (1, 3, 6))
+    def test_breakdown_on_a_low_rank_operator(self, rank):
+        # The Krylov space of q lies in span(q) + range(H), of dimension at
+        # most rank + 1; at breakdown it is invariant, and the Ritz values
+        # are H's nonzero eigenvalues and the 0 of q's null-space part.
+        rng = np.random.default_rng(rank)
+        vals = np.zeros(30)
+        vals[:rank] = rng.uniform(-2.0, 3.0, size=rank)
+        H = symmetric_with_spectrum(rng, vals)
+        steps = self.run(H, rank + 100)
+        assert len(steps) <= rank + 1
+        assert steps[-1][3] == 0.0 and all(step[3] > 0.0 for step in steps[:-1])
+        Q, alphas, betas, _ = steps[-1]
+        assert np.abs(Q.T @ Q - np.eye(len(alphas))).max() <= 1e-12
+        expected = np.sort(np.append(vals[:rank], 0.0))
+        assert np.allclose(self.ritz_values(alphas, betas), expected,
+                           rtol=0.0, atol=1e-10 * np.linalg.norm(H, 2))
+
+    def test_stops_at_the_cap(self):
+        H = random_symmetric(np.random.default_rng(7), 20, -1.0, 1.0)
+        assert len(self.run(H, 8, cap=4)) == 4
