@@ -35,7 +35,8 @@ The oracle, ``meo_lanczos``:
     bottom Ritz pair IS the bottom eigenpair;
   * the test is one direct operator product per pair, and the reported
     lambda is that Rayleigh quotient of the returned v, so v^T H v = lambda
-    and lambda <= -eps/2 hold by construction, never anything weaker.
+    and lambda <= -eps/2 hold by construction, never anything weaker; a
+    non-finite product there raises ContractViolation, as in the process.
 """
 
 import math
@@ -151,9 +152,6 @@ def meo_lanczos(hvp, dim, M, epsilon, delta, rng):
     delta : failure probability in (0, 1).  delta = 0 would make the step
         budget infinite and is rejected.
     rng : seed or numpy Generator for the start vector.
-
-    The breakdown and convergence tolerances are the module constants
-    BREAKDOWN_TOL and CONV_TOL, both relative to max(1, M).
     """
     if not np.isfinite(M) or M <= 0:
         raise ValueError("M must be positive and finite")
@@ -184,6 +182,8 @@ def meo_lanczos(hvp, dim, M, epsilon, delta, rng):
             v = Q @ s
             v /= np.linalg.norm(v)
             lam = float(v @ hvp(v))
+            if not math.isfinite(lam):
+                raise ContractViolation("operator returned non-finite values")
             if lam <= threshold:
                 return MEOResult(NEGATIVE_CURVATURE, steps, lam=lam, v=v)
     return MEOResult(CERTIFICATE, steps)

@@ -17,16 +17,12 @@ A change that moves trajectories re-records the pins from the output of
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints ``GOLDEN`` and ``AUDIT`` for the current tree in this file's
-format; with ``--check`` it exits nonzero when they differ from the pins
-here.
+which runs the cases of ``CASES`` and prints ``GOLDEN`` and ``AUDIT`` for
+the current tree in this file's format.
 """
 
-import argparse
 import csv
 import hashlib
-import math
-import sys
 import tempfile
 from pathlib import Path
 
@@ -259,37 +255,51 @@ def nls_audit_case(tmp_path, variant, sampled):
                        policy=policy)
 
 
-@pytest.mark.parametrize("variant", PRESETS)
-def test_preset_trajectory(datasets, tmp_path, variant):
-    report, path = cli_case(datasets, tmp_path, "nls-sigmoid", variant)
-    check(variant, report, path)
-
-
-@pytest.mark.parametrize("eps_h", (None, 5e-3))
-def test_tanh_subh_with_small_step_block(datasets, tmp_path, eps_h):
+def golden_cases():
+    """case -> (audited, callable(datasets, out_dir) returning (report, run
+    CSV path)), in the order of GOLDEN."""
+    cases = {}
+    for variant in PRESETS:
+        cases[variant] = False, lambda datasets, out, v=variant: cli_case(
+            datasets, out, "nls-sigmoid", v)
     # The smaller eps_H makes capped CG return curvature directions.
-    report, path = cli_case(datasets, tmp_path, "nls-tanh", "subh",
-                            skip_block=False, eps_h=eps_h)
-    check("tanh-subh-block" + ("" if eps_h is None else "-nc"), report, path)
+    for case, eps_h in (("tanh-subh-block", None), ("tanh-subh-block-nc", 5e-3)):
+        cases[case] = False, lambda datasets, out, e=eps_h: cli_case(
+            datasets, out, "nls-tanh", "subh", skip_block=False, eps_h=e)
+    for variant in (LINE_SEARCH, FIXED_STEP):
+        for start in sorted(SADDLE_STARTS):
+            cases["saddle-%s-%s" % (variant, start)] = True, (
+                lambda datasets, out, v=variant, s=start: saddle_case(out, v, s))
+    for variant, sampled in ((LINE_SEARCH, True), (LINE_SEARCH, False),
+                             (FIXED_STEP, False)):
+        cases["nls-audit-%s-%s" % (variant, "sampled" if sampled else "exact")] = True, (
+            lambda datasets, out, v=variant, s=sampled: nls_audit_case(out, v, s))
+    return cases
 
 
-@pytest.mark.parametrize("variant", (LINE_SEARCH, FIXED_STEP))
-@pytest.mark.parametrize("start", sorted(SADDLE_STARTS))
-def test_saddle_audit_trajectory(tmp_path, variant, start):
-    case = "saddle-%s-%s" % (variant, start)
-    report, path = saddle_case(tmp_path, variant, start)
-    check(case, report, path)
-    assert audit_pin(report) == AUDIT[case]
+CASES = golden_cases()
 
 
-@pytest.mark.parametrize("variant, sampled", [
-    (LINE_SEARCH, True), (LINE_SEARCH, False), (FIXED_STEP, False),
-])
-def test_nls_audit_trajectory(tmp_path, variant, sampled):
-    case = "nls-audit-%s-%s" % (variant, "sampled" if sampled else "exact")
-    report, path = nls_audit_case(tmp_path, variant, sampled)
-    check(case, report, path)
-    assert audit_pin(report) == AUDIT[case]
+def case_pins(case, datasets, out):
+    """The GOLDEN pin of case and its AUDIT pin (None without an audit)."""
+    audited, run_case = CASES[case]
+    report, path = run_case(datasets, out)
+    return fingerprint(report, path), audit_pin(report) if audited else None
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_golden_trajectory(datasets, tmp_path, case):
+    golden, audit = case_pins(case, datasets, tmp_path)
+    *pinned, final_f = GOLDEN[case]
+    assert golden[:5] == tuple(pinned)
+    assert golden[5] == pytest.approx(final_f, rel=1e-12, abs=0.0)
+    assert audit == AUDIT.get(case)
+
+
+def test_printed_pins_match_this_file():
+    text = Path(__file__).read_text(encoding="utf-8")
+    assert format_pins("GOLDEN", GOLDEN) in text
+    assert format_pins("AUDIT", AUDIT) in text
 
 
 def audit_pin(report):
@@ -300,41 +310,6 @@ def audit_pin(report):
         audit.get("iteration_bound"),
         "".join("1" if r["ok"] else "0" for r in audit["condition_results"]),
     )
-
-
-def check(case, report, path):
-    *pinned, final_f = GOLDEN[case]
-    got = fingerprint(report, path)
-    assert got[:5] == tuple(pinned)
-    assert got[5] == pytest.approx(final_f, rel=1e-12, abs=0.0)
-
-
-def record_pins(root):
-    """(GOLDEN, AUDIT) of the current tree, from the test cases' runs, each
-    in its own directory under root."""
-    datasets = write_datasets(root)
-    runs, audited = {}, {}
-    for variant in PRESETS:
-        runs[variant] = lambda out, v=variant: cli_case(datasets, out, "nls-sigmoid", v)
-    for case, eps_h in (("tanh-subh-block", None), ("tanh-subh-block-nc", 5e-3)):
-        runs[case] = lambda out, e=eps_h: cli_case(datasets, out, "nls-tanh", "subh",
-                                                    skip_block=False, eps_h=e)
-    for variant in (LINE_SEARCH, FIXED_STEP):
-        for start in sorted(SADDLE_STARTS):
-            audited["saddle-%s-%s" % (variant, start)] = (
-                lambda out, v=variant, s=start: saddle_case(out, v, s))
-    for variant, sampled in ((LINE_SEARCH, True), (LINE_SEARCH, False), (FIXED_STEP, False)):
-        audited["nls-audit-%s-%s" % (variant, "sampled" if sampled else "exact")] = (
-            lambda out, v=variant, s=sampled: nls_audit_case(out, v, s))
-    golden, audit = {}, {}
-    for case, run_case in {**runs, **audited}.items():
-        out = root / case
-        out.mkdir()
-        report, path = run_case(out)
-        golden[case] = fingerprint(report, path)
-        if case in audited:
-            audit[case] = audit_pin(report)
-    return golden, audit
 
 
 def format_pins(name, pins, width=88):
@@ -356,33 +331,19 @@ def format_pins(name, pins, width=88):
     return "\n".join(lines + ["}"])
 
 
-def same_golden(got, pinned):
-    """The comparison of `check`: the final f to a relative 1e-12, the rest
-    exactly."""
-    return (got[:5] == pinned[:5]
-            and math.isclose(got[5], pinned[5], rel_tol=1e-12, abs_tol=0.0))
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 when the printed pins differ from the file's")
-    args = parser.parse_args(argv)
+def main():
     with tempfile.TemporaryDirectory() as root:
-        golden, audit = record_pins(Path(root))
+        root = Path(root)
+        datasets = write_datasets(root)
+        golden, audit = {}, {}
+        for case in CASES:
+            out = root / case
+            out.mkdir()
+            golden[case], audit[case] = case_pins(case, datasets, out)
     print(format_pins("GOLDEN", golden))
     print()
-    print(format_pins("AUDIT", audit))
-    if not args.check:
-        return 0
-    moved = [case for case in sorted(golden.keys() | GOLDEN.keys())
-             if case not in golden or case not in GOLDEN
-             or not same_golden(golden[case], GOLDEN[case])
-             or audit.get(case) != AUDIT.get(case)]
-    for case in moved:
-        print("pin moved: %s" % case, file=sys.stderr)
-    return 1 if moved else 0
+    print(format_pins("AUDIT", {case: pin for case, pin in audit.items() if pin is not None}))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

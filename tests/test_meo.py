@@ -95,6 +95,21 @@ class TestContracts:
         with pytest.raises(ContractViolation, match="operator returned non-finite values"):
             meo_lanczos(MatrixOperator(bad), 3, M=1.0, epsilon=0.5, delta=0.05, rng=0)
 
+    def test_nonfinite_confirming_product_rejected(self):
+        # Exact products for the three Lanczos steps, then NaN for the
+        # product that tests the bottom Ritz pair (lambda_min = -2 < -eps):
+        # refused, never a certificate.
+        diag = np.array([-2.0, 1.0, 1.5])
+        products = []
+
+        def scripted(v):
+            products.append(v)
+            return diag * v if len(products) <= 3 else np.full(3, np.nan)
+
+        with pytest.raises(ContractViolation, match="operator returned non-finite values"):
+            meo_lanczos(scripted, 3, M=2.0, epsilon=1.0, delta=0.05, rng=0)
+        assert len(products) == 4
+
     def test_failed_confirmation_is_paid_for_once(self, monkeypatch):
         # A 2-step cap with the residual test passing at every step: the
         # bottom Ritz pair of step 2 is below -eps/2, and the scripted
