@@ -9,7 +9,9 @@ matrix-vector product per iteration is recovered from stored iterates:
   Hbar y_j = r_j - g            (residual identity, y_0 = 0)
   H r_j    = beta_j H p_{j-1} - H p_j
 
-so a run costs exactly ``iterations + 1`` operator applications.
+The ``y`` and ``SOL`` tests of iteration j read only the first, so H p_j is
+taken after them: a run costs ``iterations`` operator applications when it
+ends there, and ``iterations + 1`` when it ends in any other way.
 """
 
 import math
@@ -38,6 +40,9 @@ class CappedCGResult:
     a fresh one, so a caller scaling d needs no operator application.  The
     "y" and "slow_decay" directions have it only through the residual
     identity, which differs in the last bits, so they leave it None.
+
+    M_final is the curvature bound at the exit; a "SOL" or "y" exit comes
+    before the iteration's product H p, which could only have raised it.
     """
 
     d_type: str
@@ -190,30 +195,34 @@ def capped_cg(hvp, g, epsilon, zeta, M_init=0.0):
         ys.append(y)
         rs.append(r)
 
-        Hp = hvp(p)
-        if not np.isfinite(Hp).all():
-            raise ContractViolation("operator returned non-finite values")
-        pp, yy = p @ p, y @ y
-        # Curvature-bound update from the three directions at hand; Hy and
-        # Hr come from stored quantities, not extra products.
+        # The y and SOL tests need Hy only (the SOL bound needs M >= ||Hy||
+        # / ||y||), so a run ending there never pays for H p.
+        yy = y @ y
         Hy = r - g - 2.0 * eps * y
-        Hr = beta * Hp_prev - Hp
-        observed = max(_safe_ratio(Hp, pp), _safe_ratio(Hy, yy), _safe_ratio(Hr, rr))
+        observed = _safe_ratio(Hy, yy)
         if observed > M:
             M = observed
             _, zeta_hat, tau, T = _derived(M, eps, zeta)
             cap = None
-
         norm_r = math.sqrt(rr)
-        y_bar_y = y @ Hy + 2.0 * eps * yy
-        p_bar_p = p @ Hp + 2.0 * eps * pp
-
-        if y_bar_y <= eps * yy:
+        if y @ Hy + 2.0 * eps * yy <= eps * yy:
             return CappedCGResult(NC, y, iterations=j, M_final=M, nc_source="y")
         if norm_r <= zeta_hat * norm_r0:
             return CappedCGResult(
                 SOL, y, iterations=j, M_final=M, residual_norm=norm_r
             )
+
+        Hp = hvp(p)
+        if not np.isfinite(Hp).all():
+            raise ContractViolation("operator returned non-finite values")
+        pp = p @ p
+        Hr = beta * Hp_prev - Hp
+        observed = max(_safe_ratio(Hp, pp), _safe_ratio(Hr, rr))
+        if observed > M:
+            M = observed
+            _, zeta_hat, tau, T = _derived(M, eps, zeta)
+            cap = None
+        p_bar_p = p @ Hp + 2.0 * eps * pp
         if p_bar_p <= eps * pp:
             return CappedCGResult(NC, p, iterations=j, M_final=M, nc_source="p",
                                   curvature=float(p @ Hp))

@@ -1,11 +1,21 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from helpers import MatrixOperator, random_symmetric, symmetric_with_spectrum
 
 from ntcg import NC, SOL, ContractViolation, capped_cg, j_cap
-from ntcg.capped_cg import _derived, _norm
+from ntcg.capped_cg import (
+    CappedCGResult,
+    _derived,
+    _norm,
+    _safe_ratio,
+    extract_accumulated_nc,
+)
+
+# The package exports the function capped_cg under the module's name.
+CAPPED_CG_MODULE = sys.modules["ntcg.capped_cg"]
 
 
 def solve_dense(H, g, eps):
@@ -89,14 +99,146 @@ class TestSolBranch:
         check_sol_invariants(H, g, eps, 0.5, res)
         assert res.iterations <= min(dim, j_cap(res.M_final, eps, 0.5))
 
-    def test_matvec_economy(self):
-        # One product per iteration plus the initial one.
-        rng = np.random.default_rng(3)
-        H = random_symmetric(rng, 20, 1.0, 4.0)
+    def test_no_product_after_the_sol_decision(self):
+        # An operator that breaks once the SOL exit is decided: the run
+        # never asks it for the product of the last direction.
+        H, g, eps = exit_instance(SOL)
+        iterations = capped_cg(MatrixOperator(H), g, epsilon=eps, zeta=0.5).iterations
+        assert iterations >= 2
+        calls = []
+
+        def hvp(v):
+            calls.append(v)
+            return H @ v if len(calls) <= iterations else np.full_like(v, np.nan)
+
+        res = capped_cg(hvp, g, epsilon=eps, zeta=0.5)
+        assert (res.d_type, res.iterations, len(calls)) == (SOL, iterations, iterations)
+
+
+def exit_instance(source):
+    """(H, g, eps) on which capped CG ends in SOL or the NC exit `source`."""
+    if source == "p0":
+        return -np.eye(3), np.ones(3), 0.1
+    rng = np.random.default_rng({SOL: 3, "p": 100, "y": 93}[source])
+    if source == SOL:
+        return random_symmetric(rng, 20, 1.0, 4.0), rng.standard_normal(20), 0.05
+    if source == "p":
+        dim, eps = int(rng.integers(3, 30)), float(rng.uniform(0.05, 0.4))
+        vals = rng.uniform(0.5, 3.0, size=dim)
+        vals[0] = -2.0 * eps - rng.uniform(0.1, 2.0)
+    else:
+        dim, eps = int(rng.integers(2, 8)), 0.1
+        vals = rng.uniform(-1, 1, size=dim)
+    return symmetric_with_spectrum(rng, vals), rng.standard_normal(dim), eps
+
+
+class TestProductCount:
+    # The initial product, then one per iteration that gets past the y and
+    # SOL tests: a SOL or y exit at iteration j pays for j products, a p or
+    # slow-decay exit for j + 1.
+
+    @staticmethod
+    def run(source):
+        H, g, eps = exit_instance(source)
         op = MatrixOperator(H)
-        res = capped_cg(op, rng.standard_normal(20),
-                        epsilon=0.05, zeta=0.5)
-        assert op.n_applies == res.iterations + 1
+        res = capped_cg(op, g, epsilon=eps, zeta=0.5)
+        return res, op.n_applies
+
+    @pytest.mark.parametrize("source,extra", [(SOL, 0), ("p0", 1), ("y", 0), ("p", 1)])
+    def test_exit(self, source, extra):
+        res, products = self.run(source)
+        assert (res.nc_source or res.d_type) == source
+        assert res.iterations >= (source != "p0")
+        assert products == res.iterations + extra
+
+    def test_slow_decay(self, monkeypatch):
+        # No consistent operator is known to reach this exit (random spectra
+        # never do), so T = 0 makes the slow-decay test fire at j = 1; the
+        # "y" instance then finds its direction among the iterates.
+        derived = CAPPED_CG_MODULE._derived
+        monkeypatch.setattr(CAPPED_CG_MODULE, "_derived",
+                            lambda M, eps, zeta: derived(M, eps, zeta)[:3] + (0.0,))
+        res, products = self.run("y")
+        assert (res.nc_source, res.iterations, products) == ("slow_decay", 1, 2)
+
+
+def product_first_capped_cg(hvp, g, eps, zeta, M_init):
+    """Capped CG as it was before the y and SOL tests went ahead of the
+    product: H p_j at the top of every iteration and M raised from all
+    three ratios before any test."""
+    M = float(M_init)
+    _, zeta_hat, tau, T = _derived(M, eps, zeta)
+    y, r, p = np.zeros(g.shape[0]), g.copy(), -g
+    rr, norm_r0 = r @ r, _norm(g)
+    Hp = hvp(p)
+    pp = p @ p
+    p_bar_p = p @ Hp + 2.0 * eps * pp
+    if p_bar_p < eps * pp:
+        return CappedCGResult(NC, p, iterations=0, M_final=M, nc_source="p0")
+    if _safe_ratio(Hp, pp) > M:
+        M = _safe_ratio(Hp, pp)
+        _, zeta_hat, tau, T = _derived(M, eps, zeta)
+    ys, rs, j = [y], [r], 0
+    while True:
+        alpha = rr / p_bar_p
+        y = y + alpha * p
+        r_new = r + alpha * (Hp + 2.0 * eps * p)
+        rr_new = r_new @ r_new
+        beta = rr_new / rr
+        Hp_prev, r, rr, p = Hp, r_new, rr_new, -r_new + beta * p
+        j += 1
+        ys.append(y)
+        rs.append(r)
+        Hp = hvp(p)
+        pp, yy = p @ p, y @ y
+        Hy = r - g - 2.0 * eps * y
+        observed = max(_safe_ratio(Hp, pp), _safe_ratio(Hy, yy),
+                       _safe_ratio(beta * Hp_prev - Hp, rr))
+        if observed > M:
+            M = observed
+            _, zeta_hat, tau, T = _derived(M, eps, zeta)
+        norm_r = math.sqrt(rr)
+        p_bar_p = p @ Hp + 2.0 * eps * pp
+        if y @ Hy + 2.0 * eps * yy <= eps * yy:
+            return CappedCGResult(NC, y, iterations=j, M_final=M, nc_source="y")
+        if norm_r <= zeta_hat * norm_r0:
+            return CappedCGResult(SOL, y, iterations=j, M_final=M)
+        if p_bar_p <= eps * pp:
+            return CappedCGResult(NC, p, iterations=j, M_final=M, nc_source="p")
+        if norm_r >= math.sqrt(T) * (1.0 - tau) ** (j / 2.0) * norm_r0:
+            alpha = rr / p_bar_p
+            found = extract_accumulated_nc(ys[:j], rs[:j], y + alpha * p,
+                                           r + alpha * (Hp + 2.0 * eps * p), eps)
+            return CappedCGResult(NC, found[1], iterations=j, M_final=M,
+                                  nc_source="slow_decay")
+        assert j < min(g.shape[0], j_cap(M, eps, zeta))
+
+
+def test_same_directions_as_the_product_first_loop():
+    # With M_init = ||H||_2 the product a SOL or y exit skips could never
+    # have raised M, so every run returns the same bits as the loop that
+    # takes it.
+    exits = []
+    for seed in range(200):
+        rng = np.random.default_rng(5000 + seed)
+        eps = float(rng.uniform(0.01, 0.5))
+        if seed % 3 == 0:
+            dim = int(rng.integers(2, 40))
+            H = random_symmetric(rng, dim, eps, eps + rng.uniform(0.5, 8.0))
+        else:
+            # Small spread-out spectra end in "y" now and then, the wide
+            # ones mostly in "p".
+            dim = int(rng.integers(2, 8 if seed % 3 == 1 else 40))
+            H = symmetric_with_spectrum(rng, rng.uniform(-1.0, 3.0, size=dim))
+        g = rng.standard_normal(dim)
+        M_init = np.linalg.norm(H, 2)
+        new = capped_cg(MatrixOperator(H), g, epsilon=eps, zeta=0.5, M_init=M_init)
+        old = product_first_capped_cg(MatrixOperator(H), g, eps, 0.5, M_init)
+        assert new.d.tobytes() == old.d.tobytes()
+        assert ((new.d_type, new.nc_source, new.iterations)
+                == (old.d_type, old.nc_source, old.iterations))
+        exits.append(new.nc_source or new.d_type)
+    assert set(exits) >= {SOL, "y", "p", "p0"}
 
 
 class TestNCBranch:
@@ -126,26 +268,12 @@ class TestNCBranch:
             d = res.d
             assert d @ (H @ d) < -eps * (d @ d) + 1e-12
 
-    @staticmethod
-    def _instance(source):
-        if source == "p0":
-            return -np.eye(3), np.ones(3), 0.1
-        rng = np.random.default_rng({"p": 100, "y": 93}[source])
-        if source == "p":
-            dim, eps = int(rng.integers(3, 30)), float(rng.uniform(0.05, 0.4))
-            vals = rng.uniform(0.5, 3.0, size=dim)
-            vals[0] = -2.0 * eps - rng.uniform(0.1, 2.0)
-        else:
-            dim, eps = int(rng.integers(2, 8)), 0.1
-            vals = rng.uniform(-1, 1, size=dim)
-        return symmetric_with_spectrum(rng, vals), rng.standard_normal(dim), eps
-
     @pytest.mark.parametrize("source", ["p0", "p", "y"])
     def test_curvature_is_returned_where_cg_formed_it(self, source):
         # p0 and p: d^T H d from the product CG took, bit for bit what a
         # fresh product gives.  y: only the residual identity has it, which
         # is not bit-identical, so the caller pays for the product.
-        H, g, eps = self._instance(source)
+        H, g, eps = exit_instance(source)
         op = MatrixOperator(H)
         res = capped_cg(op, g, epsilon=eps, zeta=0.5)
         assert (res.d_type, res.nc_source) == (NC, source)
@@ -160,8 +288,6 @@ class TestNCBranch:
         # first), so the extraction scan is exercised directly on iterate
         # and residual sequences satisfying the CG residual identity
         # r_i = r_0 + Hbar y_i.
-        from ntcg.capped_cg import extract_accumulated_nc
-
         rng = np.random.default_rng(7)
         dim = 12
         eps = 0.25

@@ -18,7 +18,8 @@ A change that moves trajectories re-records the pins from the output of
     PYTHONPATH=src python tests/test_golden.py
 
 which runs the cases of ``CASES`` and prints ``GOLDEN`` and ``AUDIT`` for
-the current tree in this file's format.
+the current tree in this file's format, then one comment line per case
+naming the pin fields that differ from the committed pins.
 """
 
 import csv
@@ -57,51 +58,51 @@ COUNT_COLUMNS = ("f_calls", "grad_calls", "hv_calls", "props")
 #          final f)
 GOLDEN = {
     "full": (
-        "CertifiedAtCurrentPoint", 472, 15732000,
+        "CertifiedAtCurrentPoint", 472, 10080000,
         "b66a841cf6579ddb2a6273b1530aac1b7d00852b1e775c6b3e0206bf4386289a",
-        "2aa6025a9a2eb62856f6aa6f6ba21ef49b1ef50f562827c972c481bc8e4bd29a",
+        "f3961280d71e28782f273df4a2509463fecaab3fc6cae86afb1961595eeca792",
         0.12799617610203531,
     ),
     "subh": (
-        "CertifiedAtCurrentPoint", 472, 4407000,
+        "CertifiedAtCurrentPoint", 472, 4350480,
         "e6cb21b76529e273735ee0905e3621b061a3c5db056058ddb022aad9ebc87a63",
-        "f001f0c5cc389333eb312a9e10aa8f0cb92a603fbf70c15e2b3340dcebcda512",
+        "72971dd14cce7c3dfdec9fae13cd852eac3932510bed8fbe25d84347b8b80912",
         0.12799576718562336,
     ),
     "inexact-full-eval": (
-        "ContractViolation", 224, 1013214,
+        "ContractViolation", 224, 986334,
         "bacb71984d33969956064c4d80b76b8dd7e9668df081e60e18067128db3e1e47",
-        "f481ed04a1edb2d115ae2290844f943d0a349b59036084e11beeebf77caf2f0f",
+        "c82f77a13b0f2e93af5776f305ac70dbc3bc6958552b40fd56f50908719f74ee",
         0.1313462703047632,
     ),
     "inexact-fixed": (
-        "CertifiedAtCurrentPoint", 2362, 5813148,
+        "CertifiedAtCurrentPoint", 2362, 5529828,
         "f4da15629abc6903d96b73de3b53951ec7abada07ca37c5ebcfe7c7ed7ed96c5",
-        "f6d4f0ea4aa9b49fed1909944bb3ad43bebb59355186f98b517ec87e1d270ef5",
+        "7bb8aa199b874a2d212eb13592400fa2753cace7edaf57b11b07521c0c1f2a8e",
         0.1279962126943314,
     ),
     "inexact-sub-eval": (
-        "CertifiedAtCurrentPoint", 2490, 2799498,
+        "CertifiedAtCurrentPoint", 2490, 2500818,
         "7a5a3a2fbb8250a34058cbd06e785aa105f80f7cfc86b6f6fb1bc51163f09090",
-        "3cec103c1318460cd597beb4d378ab00f0380c13188f0b597f1673be90d75a1a",
+        "90f8f7f3daef864a47ec6cd4aa22df1bb13f95fd21a903da20410fd53d7dde5f",
         0.12694902912443676,
     ),
     "tanh-subh-block": (
-        "FirstOrderAndCertified", 416, 3901440,
+        "FirstOrderAndCertified", 416, 3851520,
         "cf8dbe2f85500cd2b10d0e2481dd76c04caf3d652c6c7cbc989a4e285935f2c2",
-        "d02f1006791b52fb9a02c753f6631195b289576dab1c88bb7e342203d21b6c77",
+        "5d50e6e67fa8a86ab600b9ee73f06753d1f51bfd22305d95d1f9322426c20b0c",
         0.15000955704296065,
     ),
     "tanh-subh-block-nc": (
-        "FirstOrderAndCertified", 48, 560040,
+        "FirstOrderAndCertified", 48, 555960,
         "de5c1a247646a161f527e4a2e911fcdebfd4d09fa253c7302bd86adde02211c4",
-        "4b5281a7804e67af16be53e677e329833d735d5b0774fdc08b49adf49446ae3d",
+        "e12e6f44e4ef0e433841b760374b2731ee12c6d43f650db2619c5cb20bbaef33",
         0.14933480332971924,
     ),
     "saddle-LineSearch-negative-axis": (
-        "FirstOrderAndCertified", 3, 37,
+        "FirstOrderAndCertified", 3, 29,
         "72aa4fe9f3f5cd65e9d8e35248e9d03d77877f4914b7cfa001a78fef4ce48605",
-        "1266a86ad9b0f7ace434904a3fa7cf4551e719da15c4f61667e23a78ebfe0353",
+        "5fc966a604afef767f3cc3f74919ba7d760922e60bb76f6a73b42ac6fd381aa7",
         -0.24999913683030922,
     ),
     "saddle-LineSearch-origin": (
@@ -111,45 +112,45 @@ GOLDEN = {
         -0.25,
     ),
     "saddle-LineSearch-positive-axis": (
-        "FirstOrderAndCertified", 3, 65,
+        "FirstOrderAndCertified", 3, 53,
         "8df1f117dd6b17363439d987033d9535d5dddc8375cdca44f647c7e0bc2e8957",
-        "b10a14462b8c6dd1884e11f491b34280aeae29404160076dc937cabc0cdff27c",
+        "265172b0c2fd78ed6e0300eebb26eb17fd5ed8b56ae69a0b3a3de6b7ceb9d7d7",
         -0.2499999204019439,
     ),
     "saddle-FixedStep-negative-axis": (
-        "FirstOrderAndCertified", 27, 254,
+        "FirstOrderAndCertified", 27, 170,
         "e808148e234e597f0b450df3d903e491f522764ad27683e1cdd5a0ac5dd03fb2",
-        "b73bde485d5ff5bebf0be2f20b98e680e9c54d85bf893f97ff392c07d5dee8fc",
+        "20c7f1d0def2f8c0968809ef7cba98aadc54b92cd9470e7fc3b9f5c117d47263",
         -0.24999955744584304,
     ),
     "saddle-FixedStep-origin": (
-        "FirstOrderAndCertified", 28, 268,
+        "FirstOrderAndCertified", 28, 184,
         "d443a7f556534f83a82142a387749e7a3cf5a9bd8ee03cceb6ac17e57d14a7c7",
-        "a0b052b579f78cb4d509605018d7264c6c366d122babe0ec5298ac3ed244ee42",
+        "09ad7c48acea4f6203c152e0cdfd7fc82761083a993c62824e29fc94763977f1",
         -0.24999959721471054,
     ),
     "saddle-FixedStep-positive-axis": (
-        "FirstOrderAndCertified", 29, 290,
+        "FirstOrderAndCertified", 29, 198,
         "d8695486b18a49db3ae08eb2fc12ae15dca51782764b3258cf1334e1d9384ba0",
-        "cf6fc1c06dc6bd71a5bece12c87d482e9b0567c4c9fe227eb738b544a5314fff",
+        "7bc2b68dfef1334798f9b66bf25381dedb840f6358d9f9ecb7a725175eb6d2eb",
         -0.24999959683683262,
     ),
     "nls-audit-LineSearch-sampled": (
-        "MaxIters", 40, 46780,
+        "MaxIters", 40, 41980,
         "b39c30206e59b737e86d59646f2196988b31ee2c5bdd7ca766341ddfe827120b",
-        "e18289e5accecd349859abd0113b547b964586b1c6bbe406f12f48f23858ef2a",
+        "2140f0923bbdb69e1b39ce7c809454bbe01153312ea1d9f78d3031910c5c2dd1",
         0.11450239122340579,
     ),
     "nls-audit-LineSearch-exact": (
-        "FirstOrderAndCertified", 86, 289800,
+        "FirstOrderAndCertified", 86, 186600,
         "f7ba6eceb7d52c2f6f0060925185649d660d878d01f21849eb75140118ee4135",
-        "bdfbd104e51bdb6defc88a24d9fdb675df19bb21fd1301d175d6ac58db7553a3",
+        "8b01f64b01c1a7b47ec9423120590a41cae97b4bd98bc4e0686ef1205e8b0fcf",
         0.0948241170207906,
     ),
     "nls-audit-FixedStep-exact": (
-        "FirstOrderAndCertified", 209, 633000,
+        "FirstOrderAndCertified", 209, 382200,
         "827892f7d185b6b657464f8efa53a6c49639aa9e6da02f5b1582b93bb3c0242f",
-        "bf750f8c58cce86d3aa1ff0afbe957311e275cece797e3eaae4b65f0c70fa45e",
+        "8057198fb4d91030a60bf91a95f0885a74c70833d52ab12da1f9366efcb7a52a",
         0.09491784979367379,
     ),
 }
@@ -302,6 +303,18 @@ def test_printed_pins_match_this_file():
     assert format_pins("AUDIT", AUDIT) in text
 
 
+def test_changed_fields_name_what_moved():
+    case = "saddle-LineSearch-origin"
+    assert changed_fields(case, GOLDEN[case], AUDIT[case]) == []
+    golden, audit = list(GOLDEN[case]), list(AUDIT[case])
+    golden[2] += 1
+    golden[5] *= 1 + 1e-9
+    audit[0] += 1
+    assert changed_fields(case, golden, audit) == ["props", "final f", "audit checks"]
+    assert changed_fields(case, golden, None) == ["props", "final f", "audit"]
+    assert changed_fields("new-case", golden, None) == ["not pinned"]
+
+
 def audit_pin(report):
     audit = report.audit
     return (
@@ -331,6 +344,30 @@ def format_pins(name, pins, width=88):
     return "\n".join(lines + ["}"])
 
 
+GOLDEN_FIELDS = ("termination", "iterations", "props", "trajectory digest",
+                 "count digest", "final f")
+AUDIT_FIELDS = ("audit checks", "audit violations", "audit iteration bound",
+                "audit conditions")
+
+
+def changed_fields(case, golden, audit):
+    """Names of the fields of case's pins that differ from the committed
+    ones, by the comparisons of test_golden_trajectory."""
+    if case not in GOLDEN:
+        return ["not pinned"]
+    *pinned, final_f = GOLDEN[case]
+    same = [a == b for a, b in zip(golden[:5], pinned)]
+    same.append(golden[5] == pytest.approx(final_f, rel=1e-12, abs=0.0))
+    changed = [name for name, ok in zip(GOLDEN_FIELDS, same) if not ok]
+    old_audit = AUDIT.get(case)
+    if (audit is None) != (old_audit is None):
+        return changed + ["audit"]
+    if audit is not None:
+        changed += [name for name, new, old in zip(AUDIT_FIELDS, audit, old_audit)
+                    if new != old]
+    return changed
+
+
 def main():
     with tempfile.TemporaryDirectory() as root:
         root = Path(root)
@@ -343,6 +380,10 @@ def main():
     print(format_pins("GOLDEN", golden))
     print()
     print(format_pins("AUDIT", {case: pin for case, pin in audit.items() if pin is not None}))
+    print()
+    for case in CASES:
+        changed = changed_fields(case, golden[case], audit[case])
+        print("# %s: %s" % (case, ", ".join(changed) or "unchanged"))
 
 
 if __name__ == "__main__":

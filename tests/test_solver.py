@@ -417,7 +417,7 @@ class TestRunLineSearch:
         cfg = SolverConfig(eps_g=1e-3, max_outer_iters=20)
         first, second = (run(problem, cfg, x0=np.zeros(5), audit=True)
                          for _ in range(2))
-        assert first.ledger["props"] == 66300
+        assert first.ledger["props"] == 42300
         assert [r.props for r in first.records] == [r.props for r in second.records]
         assert first.ledger == second.ledger
         assert first.audit_ledger == second.audit_ledger

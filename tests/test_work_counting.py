@@ -141,3 +141,19 @@ def test_audited_run_values_each_point_once(name):
     assert points == (30 if name == "full" else 31)
     assert report.audit_ledger["f_calls"] == points * problem.n
     assert_paid_once(calls)
+
+
+def test_capped_cg_pays_no_product_after_a_sol_exit():
+    # A SOL exit at iteration j takes the initial product and one for each
+    # of the j - 1 iterations before it, each over all n rows under `full`.
+    problem = synthetic_nls(5000, 20, seed=0)
+    policy, variant, settings = preset("full", problem.n)
+    report = run(problem, SolverConfig(eps_g=1e-3, **settings),
+                 policy=policy, variant=variant)
+    sol = 0
+    for before, record in zip([0] + [r.hv_calls for r in report.records],
+                              report.records):
+        if record.d_type == "SOL":
+            sol += 1
+            assert record.hv_calls - before == record.cg_iters * problem.n
+    assert sol > 400
