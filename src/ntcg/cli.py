@@ -24,7 +24,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,7 +100,6 @@ class ExperimentSpec:
                              % (min_dim, self.problem, self.dim))
         if self.welsch_alpha is not None:
             check_interval(self.welsch_alpha, "--welsch-alpha", 0.0, math.inf)
-        _, variant, settings = solver.preset(self.variant, 1)
         # One setting at a time, so the error names the one at fault.
         for key, value in self.config.items():
             if key not in _CONFIG_TYPES:
@@ -110,20 +109,8 @@ class ExperimentSpec:
             except ValueError as exc:
                 raise ValueError("%s: %s" % (_SOLVER_FLAGS.get(key)
                                              or "config key %r" % key, exc)) from None
-            if (key in ("alpha_sol_fixed", "alpha_nc_fixed") and value is not None
-                    and variant != solver.FIXED_STEP):
-                fixed = ", ".join(repr(name) for name, (*_, rule)
-                                  in solver.PRESETS.items() if rule == solver.FIXED_STEP)
-                raise ValueError("step-size overrides apply to variant %s only; "
-                                 "%r would ignore %s"
-                                 % (fixed, self.variant, _SOLVER_FLAGS[key]))
-        # The settings the run would get, under run's FixedStep rule.
-        cfg = solver.SolverConfig(**{**settings, **self.config, "seed": self.seed})
-        if (variant == solver.FIXED_STEP and cfg.alpha_sol_fixed is None
-                and cfg.skip_small_step_block):
-            raise ValueError("variant %r derives its Newton step only with the "
-                             "small-step block; give --alpha-sol or "
-                             "--no-skip-small-step-block" % (self.variant,))
+        # Then together, under the preset's step rule.
+        solver.preset(self.variant, 1, seed=self.seed, **self.config)
 
 
 def build_problem(spec):
@@ -160,18 +147,17 @@ def run_experiment(spec):
     """
     out_dir = Path(spec.out)
     problem, constants, x0 = build_problem(spec)
-    policy, variant, settings = solver.preset(spec.variant, problem.n)
+    policy, variant, config = solver.preset(spec.variant, problem.n, **spec.config)
 
     reports = []
     exit_code = EXIT_OK
     csv_paths = []
     for r in range(spec.repeats):
         seed = spec.seed + r
-        config = solver.SolverConfig(**{**settings, **spec.config, "seed": seed})
         try:
             report = solver.run(
                 problem,
-                config,
+                replace(config, seed=seed),
                 policy=policy,
                 variant=variant,
                 constants=constants,

@@ -47,14 +47,10 @@ class _BaseNewtonCG(_ParamsMixin):
     def _fit_problem(self, X, y, link, alpha=1.0):
         X, y = check_X_y(X, y)
         problem = NLSProblem(X, y, link=link, alpha=alpha)
-        config = solver.SolverConfig(
-            eps_g=self.eps,
-            max_outer_iters=self.max_iter,
-            skip_small_step_block=self.skip_small_step_block,
-            seed=self.seed,
-        )
-        policy, variant, _ = solver.preset(
-            "inexact-full-eval" if self.subsample else "full", problem.n
+        policy, variant, config = solver.preset(
+            "inexact-full-eval" if self.subsample else "full", problem.n,
+            eps_g=self.eps, max_outer_iters=self.max_iter,
+            skip_small_step_block=self.skip_small_step_block, seed=self.seed,
         )
         report = solver.run(problem, config, policy=policy, variant=variant,
                             x0=np.zeros(problem.dim))

@@ -48,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._validation import as_generator, check_interval, check_vector
+from ._validation import check_interval, check_vector
 from .audit import _Audit
 from .capped_cg import NC, SOL, capped_cg
 from .exceptions import ContractViolation
@@ -95,7 +95,7 @@ class SolverConfig:
     max_outer_iters: int = 10_000
     max_ls_trials: int = 60
     skip_small_step_block: bool = False
-    seed: int = 0
+    seed: int = 0  # the run's generator is np.random.default_rng(seed)
     # FixedStep overrides replacing the derived formulas (benchmark preset);
     # a LineSearch run rejects them.
     alpha_sol_fixed: Optional[float] = None
@@ -115,15 +115,13 @@ class SolverConfig:
         for name in ("U_H", "alpha_sol_fixed", "alpha_nc_fixed"):
             if getattr(self, name) is not None:
                 check_interval(getattr(self, name), name, 0.0, math.inf)
-        if (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
-                and self.seed < 0):
-            raise ValueError("seed must be a non-negative integer or a numpy "
-                             "Generator, got %r" % (self.seed,))
-        for name in ("max_outer_iters", "max_ls_trials"):
+        for name, kind, least in (("seed", "non-negative", 0),
+                                  ("max_outer_iters", "positive", 1),
+                                  ("max_ls_trials", "positive", 1)):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < 1):
-                raise ValueError("%s must be a positive integer, got %r" % (name, value))
+                    or value < least):
+                raise ValueError("%s must be a %s integer, got %r" % (name, kind, value))
 
 
 # The benchmark presets: name -> (sampling mode, line-search objective, step
@@ -137,8 +135,8 @@ PRESETS = {
 }
 
 
-def preset(name, n):
-    """(policy, variant, settings) of the benchmark preset `name` on n
+def preset(name, n, **fields):
+    """(policy, variant, config) of the benchmark preset `name` on n
     components.
 
     policy : its SamplingPolicy.  "full" evaluates exactly; the others draw
@@ -147,9 +145,10 @@ def preset(name, n):
         "inexact-sub-eval" also estimates the line-search objective (a
         heuristic outside the decrease guarantees).
     variant : FIXED_STEP for "inexact-fixed", else LINE_SEARCH.
-    settings : the SolverConfig fields the preset fills unless the caller
-        gives them: the small-step block skipped (the practical mode), and
-        under FixedStep the steps 0.2 (Newton type) and 0.04 (curvature).
+    config : the SolverConfig of `fields` over the preset's settings: the
+        small-step block skipped (the practical mode), and under FixedStep
+        the steps 0.2 (Newton type) and 0.04 (curvature); checked by
+        :func:`check_step_rule`.
     """
     if name not in PRESETS:
         raise ValueError("unknown preset %r" % (name,))
@@ -164,7 +163,30 @@ def preset(name, n):
     settings = {"skip_small_step_block": True}
     if variant == FIXED_STEP:
         settings.update(alpha_sol_fixed=0.2, alpha_nc_fixed=0.04)
-    return policy, variant, settings
+    config = SolverConfig(**{**settings, **fields})
+    check_step_rule(variant, config)
+    return policy, variant, config
+
+
+def check_step_rule(variant, config):
+    """ValueError for a config that step rule `variant` would not follow:
+    step-size overrides under LineSearch, which ignores them, or FixedStep's
+    derived Newton step without the small-step block, which passes only the
+    steps it is at most 1 for (Royer, O'Neill & Wright 2020)."""
+    if variant == LINE_SEARCH:
+        given = ["%s (%s)" % (name, flag) for name, flag in (
+            ("alpha_sol_fixed", "--alpha-sol"), ("alpha_nc_fixed", "--alpha-nc"))
+            if getattr(config, name) is not None]
+        if given:
+            raise ValueError("step-size overrides apply to FixedStep only (preset "
+                             "'inexact-fixed'); LineSearch would ignore %s"
+                             % " and ".join(given))
+    elif variant != FIXED_STEP:
+        raise ValueError("unknown variant %r" % (variant,))
+    elif config.alpha_sol_fixed is None and config.skip_small_step_block:
+        raise ValueError("FixedStep derives its Newton step only with the small-step "
+                         "block; give alpha_sol_fixed (--alpha-sol) or "
+                         "skip_small_step_block=False (--no-skip-small-step-block)")
 
 
 @dataclass
@@ -427,28 +449,14 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
     policy : SamplingPolicy; defaults to exact evaluation.  An adaptive
         policy's gradient batch starts at policy.grad_batch and moves
         within the run; the policy is frozen and never changes.
-    variant : LINE_SEARCH or FIXED_STEP; LINE_SEARCH raises ValueError if
-        config sets a step-size override, and FIXED_STEP if it derives the
-        Newton step (alpha_sol_fixed None) with the small-step block
-        skipped, where that step can exceed 1 and raise f.
+    variant : LINE_SEARCH or FIXED_STEP; ValueError for a config the step
+        rule refuses (:func:`check_step_rule`).
     constants : ProblemConstants; defaults to problem.constants().
     x0 : start point, default zeros.
     audit : verify per-step floors and caps against exact ledger-exempt
         recomputation (ntcg.audit); any failure raises ContractViolation.
     """
-    if variant not in (LINE_SEARCH, FIXED_STEP):
-        raise ValueError("unknown variant %r" % (variant,))
-    no_overrides = config.alpha_sol_fixed is None and config.alpha_nc_fixed is None
-    if variant == LINE_SEARCH and not no_overrides:
-        raise ValueError("step-size overrides (alpha_sol_fixed, alpha_nc_fixed) "
-                         "apply to FixedStep only; LineSearch would ignore them")
-    if (variant == FIXED_STEP and config.alpha_sol_fixed is None
-            and config.skip_small_step_block):
-        # fixed_step_sol is at most 1 only for ||d|| >= eps_g/eps_H, the
-        # steps the block lets through (Royer, O'Neill & Wright 2020).
-        raise ValueError("FixedStep's derived Newton step (alpha_sol_fixed "
-                         "None) needs the small-step block; give alpha_sol_fixed "
-                         "or set skip_small_step_block=False")
+    check_step_rule(variant, config)
     policy = SamplingPolicy(mode=EXACT) if policy is None else policy
     if constants is None:
         constants = problem.constants()
@@ -460,13 +468,14 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
 
     ledger_start = problem.ledger.snapshot()
     audit_ledger_start = problem.audit_ledger.snapshot()
-    rng = as_generator(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     auditor = None
     audit_f = problem.audit_f
     if audit:
         auditor = _Audit(problem, cfg, constants, variant == FIXED_STEP,
                          policy.mode == EXACT,
-                         guaranteed_step=variant == LINE_SEARCH or no_overrides)
+                         guaranteed_step=(cfg.alpha_sol_fixed is None
+                                          and cfg.alpha_nc_fixed is None))
         audit_f = auditor.f  # values the point the last step reached once
     exact_line_f = policy.line_search_eval == "full"
 

@@ -32,7 +32,7 @@ class MatrixOperator:
 
 def preset_policy(name, n):
     """The sampling policy of preset `name`, for runs that set their own
-    variant and settings."""
+    variant and config."""
     return preset(name, n)[0]
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -275,8 +276,8 @@ class TestSolveCommand:
             argv += ["--config", str(cfgfile)]
         assert main(argv) == 1
         assert capsys.readouterr().err == (
-            "error: step-size overrides apply to variant 'inexact-fixed' only; "
-            "%r would ignore %s\n" % (variant, flag))
+            "error: step-size overrides apply to FixedStep only (preset "
+            "'inexact-fixed'); LineSearch would ignore %s (%s)\n" % (key, flag))
         assert not (tmp_path / "out").exists()
 
     def test_derived_eps_h_outside_its_range_names_its_inputs(self, tmp_path, capsys):
@@ -368,7 +369,7 @@ class TestSolveCommand:
         ([], "theta = 2\n", "config key 'theta': theta must lie in (0, 1), got 2"),
         (["--repeats", "0"], None, "--repeats must be >= 1, got 0"),
         (["--seed", "-3"], None,
-         "seed must be a non-negative integer or a numpy Generator, got -3"),
+         "seed must be a non-negative integer, got -3"),
         (["--welsch-alpha", "nan"], None,
          "--welsch-alpha must be a finite real number, got nan"),
         (["--welsch-alpha", "inf"], None,
@@ -483,9 +484,10 @@ class TestSpecValidation:
         # run() refused it, naming SolverConfig fields.  The file is missing,
         # so a read would raise FileNotFoundError instead.
         data, out = str(tmp_path / "nonexistent"), tmp_path / "out"
-        with pytest.raises(ValueError, match="derives its Newton step only with the "
-                           "small-step block; give --alpha-sol or "
-                           "--no-skip-small-step-block"):
+        with pytest.raises(ValueError, match=re.escape(
+                "FixedStep derives its Newton step only with the small-step "
+                "block; give alpha_sol_fixed (--alpha-sol) or "
+                "skip_small_step_block=False (--no-skip-small-step-block)")):
             run_experiment(ExperimentSpec(
                 problem="nls-sigmoid", variant="inexact-fixed", data=data,
                 out=str(out), config={"alpha_sol_fixed": None}))

@@ -3,6 +3,7 @@ import pytest
 from helpers import MatrixOperator, random_symmetric, symmetric_with_spectrum
 from numpy.testing import assert_array_equal
 from scipy.linalg import eigh_tridiagonal
+from scipy.stats import binom
 
 import ntcg.meo
 from ntcg import CERTIFICATE, NEGATIVE_CURVATURE, ContractViolation, meo_lanczos
@@ -166,6 +167,29 @@ class TestStatistics:
             res = meo_lanczos(op, op.dim, M=2.5, epsilon=1.0, delta=0.05, rng=t)
             if res.outcome == NEGATIVE_CURVATURE:
                 assert res.lam <= -0.5
+
+    @pytest.mark.parametrize("lam_factor", [1.01, 2.0])
+    def test_false_certificates_where_the_step_cap_binds(self, lam_factor):
+        # Planted diagonal of dim 1000 with M = 100 eps, so the cap is 71
+        # steps, far below the dimension: each call stops at the cap, where
+        # a certificate is false with probability at most delta.
+        dim, eps, delta, seeds = 1000, 1.0, 0.05, 200
+        M = 100.0 * eps
+        cap = meo_iteration_cap(dim, M, eps, delta)
+        assert cap == 71
+        diag = np.concatenate([[-lam_factor * eps],
+                               np.random.default_rng(11).uniform(0.0, M, dim - 1)])
+        false, steps = 0, set()
+        for seed in range(seeds):
+            res = meo_lanczos(lambda v: diag * v, dim, M, eps, delta, rng=seed)
+            steps.add(res.iterations)
+            if res.outcome == CERTIFICATE:
+                false += 1
+            else:
+                assert res.lam <= -0.5 * eps
+        assert steps == {cap}
+        # The upper tail of Bin(seeds, delta) at 1e-3.
+        assert false <= binom.isf(1e-3, seeds, delta)
 
 
 class TestBottomRitzPair:

@@ -280,29 +280,61 @@ class TestBlockedHVP:
         assert hv.tobytes() == (A.T @ (c * (A @ v)) / 75).tobytes()
 
 
-# Prints the SHA-256 of one full-set HVP on a 10000 x 100 instance: 8 row
-# blocks at the real block size.
+# Prints the SHA-256 of one full-set HVP or gradient (the method in argv)
+# on a 10000 x 100 instance: 8 row blocks at the real block size.
 _HVP_HASH = """
-import hashlib
+import hashlib, sys
 import numpy as np
 from ntcg import synthetic_nls
 from ntcg.problems import TANH
 problem = synthetic_nls(10000, 100, link=TANH, seed=0)
 rng = np.random.default_rng(1)
 x, v = 0.3 * rng.standard_normal(100), rng.standard_normal(100)
-print(hashlib.sha256(problem.eval_hvp(x, v, problem.full_index_set()).tobytes())
-      .hexdigest())
+idx = problem.full_index_set()
+out = (problem.eval_hvp(x, v, idx) if sys.argv[1] == "eval_hvp"
+       else problem.eval_grad(x, idx))
+print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+# Runs `full` on that instance with the small-step block on, writes the run
+# CSV to argv[1] and prints its SHA-256, the termination and the iterations.
+_RUN_CSV_HASH = """
+import hashlib, sys
+from ntcg import preset, run, synthetic_nls
+from ntcg.problems import TANH
+from ntcg.reporting import write_run_csv
+problem = synthetic_nls(10000, 100, link=TANH, seed=0)
+policy, variant, config = preset("full", problem.n, eps_g=1e-3, eps_H=5e-3,
+                                 skip_small_step_block=False)
+report = run(problem, config, policy=policy, variant=variant)
+write_run_csv(sys.argv[1], report)
+with open(sys.argv[1], "rb") as fh:
+    print(hashlib.sha256(fh.read()).hexdigest(), report.termination, report.iterations)
 """
 
 
-def test_full_set_hvp_does_not_depend_on_the_blas_thread_count():
-    # One BLAS call over all rows splits its sum by thread.
+def outputs_under_blas_threads(script, *args):
+    """The stdout of `script` run with one and with two BLAS threads."""
     src = str(Path(ntcg.__file__).resolve().parents[1])
-    hashes = set()
+    outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", _HVP_HASH], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        hashes.add(out.strip())
-    assert len(hashes) == 1
+        outputs.append(subprocess.run([sys.executable, "-c", script, *args], env=env,
+                                      check=True, capture_output=True, text=True
+                                      ).stdout.strip())
+    return outputs
+
+
+@pytest.mark.parametrize("method", ["eval_hvp", "eval_grad"])
+def test_full_set_hvp_does_not_depend_on_the_blas_thread_count(method):
+    # One BLAS call over all rows splits its sum by thread.
+    one, two = outputs_under_blas_threads(_HVP_HASH, method)
+    assert one == two
+
+
+def test_full_run_csv_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # With the gradient one product over all rows, the two CSVs differed.
+    one, two = outputs_under_blas_threads(_RUN_CSV_HASH, str(tmp_path / "run.csv"))
+    assert one == two
+    assert one.split()[1:] == ["FirstOrderAndCertified", "36"]

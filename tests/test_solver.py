@@ -469,9 +469,28 @@ class TestPresets:
         ("inexact-sub-eval", SamplingPolicy(**_SUB_BOTH_1050, line_search_eval="batch"),
          LINE_SEARCH, {}),
     ])
-    def test_policy_variant_and_settings(self, name, policy, variant, steps):
+    def test_policy_variant_and_config(self, name, policy, variant, steps):
         assert preset(name, 1050) == (
-            policy, variant, {"skip_small_step_block": True, **steps})
+            policy, variant, SolverConfig(skip_small_step_block=True, **steps))
+        # The caller's fields win over the preset's settings.
+        given = {"skip_small_step_block": False, "seed": 5, "eps_g": 1e-4}
+        assert preset(name, 1050, **given)[2] == SolverConfig(**{**steps, **given})
+
+    @pytest.mark.parametrize("name, fields", [
+        ("full", {"alpha_sol_fixed": 0.3}),
+        ("subh", {"alpha_nc_fixed": 0.3}),
+        ("inexact-fixed", {"alpha_sol_fixed": None}),
+    ])
+    def test_refuses_what_run_refuses(self, name, fields):
+        _, variant, _ = preset(name, 1050)
+        with pytest.raises(ValueError) as preset_error:
+            preset(name, 1050, **fields)
+        q = QuadraticProblem(np.ones(2))
+        cfg = SolverConfig(skip_small_step_block=True, **fields)
+        with pytest.raises(ValueError) as run_error:
+            run(q, cfg, variant=variant, x0=np.ones(2), constants=q.constants())
+        assert str(preset_error.value) == str(run_error.value)
+        assert q.ledger.props == 0
 
     def test_unknown_preset_is_rejected(self):
         with pytest.raises(ValueError, match="unknown preset 'exact'"):
@@ -575,8 +594,8 @@ class TestBlockValuedRecords:
     def test_block_size_changes_no_output(self, monkeypatch, tmp_path, name):
         def solve(tag):
             problem = csr_instance()
-            policy, variant, settings = preset(name, problem.n)
-            cfg = SolverConfig(eps_g=1e-3, seed=2, max_outer_iters=40, **settings)
+            policy, variant, cfg = preset(name, problem.n, eps_g=1e-3, seed=2,
+                                          max_outer_iters=40)
             rep = run(problem, cfg, policy=policy, variant=variant)
             path = tmp_path / (tag + ".csv")
             write_run_csv(path, rep)
@@ -611,13 +630,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             SolverConfig(seed=seed)
 
-    @pytest.mark.parametrize("seed", [0, 7, np.int64(3), np.random.default_rng(4)])
-    def test_seeds_and_generators_are_accepted(self, seed):
-        problem = synthetic_nls(200, 4, seed=0)
-        rep = run(problem, SolverConfig(seed=seed, max_outer_iters=2,
-                                        skip_small_step_block=True),
-                  policy=preset_policy("inexact-sub-eval", problem.n))
-        assert rep.iterations == 2
+    @pytest.mark.parametrize("seed", [np.random.default_rng(4), 1.0, "3", None, True])
+    def test_seeds_other_than_integers_are_refused(self, seed):
+        # A Generator seed used to be drawn from by the run, so running one
+        # config twice gave two different runs (props 31,168, then 44,168).
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            SolverConfig(seed=seed)
 
     def test_zeta_must_stay_below_u_h(self):
         q = QuadraticProblem(np.ones(2) * 0.25)

@@ -131,11 +131,10 @@ def test_audited_run_values_each_point_once(name):
     # the final f of a run that hits the cap reuse it.  `full` takes f(x_0)
     # from its first line search, so its audit values one point fewer.
     problem = synthetic_nls(2000, 10, seed=0)
-    policy, variant, settings = preset(name, problem.n)
+    policy, variant, config = preset(name, problem.n, eps_g=1e-3, seed=0,
+                                     max_outer_iters=30)
     calls = count_calls(problem, audit=True)
-    report = run(problem, SolverConfig(eps_g=1e-3, seed=0, max_outer_iters=30,
-                                       **settings),
-                 policy=policy, variant=variant, audit=True)
+    report = run(problem, config, policy=policy, variant=variant, audit=True)
     assert report.termination == TERM_MAX_ITERS
     points = sum(1 for kind, _ in calls if kind == "audit_f")
     assert points == (30 if name == "full" else 31)
@@ -147,8 +146,8 @@ def test_capped_cg_pays_no_product_after_a_sol_exit():
     # A SOL exit at iteration j takes the initial product and one for each
     # of the j - 1 iterations before it, each over all n rows under `full`.
     problem = synthetic_nls(5000, 20, seed=0)
-    policy, variant, settings = preset("full", problem.n)
-    report = run(problem, SolverConfig(eps_g=1e-3, **settings),
+    policy, variant, config = preset("full", problem.n, eps_g=1e-3)
+    report = run(problem, config,
                  policy=policy, variant=variant)
     sol = 0
     for before, record in zip([0] + [r.hv_calls for r in report.records],
