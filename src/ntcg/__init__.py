@@ -5,14 +5,17 @@ that detects negative curvature, a randomized Lanczos minimum-eigenvalue
 oracle for approximate second-order certificates, line-search and
 fixed-step drivers, subsampled gradient/Hessian oracles with exact
 call accounting, and a benchmark CLI.
+
+The root exports what a caller needs to set up and run a solve, define a
+problem, read data and catch errors.  The kernels, their result types and
+the paper's step and bound formulas stay in their modules
+(``ntcg.capped_cg``, ``ntcg.meo``, ``ntcg.audit``, ``ntcg.sampling``,
+``ntcg.solver``), so each module name at the root is the module.
 """
 
-from .audit import iteration_bound, verify_condition
-from .capped_cg import NC, SOL, CappedCGResult, capped_cg, j_cap
 from .estimator import SquaredLossClassifier, WelschRegressor
 from .exceptions import ContractViolation, LibSVMFormatError
 from .libsvm import dump_libsvm, load_libsvm
-from .meo import CERTIFICATE, NEGATIVE_CURVATURE, MEOResult, meo_lanczos
 from .oracle import ObjectiveOracle, OracleLedger
 from .problems import (
     NLSProblem,
@@ -22,71 +25,28 @@ from .problems import (
     constants_for,
     synthetic_nls,
 )
-from .sampling import (
-    SamplingPolicy,
-    adapt_grad_batch,
-    floor_targets,
-    sample_indices,
-)
+from .sampling import SamplingPolicy
 from .solver import (
     FIXED_STEP,
     LINE_SEARCH,
     IterationRecord,
     RunReport,
     SolverConfig,
-    fixed_step_nc,
-    fixed_step_sol,
-    line_search_nc,
-    line_search_sol,
     preset,
     run,
-    scale_meo_direction,
-    scale_nc_direction,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CappedCGResult",
-    "CERTIFICATE",
-    "ContractViolation",
-    "FIXED_STEP",
-    "IterationRecord",
-    "LibSVMFormatError",
-    "LINE_SEARCH",
-    "MEOResult",
-    "NC",
-    "NEGATIVE_CURVATURE",
-    "NLSProblem",
-    "ObjectiveOracle",
-    "OracleLedger",
+    # setting up and running a solve
+    "preset", "run", "SolverConfig", "SamplingPolicy", "LINE_SEARCH", "FIXED_STEP",
+    "RunReport", "IterationRecord", "ObjectiveOracle", "OracleLedger",
     "ProblemConstants",
-    "QuadraticProblem",
-    "RunReport",
-    "SaddleProblem",
-    "SamplingPolicy",
-    "SquaredLossClassifier",
-    "SolverConfig",
-    "SOL",
-    "WelschRegressor",
-    "adapt_grad_batch",
-    "capped_cg",
-    "constants_for",
-    "dump_libsvm",
-    "fixed_step_nc",
-    "fixed_step_sol",
-    "floor_targets",
-    "iteration_bound",
-    "j_cap",
-    "line_search_nc",
-    "line_search_sol",
-    "load_libsvm",
-    "meo_lanczos",
-    "preset",
-    "run",
-    "sample_indices",
-    "scale_meo_direction",
-    "scale_nc_direction",
-    "synthetic_nls",
-    "verify_condition",
+    # problems, data and errors
+    "NLSProblem", "QuadraticProblem", "SaddleProblem", "synthetic_nls",
+    "constants_for", "load_libsvm", "dump_libsvm", "ContractViolation",
+    "LibSVMFormatError",
+    # estimators
+    "SquaredLossClassifier", "WelschRegressor",
 ]

@@ -16,6 +16,7 @@ import numpy as np
 
 from .capped_cg import NC, SOL
 from .exceptions import ContractViolation
+from .sampling import EXACT
 
 COND2 = "Cond2"
 COND3 = "Cond3"
@@ -113,16 +114,21 @@ class _Audit:
     is measured up to dimension 64; above it a condition that the gradient
     error does not break is recorded as unchecked (`ok` None), as is a
     Cond3 that Cond2 does not break when L_H is unknown.
+
+    Which checks apply follows from the run: the decrease floors and
+    backtracking caps hold for exact oracles, the floors only for the
+    derived steps (no step-size override), and a sampled run gets the
+    accuracy condition instead.
     """
 
-    def __init__(self, problem, cfg, constants, fixed_step, exact_policy,
-                 guaranteed_step):
+    def __init__(self, problem, cfg, constants, policy, fixed_step):
         self.problem = problem
         self.cfg = cfg
         self.constants = constants
         self.fixed_step = fixed_step
-        self.exact_policy = exact_policy
-        self.guaranteed_step = self.exact_policy and guaranteed_step
+        self.exact_policy = policy.mode == EXACT
+        self.guaranteed_step = (self.exact_policy and cfg.alpha_sol_fixed is None
+                                and cfg.alpha_nc_fixed is None)
         self.which = COND3 if fixed_step else COND2
         self.n_checks = 0
         self.condition_results = []
@@ -200,8 +206,7 @@ class _Audit:
                 H_err = (self.problem.dense_hessian(x, hess_idx)
                          - self.problem.dense_hessian(x))
                 delta_H = float(np.linalg.norm(H_err, 2))
-            condition = dict(vars(cfg), delta_g_used=self.delta_g, delta_H_used=delta_H,
-                             norm_d=norm_d, norm_g=record.grad_est_norm)
+            condition = (self.delta_g, delta_H, norm_d, record.grad_est_norm)
         sol_floor = None
         if (
             self.exact_policy and not self.fixed_step and d_type == SOL
@@ -217,22 +222,24 @@ class _Audit:
         pending, self.pending = self.pending, None
         if pending is None:
             return
-        k, ctx = pending["k"], pending["condition"]
-        if ctx is not None:
+        cfg, k = self.cfg, pending["k"]
+        if pending["condition"] is not None:
+            delta_g, delta_H, norm_d, norm_g = pending["condition"]
             # Cond3 only tightens Cond2's gradient bound by a cap that needs
             # L_H; without it Cond2 can show a failure but not a pass.
-            which = self.which if ctx["L_H"] is not None else COND2
-            delta_H = ctx["delta_H_used"]
-            ok = verify_condition(ctx["delta_g_used"], delta_H or 0.0,
-                                  dict(ctx, norm_g_next=norm_g_next), which=which)
+            which = self.which if cfg.L_H is not None else COND2
+            context = {"eps_g": cfg.eps_g, "eps_H": cfg.eps_H, "zeta": cfg.zeta,
+                       "eta": cfg.eta, "L_H": cfg.L_H, "norm_d": norm_d,
+                       "norm_g": norm_g, "norm_g_next": norm_g_next}
+            ok = verify_condition(delta_g, delta_H or 0.0, context, which=which)
             decided = delta_H is not None and which == self.which
             self.condition_results.append(
                 {"k": k, "ok": None if ok and not decided else bool(ok)})
         if pending["sol_floor"] is not None:
-            eps_H, decrease = self.cfg.eps_H, pending["decrease"]
+            eps_H, decrease = cfg.eps_H, pending["decrease"]
             floor = pending["sol_floor"] * max(0.0, min(
                 exact_g_next_norm**3 / (2.5 * eps_H) ** 3, (2.5 * eps_H) ** 3,
-                self.cfg.eps_g ** 1.5,
+                cfg.eps_g ** 1.5,
             ))
             self.check(k, "sol_decrease_floor", decrease >= floor - 1e-12,
                        decrease, floor)

@@ -12,7 +12,8 @@ choice); pass --no-skip-small-step-block to run the faithful control flow.
 
 Solver settings are ``SolverConfig`` fields and go by their field names:
 in a config file (flat ``key = value`` text), in ``ExperimentSpec.config``
-and as the destination of the flags that set them (``_SOLVER_FLAGS``).
+and as the destination of the flags that set them
+(``ntcg.solver.CLI_FLAGS``).
 Command-line flags win over the config file.  ``ExperimentSpec`` checks
 every setting, naming its flag, before any data is read.
 
@@ -107,7 +108,7 @@ class ExperimentSpec:
             try:
                 solver.SolverConfig(**{key: value})
             except ValueError as exc:
-                raise ValueError("%s: %s" % (_SOLVER_FLAGS.get(key)
+                raise ValueError("%s: %s" % (solver.CLI_FLAGS.get(key)
                                              or "config key %r" % key, exc)) from None
         # Then together, under the preset's step rule.
         solver.preset(self.variant, 1, seed=self.seed, **self.config)
@@ -219,14 +220,6 @@ def _config_bool(text):
 _CONFIG_TYPES = {f.name: {int: int, bool: _config_bool}.get(f.type, float)
                  for f in fields(solver.SolverConfig) if f.name != "seed"}
 
-# The command-line flag of each SolverConfig field that has one: the flag
-# writes the field (its argparse dest), and errors name it.
-_SOLVER_FLAGS = {
-    "eps_g": "--eps", "eps_H": "--eps-h", "max_outer_iters": "--max-iters",
-    "skip_small_step_block": "--no-skip-small-step-block",
-    "alpha_sol_fixed": "--alpha-sol", "alpha_nc_fixed": "--alpha-nc",
-}
-
 
 def spec_fields_from_config(raw):
     """The ExperimentSpec `config` dict from raw config-file entries; the
@@ -253,7 +246,7 @@ def make_parser():
                        argument_default=argparse.SUPPRESS)
 
     def solver_flag(key, **kwargs):
-        p.add_argument(_SOLVER_FLAGS[key], dest=key, **kwargs)
+        p.add_argument(solver.CLI_FLAGS[key], dest=key, **kwargs)
 
     p.add_argument("--problem", required=True, choices=PROBLEMS)
     p.add_argument("--data", help="LIBSVM file (required for nls-* problems)")
@@ -289,7 +282,7 @@ def main(argv=None):
         if "config" in args:
             config = spec_fields_from_config(load_config_file(args.pop("config")))
         # Command-line flags win over the config file.
-        config.update({key: args.pop(key) for key in _SOLVER_FLAGS if key in args})
+        config.update({key: args.pop(key) for key in solver.CLI_FLAGS if key in args})
         reports, code = run_experiment(ExperimentSpec(config=config, **args))
     except (OSError, LibSVMFormatError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -124,6 +124,20 @@ class SolverConfig:
                 raise ValueError("%s must be a %s integer, got %r" % (name, kind, value))
 
 
+# The command-line flag of each SolverConfig field that has one: `ntcg solve`
+# writes the field through it (its argparse dest), and errors name it.
+CLI_FLAGS = {
+    "eps_g": "--eps", "eps_H": "--eps-h", "max_outer_iters": "--max-iters",
+    "skip_small_step_block": "--no-skip-small-step-block",
+    "alpha_sol_fixed": "--alpha-sol", "alpha_nc_fixed": "--alpha-nc",
+}
+
+
+def _flagged(name, value=""):
+    """A SolverConfig field as messages name it, `name[value] (flag)`."""
+    return "%s%s (%s)" % (name, value, CLI_FLAGS[name])
+
+
 # The benchmark presets: name -> (sampling mode, line-search objective, step
 # rule).  `preset` sizes their batches and fills their settings.
 PRESETS = {
@@ -174,9 +188,8 @@ def check_step_rule(variant, config):
     derived Newton step without the small-step block, which passes only the
     steps it is at most 1 for (Royer, O'Neill & Wright 2020)."""
     if variant == LINE_SEARCH:
-        given = ["%s (%s)" % (name, flag) for name, flag in (
-            ("alpha_sol_fixed", "--alpha-sol"), ("alpha_nc_fixed", "--alpha-nc"))
-            if getattr(config, name) is not None]
+        given = [_flagged(name) for name in ("alpha_sol_fixed", "alpha_nc_fixed")
+                 if getattr(config, name) is not None]
         if given:
             raise ValueError("step-size overrides apply to FixedStep only (preset "
                              "'inexact-fixed'); LineSearch would ignore %s"
@@ -185,8 +198,9 @@ def check_step_rule(variant, config):
         raise ValueError("unknown variant %r" % (variant,))
     elif config.alpha_sol_fixed is None and config.skip_small_step_block:
         raise ValueError("FixedStep derives its Newton step only with the small-step "
-                         "block; give alpha_sol_fixed (--alpha-sol) or "
-                         "skip_small_step_block=False (--no-skip-small-step-block)")
+                         "block; give %s or %s" % (
+                             _flagged("alpha_sol_fixed"),
+                             _flagged("skip_small_step_block", "=False")))
 
 
 @dataclass
@@ -382,8 +396,8 @@ def _resolve(config, constants):
         if not eps_H < 1.0:  # only L_H > 0 can take it there
             raise ValueError(
                 "eps_H = sqrt(L_H * eps_g) = %g, derived from L_H = %g and "
-                "eps_g = %g, must lie in (0, 1); give eps_H (--eps-h) or a "
-                "smaller eps_g (--eps)" % (eps_H, L_H, config.eps_g))
+                "eps_g = %g, must lie in (0, 1); give %s or a smaller %s"
+                % (eps_H, L_H, config.eps_g, _flagged("eps_H"), _flagged("eps_g")))
     # replace() validates the filled eps_H through __post_init__.
     cfg = replace(config, eps_H=eps_H, U_H=float(U_H),
                   L_H=None if L_H is None else float(L_H))
@@ -472,10 +486,7 @@ def run(problem, config, policy=None, variant=LINE_SEARCH, constants=None,
     auditor = None
     audit_f = problem.audit_f
     if audit:
-        auditor = _Audit(problem, cfg, constants, variant == FIXED_STEP,
-                         policy.mode == EXACT,
-                         guaranteed_step=(cfg.alpha_sol_fixed is None
-                                          and cfg.alpha_nc_fixed is None))
+        auditor = _Audit(problem, cfg, constants, policy, variant == FIXED_STEP)
         audit_f = auditor.f  # values the point the last step reached once
     exact_line_f = policy.line_search_eval == "full"
 

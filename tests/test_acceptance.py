@@ -20,22 +20,18 @@ from helpers import (
 
 import ntcg.solver as solver
 from ntcg import (
-    CERTIFICATE,
     SaddleProblem,
     SolverConfig,
-    capped_cg,
     constants_for,
     dump_libsvm,
-    floor_targets,
-    j_cap,
-    meo_lanczos,
-    sample_indices,
     synthetic_nls,
 )
+from ntcg.capped_cg import capped_cg, j_cap
 from ntcg.cli import ExperimentSpec, run_experiment
-from ntcg.meo import meo_iteration_cap
+from ntcg.meo import CERTIFICATE, meo_iteration_cap, meo_lanczos
 from ntcg.problems import SIGMOID, TANH, WELSCH, NLSProblem
 from ntcg.reporting import read_run_csv
+from ntcg.sampling import floor_targets, sample_indices
 from ntcg.solver import FIXED_STEP, run
 
 

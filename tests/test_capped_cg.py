@@ -1,21 +1,22 @@
 import math
-import sys
 
 import numpy as np
 import pytest
 from helpers import MatrixOperator, random_symmetric, symmetric_with_spectrum
 
-from ntcg import NC, SOL, ContractViolation, capped_cg, j_cap
+import ntcg.capped_cg
+from ntcg import ContractViolation
 from ntcg.capped_cg import (
+    NC,
+    SOL,
     CappedCGResult,
     _derived,
     _norm,
     _safe_ratio,
+    capped_cg,
     extract_accumulated_nc,
+    j_cap,
 )
-
-# The package exports the function capped_cg under the module's name.
-CAPPED_CG_MODULE = sys.modules["ntcg.capped_cg"]
 
 
 def solve_dense(H, g, eps):
@@ -155,8 +156,8 @@ class TestProductCount:
         # No consistent operator is known to reach this exit (random spectra
         # never do), so T = 0 makes the slow-decay test fire at j = 1; the
         # "y" instance then finds its direction among the iterates.
-        derived = CAPPED_CG_MODULE._derived
-        monkeypatch.setattr(CAPPED_CG_MODULE, "_derived",
+        derived = ntcg.capped_cg._derived
+        monkeypatch.setattr(ntcg.capped_cg, "_derived",
                             lambda M, eps, zeta: derived(M, eps, zeta)[:3] + (0.0,))
         res, products = self.run("y")
         assert (res.nc_source, res.iterations, products) == ("slow_decay", 1, 2)

@@ -6,8 +6,15 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.stats import binom
 
 import ntcg.meo
-from ntcg import CERTIFICATE, NEGATIVE_CURVATURE, ContractViolation, meo_lanczos
-from ntcg.meo import bottom_ritz_pair, lanczos, meo_iteration_cap
+from ntcg import ContractViolation
+from ntcg.meo import (
+    CERTIFICATE,
+    NEGATIVE_CURVATURE,
+    bottom_ritz_pair,
+    lanczos,
+    meo_iteration_cap,
+    meo_lanczos,
+)
 
 
 def planted_operator(rng, dim, lam_min, bulk_low, bulk_high):

@@ -4,20 +4,16 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from ntcg import (
-    SamplingPolicy,
-    adapt_grad_batch,
-    floor_targets,
-    sample_indices,
-    synthetic_nls,
-    verify_condition,
-)
-from ntcg.audit import COND2, COND3
+from ntcg import SamplingPolicy, synthetic_nls
+from ntcg.audit import COND2, COND3, verify_condition
 from ntcg.sampling import (
     EXACT,
     MIN_BATCH,
     SUB_BOTH,
     SUB_HESSIAN_ONLY,
+    adapt_grad_batch,
+    floor_targets,
+    sample_indices,
 )
 
 

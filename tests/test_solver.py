@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 from helpers import MatrixOperator, preset_policy
 
+import ntcg.capped_cg
 import ntcg.solver as solver
 from ntcg import (
     ContractViolation,
@@ -14,23 +15,25 @@ from ntcg import (
     SaddleProblem,
     SamplingPolicy,
     SolverConfig,
-    adapt_grad_batch,
-    fixed_step_nc,
-    fixed_step_sol,
-    iteration_bound,
-    line_search_nc,
-    line_search_sol,
     preset,
-    scale_meo_direction,
-    scale_nc_direction,
     synthetic_nls,
 )
-from ntcg.audit import c_nc_constant, c_sol_constant
+from ntcg.audit import c_nc_constant, c_sol_constant, iteration_bound
 from ntcg.oracle import ObjectiveOracle
 from ntcg.problems import TANH
 from ntcg.reporting import write_run_csv
-from ntcg.sampling import EXACT, SUB_BOTH, SUB_HESSIAN_ONLY
-from ntcg.solver import FIXED_STEP, LINE_SEARCH, run
+from ntcg.sampling import EXACT, SUB_BOTH, SUB_HESSIAN_ONLY, adapt_grad_batch
+from ntcg.solver import (
+    FIXED_STEP,
+    LINE_SEARCH,
+    fixed_step_nc,
+    fixed_step_sol,
+    line_search_nc,
+    line_search_sol,
+    run,
+    scale_meo_direction,
+    scale_nc_direction,
+)
 
 
 class TestScaleOps:
@@ -706,18 +709,12 @@ class TestConfigValidation:
                 x0=np.ones(2), constants=q.constants())
 
     def test_cg_iteration_override_enforced(self, monkeypatch):
-        import importlib
-
-        from ntcg import capped_cg
-
-        # The package exports the function under the module's name.
-        module = importlib.import_module("ntcg.capped_cg")
-        monkeypatch.setattr(module, "j_cap", lambda M, eps, zeta: 1)
+        monkeypatch.setattr(ntcg.capped_cg, "j_cap", lambda M, eps, zeta: 1)
         rng = np.random.default_rng(2)
         A = rng.standard_normal((20, 20))
         H_mat = A @ A.T + 0.5 * np.eye(20)
         with pytest.raises(ContractViolation, match="iteration cap"):
-            capped_cg(
+            ntcg.capped_cg.capped_cg(
                 MatrixOperator(H_mat),
                 rng.standard_normal(20),
                 epsilon=0.01, zeta=0.1,
